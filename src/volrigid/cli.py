@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the library modules:
 
     qf values|gap|reps      primitive value sets, two-sided gaps, representations
-    prime-seq               congruence-built gap primes with brute-force verification
+    prime-seq               congruence-built gap primes, verified from scratch by
+                            the exact representation engine
     nz eval|check|wl-coeffs|constants
                             truncated volume changes and the series constants
     certify                 volume-uniqueness certificates for the builtin records

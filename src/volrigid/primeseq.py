@@ -1,7 +1,7 @@
 """Primes whose quadratic-form representations sit in a two-sided gap.
 
 The searches here produce values v (a prime p, or twice a prime) such
-that, verified by brute force:
+that, verified from scratch by the exact engine in quadform:
 
   (i)   v is represented by the family's carrier form Q1, the
         representation is primitive, and every integer representation
@@ -19,7 +19,8 @@ system is solved by the Chinese remainder theorem and the resulting
 arithmetic progression is walked for primes.  The congruences only make
 conditions likely by design; every reported witness is re-verified
 directly, so a bug in the construction can cost completeness but never
-soundness.
+soundness.  The brute-force ellipse walk over Q = v lives on in the
+tests as the oracle the engine is checked against.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ __all__ = [
 FAMILY_M004 = "m004-family"
 FAMILY_M125 = "m125-family"
 
-DEFAULT_SEARCH_CAP = 10**9
+DEFAULT_SEARCH_CAP = 10**15
 CHECKPOINT_EVERY = 10**6
 
 
@@ -122,6 +123,23 @@ def _progression(n0: int, modulus: int, cap: int,
             checkpoint(n)
 
 
+def _lone_prime(n0: int, modulus: int) -> bool:
+    """Is n0 the only term of the progression that can be prime?
+
+    When gcd(n0, modulus) > 1 every term shares that divisor, so the
+    progression is prime-free unless n0 itself is prime; a prime-free
+    progression raises EmptyProgressionError.
+    """
+    if math.gcd(n0, modulus) == 1:
+        return False
+    if _is_prime(n0):
+        return True
+    raise EmptyProgressionError(
+        f"the progression {n0} mod {modulus} holds no prime: every term is "
+        f"divisible by gcd({n0}, {modulus}) = {math.gcd(n0, modulus)}"
+    )
+
+
 def primes_in_progression(
     n0: int,
     modulus: int,
@@ -136,12 +154,8 @@ def primes_in_progression(
     """
     if modulus < 1 or n0 < 0:
         raise ValueError("need n0 >= 0 and modulus >= 1")
-    if math.gcd(n0, modulus) > 1:
-        if _is_prime(n0):
-            return [n0] if n0 <= cap else []
-        raise EmptyProgressionError(
-            f"gcd({n0}, {modulus}) > 1 and {n0} is composite"
-        )
+    if _lone_prime(n0, modulus):
+        return [n0] if n0 <= cap else []
     out = []
     for p in _progression(n0, modulus, cap, checkpoint):
         out.append(p)
@@ -274,7 +288,7 @@ def _representation_class(rep: tuple[int, int], allow_swap: bool) -> set[tuple[i
 
 
 def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
-    """Brute-force check of the three gap conditions for one value.
+    """From-scratch check of the three gap conditions for one value.
 
     Failed conditions are reported in the result, never raised.
     """
@@ -324,21 +338,26 @@ def gap_prime_sequence(
 ) -> GapPrimeSearch:
     """First `count` fully verified witnesses from the congruence search.
 
-    The underlying prime progression is capped at `cap`; running out
-    before `count` witnesses are found returns a truncated result rather
-    than raising.  shards > 1 partitions the progression into interleaved
-    subprogressions scanned separately and merged; the result is
-    identical to the single-shard scan.
+    Only witness values up to `cap` are considered; running out before
+    `count` witnesses are found returns a truncated result rather than
+    raising.  A progression that holds no prime raises
+    EmptyProgressionError up front.  shards > 1 partitions the
+    progression into interleaved subprogressions scanned separately and
+    merged; the result is identical to the single-shard scan.
     """
     if count < 0 or cap < 0 or shards < 1:
         raise ValueError("count, cap and shards must be nonnegative (shards >= 1)")
     fam = _FAMILIES[spec.family]
     n0, modulus = crt_solve(build_congruences(spec))
+    lone = _lone_prime(n0, modulus)
     found: list[GapPrimeWitness] = []
-    for shard in range(shards):
+    for shard in range(1 if lone else shards):
         shard_found = []
-        for p in _progression(n0 + shard * modulus, shards * modulus, cap,
-                              checkpoint):
+        scan = [n0] if lone else _progression(
+            n0 + shard * modulus, shards * modulus, cap, checkpoint)
+        for p in scan:
+            if fam.witness_value(p) > cap:
+                break
             witness = verify_witness(fam.witness_value(p), spec)
             if witness.verified:
                 shard_found.append(witness)

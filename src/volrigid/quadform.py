@@ -5,12 +5,21 @@ integer coefficients, a > 0 and discriminant D = b**2 - 4*a*c < 0.  A
 representation Q(x, y) = m is primitive when gcd(x, y) = 1; note that
 gcd(x, 0) = |x|, so (2, 0) is not primitive while (1, 0) and (0, 1) are.
 
-Positive definiteness makes every enumeration here finite: for
-Q(x, y) = m the admissible y satisfy |D|*y**2 <= 4*a*m, and for each y
-the x values solve an integer quadratic.  The value-set and gap
-operations walk that ellipse directly, which is the ground truth the
-rest of the package leans on; the Kronecker-symbol test is only a
-necessary condition used as a fast filter.
+Point queries, the solutions of Q(x, y) = m, come from an exact
+engine: m is factored once, the square roots of D modulo 4m are found
+prime power by prime power (Tonelli-Shanks and Hensel lifting) and
+combined by the Chinese remainder theorem, and each candidate form
+(m, B, (B**2 - D)/4m) is Gauss-reduced and compared with the reduced Q
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+sections 1.5 and 5.3; Buell, Binary Quadratic Forms, 1989).  Its cost
+is one factorization plus a few reductions per root, not a walk over
+the O(sqrt m) rows of the ellipse Q = m; that walk lives on in the tests
+as the oracle the engine is checked against.
+
+Range queries (value sets and gaps) enumerate the ellipse Q <= limit:
+the admissible y satisfy |D|*y**2 <= 4*a*limit, and for each y the x
+values form an interval.  The Kronecker-symbol test is only a necessary
+condition used as a fast filter.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, kronecker_symbol
+from .arith import factorize
 
 __all__ = [
     "IntQuadForm",
@@ -30,10 +39,6 @@ __all__ = [
     "two_sided_gap",
     "kronecker_admissible",
 ]
-
-# Largest modulus 4m for which the quadratic-residue test scans residues
-# directly; beyond this it is decided exactly, prime power by prime power.
-QR_SCAN_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,35 +95,179 @@ class ValueSet:
     values: tuple[int, ...]
 
 
+def _sqrt_mod_prime(d: int, p: int) -> list[int]:
+    """Square roots of d modulo an odd prime p not dividing d (Tonelli-Shanks).
+
+    Empty when d is a non-residue.
+    """
+    d %= p
+    if pow(d, (p - 1) // 2, p) != 1:
+        return []
+    if p % 4 == 3:
+        r = pow(d, (p + 1) // 4, p)
+        return [r, p - r]
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(d, q, p), pow(d, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return [r, p - r]
+
+
+def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
+    """All x mod p**e with x**2 = d (mod p**e).
+
+    Roots mod p are lifted one p-adic digit at a time: r + t*p**j squares
+    to r**2 + 2*r*t*p**j (mod p**(j+1)), so t is unique (Hensel) when p
+    does not divide 2r, and otherwise every t or none works.  The second
+    case only arises when p divides 2d.
+    """
+    roots = [d % p] if p == 2 or d % p == 0 else _sqrt_mod_prime(d, p)
+    q = p
+    for _ in range(e - 1):
+        lifted = []
+        for r in roots:
+            k = (r * r - d) // q % p
+            if 2 * r % p:
+                lifted.append(r + (-k * pow(2 * r, -1, p) % p) * q)
+            elif k == 0:
+                lifted.extend(r + t * q for t in range(p))
+        roots = lifted
+        q *= p
+    return roots
+
+
+def _reduce(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
+    """Gauss reduction of a positive definite form, with its transform.
+
+    Returns the reduced form (|b| <= a <= c, and b >= 0 when |b| = a or
+    a = c) and the entries (p, q, r, s) of the matrix M = [[p, q], [r, s]]
+    in SL2(Z) with f(M (x, y)) = reduced(x, y).
+    """
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        if not -a < b <= a:
+            # f(x + t*y, y): b -> b + 2at, c -> c + (at + b)t
+            t = (a - b) // (2 * a)
+            c += (a * t + b) * t
+            b += 2 * a * t
+            q += p * t
+            s += r * t
+        if a > c or (a == c and b < 0):
+            # f(-y, x) = (c, -b, a)
+            a, b, c = c, -b, a
+            p, q, r, s = q, -p, s, -r
+            continue
+        return (a, b, c), (p, q, r, s)
+
+
+# Generators (p, q, r, s) of the proper automorphism groups of the two
+# reduced primitive forms whose group is larger than {I, -I}.
+_ROTATIONS = {(1, 0, 1): (0, -1, 1, 0), (1, 1, 1): (0, -1, 1, 1)}
+
+
+def _primitive_pairs(form: IntQuadForm, m: int, fac: dict[int, int]) -> list[tuple[int, int]]:
+    """The primitive solutions of Q(x, y) = m >= 1, unordered.
+
+    fac is the factorization of m.  Every primitive solution (x, y) is
+    the first column of some M in SL2(Z), and Q(M (x, y)) is a form
+    (m, B, C) with B**2 = D (mod 4m), B unique mod 2m.  So the solutions
+    are found by running over the square roots B of D mod 4m, keeping
+    those whose form (m, B, (B**2 - D)/4m) reduces to the reduced Q, and
+    taking each one's images under the proper automorphisms of Q.
+    """
+    content = math.gcd(form.a, form.b, form.c)
+    if m % content:
+        return []
+    a, b, c = form.a // content, form.b // content, form.c // content
+    if content > 1:
+        m //= content
+        fac = dict(fac)
+        for p in list(fac):
+            while content % p == 0:
+                content //= p
+                fac[p] -= 1
+            if not fac[p]:
+                del fac[p]
+    d = b * b - 4 * a * c
+    fac4 = dict(fac)
+    fac4[2] = fac4.get(2, 0) + 2
+    per_prime = []
+    for p, e in fac4.items():
+        roots = _sqrt_mod_prime_power(d, p, e)
+        if not roots:
+            return []
+        per_prime.append((roots, p**e))
+    residues, modulus = [0], 1
+    for roots, pe in per_prime:
+        inv = pow(modulus, -1, pe)
+        residues = [x + modulus * ((r - x) * inv % pe) for x in residues for r in roots]
+        modulus *= pe
+    reduced, (p0, q0, r0, s0) = _reduce(a, b, c)
+    u, v, w, z = _ROTATIONS.get(reduced, (-1, 0, 0, -1))
+    out = []
+    for big_b in {x % (2 * m) for x in residues}:
+        g, (_, _, r, s) = _reduce(m, big_b, (big_b * big_b - d) // (4 * m))
+        if g != reduced:
+            continue
+        # reduced(M^-1 e1) = m; M^-1 = [[s, -q], [-r, p]]
+        x, y = s, -r
+        while True:
+            out.append((p0 * x + q0 * y, r0 * x + s0 * y))
+            x, y = u * x + v * y, w * x + z * y
+            if (x, y) == (s, -r):
+                break
+    return out
+
+
+def _in_order(pairs: list[tuple[int, int]]) -> list[Representation]:
+    return [Representation.of(x, y) for x, y in sorted(pairs, key=lambda xy: (xy[1], xy[0]))]
+
+
 def representations(form: IntQuadForm, m: int) -> list[Representation]:
     """All integer solutions of Q(x, y) = m, primitive or not.
 
     Sorted lexicographically by (y, x).  m < 0 is a domain error; m = 0
-    has the single solution (0, 0).
+    has the single solution (0, 0).  A solution with gcd(x, y) = k is k
+    times a primitive solution for m / k**2, so this is the union of the
+    primitive solutions over the square divisors of m, all read off one
+    factorization of m.
     """
     if m < 0:
         raise ValueError("a positive definite form only represents m >= 0")
-    a, b = form.a, form.b
-    d = form.discriminant()
-    out = []
-    ymax = math.isqrt(4 * a * m // -d) + 1
-    for y in range(-ymax, ymax + 1):
-        disc = d * y * y + 4 * a * m
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        if s * s != disc:
-            continue
-        for root in {(-b * y - s), (-b * y + s)}:
-            if root % (2 * a) == 0:
-                out.append(Representation.of(root // (2 * a), y))
-    out.sort(key=lambda r: (r.y, r.x))
-    return out
+    if m == 0:
+        return [Representation.of(0, 0)]
+    square_divisors = [(1, {})]
+    for p, e in factorize(m).items():
+        square_divisors = [
+            (k * p**j, {**sub, p: e - 2 * j} if e > 2 * j else sub)
+            for k, sub in square_divisors
+            for j in range(e // 2 + 1)
+        ]
+    pairs = []
+    for k, sub in square_divisors:
+        pairs += [(k * x, k * y) for x, y in _primitive_pairs(form, m // (k * k), sub)]
+    return _in_order(pairs)
 
 
 def primitive_representations(form: IntQuadForm, m: int) -> list[Representation]:
     """The primitive solutions of Q(x, y) = m, in (y, x) order."""
-    return [r for r in representations(form, m) if r.primitive]
+    if m < 0:
+        raise ValueError("a positive definite form only represents m >= 0")
+    if m == 0:
+        return []
+    return _in_order(_primitive_pairs(form, m, factorize(m)))
 
 
 def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
@@ -191,20 +340,12 @@ def kronecker_admissible(form: IntQuadForm, m: int) -> bool:
     """Is the discriminant a square modulo 4m?
 
     A primitive representation of m forces this, so a False here rules m
-    out of the primitive value set; True guarantees nothing.  Prime
-    divisors p of m with (D|p) = -1 reject early; otherwise small moduli
-    are scanned directly and larger ones decided per prime power.
+    out of the primitive value set; True guarantees nothing.  Decided
+    exactly, prime power by prime power of 4m.
     """
     if m < 1:
         raise ValueError("m must be positive")
+    fac = factorize(m)
+    fac[2] = fac.get(2, 0) + 2
     d = form.discriminant()
-    for p in factorize(m):
-        if kronecker_symbol(d, p) == -1:
-            return False
-    n = 4 * m
-    if n <= QR_SCAN_LIMIT:
-        target = d % n
-        return any(x * x % n == target for x in range(n // 2 + 1))
-    return all(
-        _square_mod_prime_power(d, p, k) for p, k in factorize(n).items()
-    )
+    return all(_square_mod_prime_power(d, p, k) for p, k in fac.items())

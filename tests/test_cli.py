@@ -192,6 +192,34 @@ def test_env_cap_override(capsys, monkeypatch):
     assert "VOLRIGID_CAP" in err
 
 
+def test_default_cap_reaches_first_g3_witness(capsys, monkeypatch):
+    monkeypatch.delenv("VOLRIGID_CAP", raising=False)
+    payload = invoke_json(capsys, "prime-seq", "--family", "m004", "-g", "3")
+    assert [w["value"] for w in payload["witnesses"]] == [1226053501]
+    assert payload["truncated"] is False
+
+
+def test_prime_seq_m125_cap_bounds_the_value(capsys):
+    capped = invoke_json(
+        capsys, "prime-seq", "--family", "m125", "-g", "1", "--cap", "20"
+    )
+    assert capped["witnesses"] == [] and capped["truncated"] is True
+    at_cap = invoke_json(
+        capsys, "prime-seq", "--family", "m125", "-g", "1", "--cap", "34"
+    )
+    assert [w["value"] for w in at_cap["witnesses"]] == [34]
+    assert at_cap["truncated"] is False
+
+
+def test_prime_seq_prime_free_progression_exits_1(capsys):
+    code, out, err = invoke(
+        capsys, "prime-seq", "--family", "m125", "-g", "3",
+        "--avoid", "7,11,3,19,23,31",
+    )
+    assert code == 1 and out == ""
+    assert "holds no prime" in err and "= 3" in err
+
+
 def test_shards_do_not_change_output(capsys):
     plain = invoke(
         capsys, "prime-seq", "--family", "m004", "-g", "1", "--count", "3",

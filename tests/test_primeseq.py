@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+from volrigid.arith import factorize
 from volrigid.primeseq import (
     CongruenceSystem,
     EmptyProgressionError,
@@ -22,6 +24,7 @@ from volrigid.primeseq import (
     primes_in_progression,
     verify_witness,
 )
+from volrigid.quadform import IntQuadForm, primitive_value_set
 
 DATA = Path(__file__).parent / "data"
 
@@ -209,3 +212,63 @@ def test_golden_g2_witness_reverifies():
     witness = verify_witness(golden["value"], spec)
     assert witness.verified
     assert list(witness.representation.pair) == golden["representation"]
+
+
+def _hex_primitive(n: int) -> bool:
+    """Class-number-one criterion: x^2+xy+y^2 = n has a primitive
+    solution exactly when n has no prime factor 2 mod 3 and 9 does not
+    divide n."""
+    return n % 9 != 0 and all(p % 3 != 2 for p in factorize(n))
+
+
+def test_hex_primitive_criterion_matches_value_set():
+    values = set(primitive_value_set(IntQuadForm(1, 1, 1), 2000).values)
+    assert {n for n in range(1, 2001) if _hex_primitive(n)} == values
+
+
+def test_golden_g4_g5_witnesses():
+    golden = json.loads((DATA / "m004_gap4_witness.json").read_text())
+    assert golden["family"] == FAMILY_M004
+    for entry in golden["searches"]:
+        g, values = entry["g"], [w["value"] for w in entry["witnesses"]]
+        spec = GapPrimeSpec(g=g, family=FAMILY_M004,
+                            avoid_primes=tuple(entry["avoid_primes"]))
+        assert spec.avoid_primes == default_avoid_primes(FAMILY_M004, g)
+        n0, modulus = crt_solve(build_congruences(spec))
+        assert (n0, modulus) == (entry["residue"], entry["modulus"])
+        # the search finds exactly these, first, below the recorded cap
+        search = gap_prime_sequence(spec, len(values), cap=entry["cap"])
+        assert not search.truncated
+        assert [w.value for w in search.witnesses] == values
+        assert [list(w.representation.pair) for w in search.witnesses] == [
+            w["representation"] for w in entry["witnesses"]
+        ]
+        # and each value passes checks that do not touch quadform
+        for w in entry["witnesses"]:
+            p, (x, y) = w["value"], w["representation"]
+            assert factorize(p) == {p: 1} and p % 12 == 1
+            assert (p - n0) % modulus == 0 and p <= entry["cap"]
+            assert x * x + 12 * y * y == p and math.gcd(x, y) == 1
+            for k in range(1, g + 1):
+                assert not _hex_primitive(p - k), (p, -k)
+                assert not _hex_primitive(p + k), (p, k)
+            assert p % 4 != 0  # 4(x^2+xy+y^2) misses p
+
+
+def test_gap_prime_sequence_cap_bounds_value_not_prime():
+    spec = GapPrimeSpec(g=1, family=FAMILY_M125, avoid_primes=(3, 7))
+    # the first candidate prime is 17, whose witness value is 34
+    capped = gap_prime_sequence(spec, 1, cap=20)
+    assert capped.witnesses == () and capped.truncated
+    at_cap = gap_prime_sequence(spec, 1, cap=34)
+    assert [w.value for w in at_cap.witnesses] == [34]
+    assert not at_cap.truncated
+
+
+def test_gap_prime_sequence_refuses_prime_free_progression():
+    # 3 divides its own shift (2p - 3), so every candidate p is a
+    # multiple of 3
+    spec = GapPrimeSpec(g=3, family=FAMILY_M125,
+                        avoid_primes=(7, 11, 3, 19, 23, 31))
+    with pytest.raises(EmptyProgressionError, match="holds no prime"):
+        gap_prime_sequence(spec, 1, cap=10**15)

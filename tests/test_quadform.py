@@ -6,7 +6,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from volrigid.arith import factorize
 from volrigid.quadform import (
     IntQuadForm,
     kronecker_admissible,
@@ -29,6 +32,130 @@ def brute_representations(form: IntQuadForm, m: int) -> set[tuple[int, int]]:
             if form.evaluate(x, y) == m:
                 hits.add((x, y))
     return hits
+
+
+def walk_representations(form: IntQuadForm, m: int) -> set[tuple[int, int]]:
+    """The O(sqrt m) ellipse walk: for each y with |D|*y**2 <= 4*a*m,
+    solve a*x**2 + b*y*x + (c*y**2 - m) = 0 for integer x."""
+    a, b = form.a, form.b
+    d = form.discriminant()
+    hits = set()
+    ymax = math.isqrt(4 * a * m // -d) + 1
+    for y in range(-ymax, ymax + 1):
+        disc = d * y * y + 4 * a * m
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        if s * s != disc:
+            continue
+        for root in (-b * y - s, -b * y + s):
+            if root % (2 * a) == 0:
+                hits.add((root // (2 * a), y))
+    return hits
+
+
+# (1,1,1) and (1,0,1) have proper automorphism groups of order 6 and 4;
+# (4,4,4) and (2,0,2) are their imprimitive multiples.
+SPECIAL_FORMS = (HEX, SUM_SQ, IntQuadForm(4, 4, 4), IntQuadForm(2, 0, 2), X2_12Y2)
+
+
+@st.composite
+def forms(draw, max_coeff: int = 8):
+    """Positive definite forms: special ones, random reduced or not, and
+    random ones moved away from reduction by x -> x + t*y and swaps."""
+    if draw(st.booleans()):
+        form = draw(st.sampled_from(SPECIAL_FORMS))
+        a, b, c = form.a, form.b, form.c
+    else:
+        a = draw(st.integers(1, max_coeff))
+        c = draw(st.integers(1, max_coeff))
+        b = draw(st.integers(-max_coeff, max_coeff))
+        assume(b * b < 4 * a * c)
+    for t in draw(st.lists(st.integers(-2, 2), max_size=3)):
+        a, b, c = c, -b, a
+        a, b, c = a, b + 2 * a * t, a * t * t + b * t + c
+    return IntQuadForm(a, b, c)
+
+
+def structured_values(form: IntQuadForm, limit: int):
+    """Values up to limit built from high powers of 2, of 3 and of the
+    primes dividing the discriminant, times a small cofactor."""
+    d_primes = sorted(factorize(-form.discriminant()))
+    primes = st.sampled_from(sorted({2, 3, *d_primes}))
+    parts = st.lists(st.tuples(primes, st.integers(1, 16)), max_size=3)
+    cofactor = st.integers(1, 60)
+    def build(spec):
+        parts, k = spec
+        m = k
+        for p, e in parts:
+            m *= p**e
+        return m
+    return st.one_of(
+        st.integers(0, limit),
+        st.tuples(parts, cofactor).map(build).filter(lambda m: m <= limit),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_engine_matches_brute_force(data):
+    form = data.draw(forms(max_coeff=6))
+    m = data.draw(st.integers(0, 24))
+    brute = brute_representations(form, m)
+    assert walk_representations(form, m) == brute
+    reps = representations(form, m)
+    assert {r.pair for r in reps} == brute
+    assert [r.pair for r in primitive_representations(form, m)] == [
+        r.pair for r in reps if r.primitive
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_engine_matches_walk_up_to_1e5(data):
+    form = data.draw(forms(max_coeff=30))
+    m = data.draw(structured_values(form, 10**5))
+    reps = representations(form, m)
+    assert [r.pair for r in reps] == sorted(
+        walk_representations(form, m), key=lambda xy: (xy[1], xy[0])
+    )
+    assert all(r.primitive == (math.gcd(r.x, r.y) == 1) for r in reps)
+    assert [r.pair for r in primitive_representations(form, m)] == [
+        r.pair for r in reps if r.primitive
+    ]
+
+
+def _divisor_character_sum(m: int, chi) -> int:
+    out = 1
+    for p, e in factorize(m).items():
+        out *= sum(chi(p) ** k for k in range(e + 1))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(0, 17).flatmap(lambda k: st.integers(10**k, 10 ** (k + 1))))
+def test_engine_counts_match_divisor_sums_at_large_m(m):
+    # r(m) = 6 * sum_{d|m} (d|3) for x^2+xy+y^2 and
+    # r(m) = 4 * sum_{d|m} chi_4(d) for x^2+y^2: both have class number 1
+    chi3 = lambda p: 0 if p == 3 else (1 if p % 3 == 1 else -1)  # noqa: E731
+    chi4 = lambda p: 0 if p == 2 else (1 if p % 4 == 1 else -1)  # noqa: E731
+    for form, w, chi in ((HEX, 6, chi3), (SUM_SQ, 4, chi4)):
+        reps = representations(form, m)
+        assert len(reps) == w * _divisor_character_sum(m, chi), (str(form), m)
+        assert all(form.evaluate(*r.pair) == m for r in reps)
+    fac = factorize(m)
+    hex_primitive = m % 9 != 0 and all(p % 3 != 2 for p in fac)
+    assert bool(primitive_representations(HEX, m)) == hex_primitive
+
+
+def test_engine_pinned_large_value():
+    # the first default m004 g = 4 witness; the walk would take ~1e6 rows
+    reps = representations(X2_12Y2, 2281690066141)
+    assert [r.pair for r in reps] == [
+        (-1150007, -282721), (1150007, -282721),
+        (-1150007, 282721), (1150007, 282721),
+    ]
+    assert all(r.primitive for r in reps)
 
 
 def test_form_validation():
@@ -139,9 +266,20 @@ def test_kronecker_admissible_rejects_inert_prime_factors():
         assert not kronecker_admissible(X2_12Y2, m), m
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kronecker_admissible_matches_residue_scan(data):
+    form = data.draw(forms(max_coeff=30))
+    m = data.draw(structured_values(form, 25000).filter(lambda m: m >= 1))
+    n = 4 * m
+    target = form.discriminant() % n
+    scan = any(x * x % n == target for x in range(n // 2 + 1))
+    assert kronecker_admissible(form, m) == scan
+
+
 def test_kronecker_admissible_large_modulus_path():
-    # forms with 4ac > 10^6 exercise the prime-power route instead of
-    # the residue scan; compare both against actual representability
+    # a discriminant with large prime-power factors; compare against
+    # actual representability
     big = IntQuadForm(1, 0, 3 * 10**5)
     for m in (1, 2, 3, 4, 7, 13, 300001, 300004):
         reps = representations(big, m)
