@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -92,8 +93,6 @@ class CliConfig:
 
     output_format: str = "json"
     search_cap: int = DEFAULT_SEARCH_CAP
-    c2: float = DEFAULT_C2
-    epsilon: float = DEFAULT_EPSILON
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -101,8 +100,6 @@ class CliConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.search_cap <= 0:
             raise ValueError("search cap must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
         if self.shards < 1:
             raise ValueError("shard count must be at least 1")
 
@@ -238,7 +235,10 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected comma-separated integers")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: construction costs milliseconds, and
+    # parse_args keeps no state between calls.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",

@@ -379,10 +379,17 @@ def certify_unique_volume(
     """Certificate that the filling (a0, b0) of a built-in cusp record
     has an isolated truncated volume.
 
-    The integer carrier form is scanned up to scan_limit for its
-    primitive value spectrum; the two-sided gap around the filling value
-    and the representation count are both normalized by the record's
-    scale.
+    The two-sided gap around the filling value is found by scanning the
+    integer carrier form outward from that value, up to scan_limit at
+    most, so its cost depends on the value and the gap rather than on
+    scan_limit.  The gap and the value are reported normalized by the
+    record's scale.
+
+    The two decisions are exact.  integer_form = scale * Qhat and Qhat
+    has discriminant -4, so scale**2 = |D|/4 for the carrier form's
+    discriminant D, and gap/scale > 2*c2 and q/scale >= REGIME_Q_MIN are
+    decided as gap**2 > c2**2 * |D| and 4*q**2 >= REGIME_Q_MIN**2 * |D|
+    on the exact rational values of the floats c2 and REGIME_Q_MIN.
     """
     if math.gcd(a0, b0) != 1:
         raise ValueError("filling class must be a coprime pair")
@@ -394,6 +401,7 @@ def certify_unique_volume(
     gap_int = two_sided_gap(record.integer_form, q_int, scan_limit)
     n_q0 = len(primitive_representations(record.integer_form, q_int))
     order = len(record.symmetry_group)
+    abs_d = -record.integer_form.discriminant()
     q0_normalized = q_int / record.scale
     gap_normalized = gap_int / record.scale
     return UniquenessCertificate(
@@ -405,6 +413,6 @@ def certify_unique_volume(
         n_q0=n_q0,
         symmetry_order=order,
         bound=Fraction(n_q0, order),
-        valid=gap_normalized > 2 * c2,
-        regime_verified=q0_normalized >= REGIME_Q_MIN,
+        valid=gap_int**2 > Fraction(c2) ** 2 * abs_d,
+        regime_verified=4 * q_int**2 >= Fraction(REGIME_Q_MIN) ** 2 * abs_d,
     )

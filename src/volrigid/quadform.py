@@ -16,10 +16,14 @@ is one factorization plus a few reductions per root, not a walk over
 the O(sqrt m) rows of the ellipse Q = m; that walk lives on in the tests
 as the oracle the engine is checked against.
 
-Range queries (value sets and gaps) enumerate the ellipse Q <= limit:
-the admissible y satisfy |D|*y**2 <= 4*a*limit, and for each y the x
-values form an interval.  The Kronecker-symbol test is only a necessary
-condition used as a fast filter.
+Range queries walk the lattice points of an annulus lo <= Q <= hi: the
+admissible y satisfy |D|*y**2 <= 4*a*hi, and for each y the x values
+form an interval with the interval of Q <= lo - 1 cut out.  A value set
+up to a limit is the annulus 1 <= Q <= limit.  A two-sided gap around
+q0 walks annuli q0 - r <= Q <= q0 + r of doubling radius r until one
+holds another value, so its cost depends on q0 and the gap, not on the
+scan limit.  The Kronecker-symbol test is only a necessary condition
+used as a fast filter.
 """
 
 from __future__ import annotations
@@ -270,6 +274,44 @@ def primitive_representations(form: IntQuadForm, m: int) -> list[Representation]
     return _in_order(_primitive_pairs(form, m, factorize(m)))
 
 
+def _primitive_values(form: IntQuadForm, lo: int, hi: int) -> set[int]:
+    """The values v with lo <= v <= hi that the form takes on coprime pairs.
+
+    Visits only the lattice points of the annulus lo <= Q <= hi.  Since
+    4a*Q = (2ax + by)**2 - D*y**2, the points of row y with Q <= L are
+    the x with |2ax + by| <= isqrt(4aL + D*y**2), one interval; the walk
+    takes the interval of Q <= hi minus the interval of Q <= lo - 1.  The
+    cost is proportional to the annulus's area, (hi - lo) / sqrt(|D|),
+    plus one row per |y| <= sqrt(4a*hi / |D|).
+    """
+    a, b, c = form.a, form.b, form.c
+    d = form.discriminant()
+    values: set[int] = set()
+    if hi < 1:
+        return values
+    ymax = math.isqrt(4 * a * hi // -d) + 1
+    for y in range(-ymax, ymax + 1):
+        disc = d * y * y + 4 * a * hi
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        xlo = -((b * y + s) // (2 * a))
+        xhi = (-b * y + s) // (2 * a)
+        # The hole Q <= lo - 1 of this row is ilo..ihi; when it holds no
+        # lattice point, ilo = ihi + 1 and the two ranges cover the row.
+        inner = d * y * y + 4 * a * (lo - 1)
+        if inner >= 0:
+            t = math.isqrt(inner)
+            ilo, ihi = -((b * y + t) // (2 * a)), (-b * y + t) // (2 * a)
+        else:
+            ilo, ihi = xhi + 1, xhi
+        for xs in (range(xlo, ilo), range(ihi + 1, xhi + 1)):
+            for x in xs:
+                if math.gcd(x, y) == 1:
+                    values.add(a * x * x + b * x * y + c * y * y)
+    return values
+
+
 def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
     """All values <= limit taken by the form on coprime pairs.
 
@@ -278,21 +320,7 @@ def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    a, b = form.a, form.b
-    d = form.discriminant()
-    values: set[int] = set()
-    ymax = math.isqrt(4 * a * limit // -d) + 1
-    for y in range(-ymax, ymax + 1):
-        disc = d * y * y + 4 * a * limit
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        xlo = -((b * y + s) // (2 * a))
-        xhi = (-b * y + s) // (2 * a)
-        for x in range(xlo, xhi + 1):
-            if math.gcd(x, y) == 1:
-                values.add(form.evaluate(x, y))
-    return ValueSet(form, limit, tuple(sorted(values)))
+    return ValueSet(form, limit, tuple(sorted(_primitive_values(form, 1, limit))))
 
 
 def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
@@ -302,17 +330,29 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
     s with |s - q0| < g equals q0.  The scan only sees values <= limit,
     so the result is capped at limit - q0; q0 itself must be primitively
     represented.
+
+    The scan grows outward from q0: it walks the annuli q0 - r <= Q <=
+    q0 + r for r = 2, 4, 8, ... (at most limit - q0) and stops at the
+    first one that holds a value other than q0.  Its cost is set by q0
+    and the gap, not by limit, and stays within about twice that of one
+    walk over the final annulus.
     """
     if limit <= q0:
         raise ValueError("scan limit must exceed q0")
-    vals = primitive_value_set(form, limit).values
-    if q0 not in vals:
-        raise ValueError(f"{q0} has no primitive representation by {form}")
-    gap = limit - q0
-    for v in vals:
-        if v != q0:
-            gap = min(gap, abs(v - q0))
-    return gap
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    cap = limit - q0
+    r = min(2, cap)
+    while True:
+        window = _primitive_values(form, q0 - r, q0 + r)
+        if q0 not in window:
+            raise ValueError(f"{q0} has no primitive representation by {form}")
+        window.discard(q0)
+        if window:
+            return min(abs(v - q0) for v in window)
+        if r == cap:
+            return cap
+        r = min(2 * r, cap)
 
 
 def _square_mod_prime_power(a: int, p: int, k: int) -> bool:

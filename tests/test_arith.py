@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from volrigid.arith import euler_phi, factorize, is_prime, kronecker_symbol
 
 
@@ -69,16 +72,42 @@ def test_kronecker_multiplicative_in_top_argument():
         assert lhs == rhs, (a, b, n)
 
 
-def test_factorize_roundtrip():
-    rng = random.Random(23)
-    for _ in range(200):
-        n = rng.randrange(2, 10**9)
-        factors = factorize(n)
-        product = 1
-        for p, e in factors.items():
-            assert is_prime(p), (n, p)
-            product *= p**e
-        assert product == n
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _assert_factorization(n: int, factors: dict[int, int]) -> None:
+    product = 1
+    for p, e in factors.items():
+        assert e >= 1 and is_prime(p), (n, p)
+        if p < 10**6:
+            assert naive_is_prime(p), (n, p)
+        product *= p**e
+    assert product == n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 18).flatmap(lambda k: st.integers(1, 10**k)))
+def test_factorize_roundtrip(n):
+    _assert_factorization(n, factorize(n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    p=st.integers(10**4, 10**9).map(_next_prime),
+    q=st.integers(10**4, 10**9).map(_next_prime),
+    small=st.sampled_from((1, 2, 3 * 7, 199, 211, 2**5 * 11**3)),
+)
+def test_factorize_primes_and_products_of_two_large_primes(p, q, small):
+    # primes and semiprimes above the trial-division bound go to the
+    # primality test and rho; small cofactors below and above that bound
+    # are split off on the way
+    assert factorize(p) == {p: 1}
+    factors = factorize(small * p * q)
+    _assert_factorization(small * p * q, factors)
+    assert factors[p] == 1 + (p == q) and factors[q] == 1 + (p == q)
 
 
 def test_factorize_prime_powers():
@@ -86,6 +115,9 @@ def test_factorize_prime_powers():
     assert factorize(2**10) == {2: 10}
     assert factorize(3**5 * 7**2) == {3: 5, 7: 2}
     assert factorize(10**6) == {2: 6, 5: 6}
+    # powers of primes above the trial-division bound reach rho
+    assert factorize(211**2) == {211: 2}
+    assert factorize(211**2 * 10007**3) == {211: 2, 10007: 3}
 
 
 def test_euler_phi_small():

@@ -150,6 +150,34 @@ def test_output_determinism(capsys):
     assert first == second
 
 
+def test_certify_output_does_not_depend_on_a_far_scan_limit(capsys):
+    # the gap around 241 is 4, found next to it; a scan of the whole
+    # ellipse up to 1e15 would visit ~1e15 lattice points
+    argv = ("certify", "--manifold", "m004", "-a", "7", "-b", "4", "--scan-limit")
+    near = invoke(capsys, *argv, "10000")
+    far = invoke(capsys, *argv, "1000000000000000")
+    assert near[0] == 0 and far == near
+
+
+def test_interleaved_runs_share_no_parser_state(capsys):
+    # one parser serves every call in a process: options given to one
+    # call (--avoid, --c2, --format) must not carry over to the next
+    calls = [
+        ("prime-seq", "--family", "m004", "-g", "1", "--count", "2", "--cap", "10000"),
+        ("prime-seq", "--family", "m004", "-g", "1", "--count", "2", "--cap", "10000",
+         "--avoid", "11,5"),
+        ("certify", "--manifold", "m004", "-a", "7", "-b", "4", "--c2", "0.5",
+         "--format", "csv"),
+        ("qf", "values", "--form", "1,0"),
+        ("certify", "--manifold", "m004", "-a", "7", "-b", "4"),
+    ]
+    first = [invoke(capsys, *argv) for argv in calls]
+    assert first[3][0] == 2
+    assert first[0] != first[1] and first[2] != first[4]
+    again = [invoke(capsys, *argv) for argv in reversed(calls)]
+    assert again[::-1] == first
+
+
 def test_csv_and_table_formats(capsys):
     code, out, _ = invoke(
         capsys, "qf", "gap", "--form", "1,1,1", "--q0", "13", "--limit", "100",

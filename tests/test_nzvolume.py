@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from volrigid.cusplattice import builtin_record
+from volrigid.quadform import two_sided_gap
 from volrigid.nzvolume import (
     DEFAULT_C2,
     REGIME_Q_MIN,
@@ -219,6 +221,25 @@ def test_certificate_m125_1_2():
     assert cert.bound == Fraction(2)
     assert cert.gap_normalized == pytest.approx(3.0, rel=1e-12)
     assert not cert.regime_verified  # q0 = 5 below the regime threshold
+
+
+def test_certificate_valid_is_decided_exactly():
+    # m004 (9, 53): q = 33789, gap 17 (the nearest other primitive value
+    # is 33772 = Q(8, 53)), scale = 2*sqrt(3).  c2 is the float nearest the
+    # threshold gap/(2*scale) = 17/sqrt(48); it lies just below it, so the
+    # certificate is valid, while the float comparison gap/scale > 2*c2
+    # rounds the other way.
+    record = builtin_record("m004")
+    assert two_sided_gap(record.integer_form, 33789, 10**5) == 17
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c2 = float(Decimal(17) / Decimal(48).sqrt())
+    assert Fraction(c2) ** 2 * 48 < 17**2
+    cert = certify_unique_volume(record, 9, 53, c2=c2, scan_limit=10**5)
+    assert cert.valid
+    assert not cert.gap_normalized > 2 * c2
+    above = math.nextafter(c2, math.inf)
+    assert not certify_unique_volume(record, 9, 53, c2=above, scan_limit=10**5).valid
 
 
 def test_certificate_arithmetic_properties_fuzzed():

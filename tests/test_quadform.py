@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from volrigid.arith import factorize
 from volrigid.quadform import (
     IntQuadForm,
+    _primitive_values,
     kronecker_admissible,
     primitive_representations,
     primitive_value_set,
@@ -52,6 +53,35 @@ def walk_representations(form: IntQuadForm, m: int) -> set[tuple[int, int]]:
             if root % (2 * a) == 0:
                 hits.add((root // (2 * a), y))
     return hits
+
+
+def walk_two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
+    """The whole primitive value set up to limit, then the nearest other
+    value: the full-ellipse gap scan, O(limit / sqrt|D|) points.  The
+    value set it reads is itself checked against a brute-force box."""
+    if limit <= q0:
+        raise ValueError("scan limit must exceed q0")
+    vals = primitive_value_set(form, limit).values
+    if q0 not in vals:
+        raise ValueError(f"{q0} has no primitive representation by {form}")
+    gap = limit - q0
+    for v in vals:
+        if v != q0:
+            gap = min(gap, abs(v - q0))
+    return gap
+
+
+def brute_primitive_values(form: IntQuadForm, lo: int, hi: int) -> set[int]:
+    """Values in lo..hi on coprime pairs, from a box that holds Q <= hi."""
+    d = -form.discriminant()
+    ybound = math.isqrt(4 * form.a * max(hi, 0) // d) + 1
+    xbound = math.isqrt(4 * form.c * max(hi, 0) // d) + 1
+    return {
+        v
+        for x in range(-xbound, xbound + 1)
+        for y in range(-ybound, ybound + 1)
+        if math.gcd(x, y) == 1 and lo <= (v := form.evaluate(x, y)) <= hi
+    }
 
 
 # (1,1,1) and (1,0,1) have proper automorphism groups of order 6 and 4;
@@ -201,17 +231,27 @@ def test_primitive_value_set_pinned():
     assert hexvals.values == (1, 3, 7, 13, 19, 21)
 
 
-def test_primitive_value_set_matches_brute_force():
-    for form in (X2_12Y2, HEX, SUM_SQ, IntQuadForm(3, 2, 5)):
-        limit = 200
-        brute = set()
-        for x in range(-limit, limit + 1):
-            for y in range(-limit, limit + 1):
-                if math.gcd(x, y) == 1:
-                    v = form.evaluate(x, y)
-                    if 1 <= v <= limit:
-                        brute.add(v)
-        assert set(primitive_value_set(form, limit).values) == brute, str(form)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_primitive_value_set_matches_brute_force(data):
+    form = data.draw(
+        st.one_of(st.sampled_from((X2_12Y2, HEX, SUM_SQ, IntQuadForm(3, 2, 5))), forms())
+    )
+    limit = data.draw(st.integers(0, 300))
+    assert primitive_value_set(form, limit).values == tuple(
+        sorted(brute_primitive_values(form, 1, limit))
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_annulus_walk_matches_brute_force(data):
+    # the range walker behind both the value set and the gap: every
+    # annulus lo <= Q <= hi, including empty, one-value and lo <= 0 ones
+    form = data.draw(forms())
+    lo = data.draw(st.integers(-5, 300))
+    hi = data.draw(st.integers(lo - 1, lo + 60))
+    assert _primitive_values(form, lo, hi) == brute_primitive_values(form, lo, hi)
 
 
 def test_two_sided_gap_pinned():
@@ -233,6 +273,42 @@ def test_two_sided_gap_rejects_bad_center():
         two_sided_gap(X2_12Y2, 5, 100)  # 5 not primitively represented
     with pytest.raises(ValueError):
         two_sided_gap(X2_12Y2, 50, 50)  # limit must exceed q0
+
+
+def _gap_or_error(gap_fn, form: IntQuadForm, q0: int, limit: int):
+    try:
+        return gap_fn(form, q0, limit)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_two_sided_gap_matches_full_scan(data):
+    # large-c forms put the next value far away, so the outward scan has
+    # to double its radius many times or run into the cap
+    form = data.draw(st.one_of(
+        forms(),
+        st.sampled_from((IntQuadForm(1, 0, 10**4), IntQuadForm(3, 1, 2000))),
+    ))
+    values = primitive_value_set(form, 3000).values
+    if data.draw(st.booleans()):
+        q0 = data.draw(st.sampled_from(values[:40]))
+    else:
+        q0 = data.draw(st.integers(-3, 400))  # mostly non-values, some <= 0
+    limit = data.draw(st.one_of(
+        st.integers(q0 + 1, q0 + 12), st.integers(q0 + 1, q0 + 2500),
+    ))
+    assert _gap_or_error(two_sided_gap, form, q0, limit) == _gap_or_error(
+        walk_two_sided_gap, form, q0, limit
+    )
+
+
+def test_two_sided_gap_cost_does_not_depend_on_limit():
+    # the full scan would visit ~1e15 lattice points here
+    assert two_sided_gap(X2_12Y2, 241, 10**15) == 4
+    # next to 1, the nearest primitive value of x^2 + 10^4 y^2 is Q(0, 1)
+    assert two_sided_gap(IntQuadForm(1, 0, 10**4), 1, 10**15) == 10**4 - 1
 
 
 def test_gap_neighborhood_is_really_empty():
