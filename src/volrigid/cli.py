@@ -27,15 +27,12 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .census import DEFAULT_EPSILON, cluster_volumes, clusters_as_dicts, parse_census
 from .cusplattice import builtin_names, builtin_record
 from .mutant import (
     CyclicWord,
-    bracelet_count,
     canonical_form,
     census_report,
     cusp_graph,
@@ -76,7 +73,7 @@ from .quadform import (
     two_sided_gap,
 )
 
-__all__ = ["CliConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 _ENV_CAP = "VOLRIGID_CAP"
 _FAMILY_ALIASES = {
@@ -85,23 +82,6 @@ _FAMILY_ALIASES = {
     "m125": FAMILY_M125,
     FAMILY_M125: FAMILY_M125,
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run options shared by the subcommand handlers."""
-
-    output_format: str = "json"
-    search_cap: int = DEFAULT_SEARCH_CAP
-    shards: int = 1
-
-    def __post_init__(self) -> None:
-        if self.output_format not in ("json", "csv", "table"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.search_cap <= 0:
-            raise ValueError("search cap must be positive")
-        if self.shards < 1:
-            raise ValueError("shard count must be at least 1")
 
 
 def _default_cap() -> int:
@@ -123,19 +103,6 @@ def _default_cap() -> int:
 
 def _fmt_float(x: float) -> str:
     return format(x, ".12g")
-
-
-def _jsonable(obj: Any) -> Any:
-    """Normalize payload values to JSON-ready types."""
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _json_text(obj: Any, indent: int = 0) -> str:
@@ -173,7 +140,7 @@ def _cell(value: Any) -> str:
     if isinstance(value, float):
         return _fmt_float(value)
     if isinstance(value, (dict, list)):
-        return json.dumps(value, separators=(",", ":"), default=_fmt_float)
+        return json.dumps(value, separators=(",", ":"))
     return str(value)
 
 
@@ -188,7 +155,11 @@ def _rows(payload: Any) -> tuple[list[str], list[list[str]]]:
 
 
 def render(payload: Any, fmt: str) -> str:
-    payload = _jsonable(payload)
+    """Payload text in the given format.
+
+    Payloads are JSON-ready: dicts with str keys, lists, str, int,
+    float, bool and None, nothing else.
+    """
     if fmt == "json":
         return _json_text(payload) + "\n"
     header, rows = _rows(payload)
@@ -290,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="p,q,...",
         help="override the avoided-prime list",
     )
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument(
         "--verify-only",
         type=int,
@@ -380,7 +350,7 @@ def _form_of(args: argparse.Namespace) -> IntQuadForm:
     return IntQuadForm(a, b, c)
 
 
-def _cmd_qf_values(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_qf_values(args: argparse.Namespace) -> Any:
     form = _form_of(args)
     vs = primitive_value_set(form, args.limit)
     return {
@@ -391,13 +361,13 @@ def _cmd_qf_values(args: argparse.Namespace, config: CliConfig) -> Any:
     }
 
 
-def _cmd_qf_gap(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_qf_gap(args: argparse.Namespace) -> Any:
     form = _form_of(args)
     gap = two_sided_gap(form, args.q0, args.limit)
     return {"form": str(form), "q0": args.q0, "limit": args.limit, "gap": gap}
 
 
-def _cmd_qf_reps(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_qf_reps(args: argparse.Namespace) -> Any:
     form = _form_of(args)
     reps = representations(form, args.value)
     if args.primitive:
@@ -423,7 +393,7 @@ def _witness_payload(witness: Any) -> dict[str, Any]:
     }
 
 
-def _cmd_prime_seq(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_prime_seq(args: argparse.Namespace) -> Any:
     family = _FAMILY_ALIASES[args.family]
     avoid = args.avoid
     if avoid is None:
@@ -441,15 +411,15 @@ def _cmd_prime_seq(args: argparse.Namespace, config: CliConfig) -> Any:
         payload["witnesses"] = [_witness_payload(verify_witness(args.verify_only, spec))]
         payload["truncated"] = False
         return payload
-    cap = args.cap if args.cap is not None else config.search_cap
-    search = gap_prime_sequence(spec, args.count, cap=cap, shards=config.shards)
+    cap = _default_cap() if args.cap is None else args.cap
+    search = gap_prime_sequence(spec, args.count, cap=cap)
     payload["cap"] = cap
     payload["witnesses"] = [_witness_payload(w) for w in search.witnesses]
     payload["truncated"] = search.truncated
     return payload
 
 
-def _cmd_nz_eval(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_nz_eval(args: argparse.Namespace) -> Any:
     if args.route == "generic":
         value = delta_v_generic(builtin_series(args.series), args.a, args.b)
     elif args.route == "explicit":
@@ -467,7 +437,7 @@ def _cmd_nz_eval(args: argparse.Namespace, config: CliConfig) -> Any:
     }
 
 
-def _cmd_nz_check(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_nz_check(args: argparse.Namespace) -> Any:
     rng = random.Random(args.seed)
     worst: dict[str, float] = {name: 0.0 for name in series_names()}
     for _ in range(args.points):
@@ -498,7 +468,7 @@ def _cmd_nz_check(args: argparse.Namespace, config: CliConfig) -> Any:
     }
 
 
-def _cmd_nz_wl_coeffs(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
     coeffs = wl_taylor_coefficients(radius=args.radius, samples=args.samples)
     c1, c3 = wl_series_coefficients()
     return {
@@ -507,16 +477,16 @@ def _cmd_nz_wl_coeffs(args: argparse.Namespace, config: CliConfig) -> Any:
         "coefficients": [
             {"degree": k, "re": c.real, "im": c.imag} for k, c in enumerate(coeffs)
         ],
-        "c1": c1,
-        "c3": c3,
+        "c1": {"re": c1.real, "im": c1.imag},
+        "c3": {"re": c3.real, "im": c3.imag},
     }
 
 
-def _cmd_nz_constants(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_nz_constants(args: argparse.Namespace) -> Any:
     return {"v_omega": V_FIG8, "V8": V_OCT}
 
 
-def _cmd_certify(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_certify(args: argparse.Namespace) -> Any:
     record = builtin_record(args.manifold)
     cert = certify_unique_volume(
         record, args.a, args.b, c2=args.c2, scan_limit=args.scan_limit
@@ -529,19 +499,19 @@ def _cmd_certify(args: argparse.Namespace, config: CliConfig) -> Any:
         "c2": cert.c2,
         "n_q0": cert.n_q0,
         "symmetry_order": cert.symmetry_order,
-        "bound": cert.bound,
+        "bound": str(cert.bound),
         "valid": cert.valid,
         "regime_verified": cert.regime_verified,
     }
 
 
-def _cmd_mutant_census(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_mutant_census(args: argparse.Namespace) -> Any:
     report = census_report(args.n)
     return {
         "n": report.n,
         "class_count": report.class_count,
-        "bracelet_count": bracelet_count(args.n),
-        "lower_bound": report.lower_bound,
+        "bracelet_count": report.class_count,
+        "lower_bound": str(report.lower_bound),
         "volume": report.volume,
         "log_growth": report.log_growth,
         "asymptotic_constant": report.asymptotic_constant,
@@ -549,7 +519,7 @@ def _cmd_mutant_census(args: argparse.Namespace, config: CliConfig) -> Any:
     }
 
 
-def _cmd_mutant_graph(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
     word = CyclicWord.from_string(args.word)
     dec = decompose(word)
     graph = cusp_graph(word)
@@ -567,7 +537,7 @@ def _cmd_mutant_graph(args: argparse.Namespace, config: CliConfig) -> Any:
     }
 
 
-def _cmd_mutant_classes(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
     classes = enumerate_classes(args.n)
     return {
         "n": args.n,
@@ -576,7 +546,7 @@ def _cmd_mutant_classes(args: argparse.Namespace, config: CliConfig) -> Any:
     }
 
 
-def _cmd_census_hist(args: argparse.Namespace, config: CliConfig) -> Any:
+def _cmd_census_hist(args: argparse.Namespace) -> Any:
     if args.path == "-":
         report = parse_census(sys.stdin)
     else:
@@ -596,22 +566,16 @@ def _cmd_census_hist(args: argparse.Namespace, config: CliConfig) -> Any:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = CliConfig(
-            output_format=getattr(args, "format", "json"),
-            search_cap=_default_cap(),
-            shards=getattr(args, "shards", 1),
-        )
-        payload = args.handler(args, config)
+        payload = args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(render(payload, config.output_format))
+    sys.stdout.write(render(payload, args.format))
     return 0
 
 

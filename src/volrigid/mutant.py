@@ -217,14 +217,18 @@ def canonical_form(word: CyclicWord) -> CyclicWord:
     return _int_to_word(_canonical_int(_word_to_int(word), word.n), word.n)
 
 
+def _check_word_length(n: int) -> None:
+    if not 3 <= n <= MAX_WORD_LENGTH:
+        raise ValueError(f"word length must be in 3..{MAX_WORD_LENGTH}")
+
+
 def enumerate_classes(n: int) -> list[CyclicWord]:
     """Canonical representatives of all length-n words, sorted.
 
     The scan is exhaustive over 2**n words, so n is capped at
     MAX_WORD_LENGTH; counts are cross-checkable against bracelet_count.
     """
-    if not 3 <= n <= MAX_WORD_LENGTH:
-        raise ValueError(f"word length must be in 3..{MAX_WORD_LENGTH}")
+    _check_word_length(n)
     reps = {_canonical_int(w, n) for w in range(1 << n)}
     return [_int_to_word(w, n) for w in sorted(reps)]
 
@@ -289,11 +293,14 @@ class MutantCensusReport:
 def census_report(n: int) -> MutantCensusReport:
     """Isometry classes at length n against the shared volume 4*n*V_OCT.
 
-    class_count is the exact bracelet-style count from the exhaustive
-    enumeration; 2**n/(2n) lower-bounds it, and ln(class_count)/volume
-    approaches ln(2)/(4*V_OCT) ~ 0.0473 from below.
+    class_count is the bracelet count by Burnside (bracelet_count);
+    enumeration is the test cross-check.  n is held to the same
+    3..MAX_WORD_LENGTH range as enumerate_classes.  2**n/(2n)
+    lower-bounds the count, and ln(class_count)/volume approaches
+    ln(2)/(4*V_OCT) ~ 0.0473 from below.
     """
-    count = len(enumerate_classes(n))
+    _check_word_length(n)
+    count = bracelet_count(n)
     volume = 4 * n * V_OCT
     return MutantCensusReport(
         n=n,

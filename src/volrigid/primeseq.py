@@ -25,12 +25,12 @@ tests as the oracle the engine is checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .arith import is_prime as _is_prime
-from .arith import kronecker_symbol as _kronecker
+from .arith import is_prime
 from .quadform import (
     IntQuadForm,
     Representation,
@@ -48,7 +48,6 @@ __all__ = [
     "FAMILY_M125",
     "DEFAULT_SEARCH_CAP",
     "is_prime",
-    "kronecker_symbol",
     "crt_solve",
     "primes_in_progression",
     "default_avoid_primes",
@@ -61,17 +60,6 @@ FAMILY_M004 = "m004-family"
 FAMILY_M125 = "m125-family"
 
 DEFAULT_SEARCH_CAP = 10**15
-CHECKPOINT_EVERY = 10**6
-
-
-def is_prime(n: int) -> bool:
-    """Primality test (deterministic below 2**64)."""
-    return _is_prime(n)
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n)."""
-    return _kronecker(a, n)
 
 
 class EmptyProgressionError(ValueError):
@@ -110,17 +98,9 @@ def crt_solve(system: CongruenceSystem) -> tuple[int, int]:
     return n0 % modulus, modulus
 
 
-def _progression(n0: int, modulus: int, cap: int,
-                 checkpoint: Callable[[int], None] | None) -> Iterator[int]:
-    n = n0
-    seen = 0
-    while n <= cap:
-        if n >= 2 and _is_prime(n):
-            yield n
-        n += modulus
-        seen += 1
-        if checkpoint is not None and seen % CHECKPOINT_EVERY == 0:
-            checkpoint(n)
+def _progression(n0: int, modulus: int, cap: int) -> Iterator[int]:
+    """The primes among n0, n0 + modulus, ... up to cap, lazily."""
+    return filter(is_prime, range(n0, cap + 1, modulus))
 
 
 def _lone_prime(n0: int, modulus: int) -> bool:
@@ -132,7 +112,7 @@ def _lone_prime(n0: int, modulus: int) -> bool:
     """
     if math.gcd(n0, modulus) == 1:
         return False
-    if _is_prime(n0):
+    if is_prime(n0):
         return True
     raise EmptyProgressionError(
         f"the progression {n0} mod {modulus} holds no prime: every term is "
@@ -145,7 +125,6 @@ def primes_in_progression(
     modulus: int,
     count: int,
     cap: int,
-    checkpoint: Callable[[int], None] | None = None,
 ) -> list[int]:
     """First `count` primes = n0 (mod modulus), bounded by cap, ascending.
 
@@ -154,14 +133,10 @@ def primes_in_progression(
     """
     if modulus < 1 or n0 < 0:
         raise ValueError("need n0 >= 0 and modulus >= 1")
-    if _lone_prime(n0, modulus):
-        return [n0] if n0 <= cap else []
-    out = []
-    for p in _progression(n0, modulus, cap, checkpoint):
-        out.append(p)
-        if len(out) == count:
-            break
-    return out
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    scan = [n0] if _lone_prime(n0, modulus) else _progression(n0, modulus, cap)
+    return [p for p in itertools.islice(scan, count) if p <= cap]
 
 
 @dataclass(frozen=True)
@@ -222,7 +197,7 @@ class GapPrimeSpec:
             raise ValueError("avoid primes must be distinct")
         res, mod = _FAMILIES[self.family].avoid_residue
         for p in self.avoid_primes:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"avoid value {p} is not prime")
             if p % mod != res:
                 raise ValueError(f"avoid prime {p} is not {res} mod {mod}")
@@ -234,7 +209,7 @@ def default_avoid_primes(family: str, g: int) -> tuple[int, ...]:
     out = []
     p = 2
     while len(out) < 2 * g:
-        if p % mod == res and _is_prime(p):
+        if p % mod == res and is_prime(p):
             out.append(p)
         p += 1
     return tuple(out)
@@ -333,37 +308,32 @@ def gap_prime_sequence(
     spec: GapPrimeSpec,
     count: int,
     cap: int = DEFAULT_SEARCH_CAP,
-    checkpoint: Callable[[int], None] | None = None,
-    shards: int = 1,
 ) -> GapPrimeSearch:
     """First `count` fully verified witnesses from the congruence search.
 
-    Only witness values up to `cap` are considered; running out before
-    `count` witnesses are found returns a truncated result rather than
-    raising.  A progression that holds no prime raises
-    EmptyProgressionError up front.  shards > 1 partitions the
-    progression into interleaved subprogressions scanned separately and
-    merged; the result is identical to the single-shard scan.
+    The progression of candidate primes is scanned once, in ascending
+    order, and each candidate's witness value is verified from scratch;
+    the scan stops at the count-th witness, so count = 0 verifies
+    nothing.  Only witness values up to `cap` are considered; running
+    out before `count` witnesses are found returns a truncated result
+    rather than raising.  A progression that holds no prime raises
+    EmptyProgressionError up front.
     """
-    if count < 0 or cap < 0 or shards < 1:
-        raise ValueError("count, cap and shards must be nonnegative (shards >= 1)")
+    if count < 0 or cap < 0:
+        raise ValueError("count and cap must be nonnegative")
     fam = _FAMILIES[spec.family]
     n0, modulus = crt_solve(build_congruences(spec))
-    lone = _lone_prime(n0, modulus)
+    scan = [n0] if _lone_prime(n0, modulus) else _progression(n0, modulus, cap)
+    if count == 0:
+        return GapPrimeSearch((), truncated=False)
     found: list[GapPrimeWitness] = []
-    for shard in range(1 if lone else shards):
-        shard_found = []
-        scan = [n0] if lone else _progression(
-            n0 + shard * modulus, shards * modulus, cap, checkpoint)
-        for p in scan:
-            if fam.witness_value(p) > cap:
+    for p in scan:
+        value = fam.witness_value(p)
+        if value > cap:
+            break
+        witness = verify_witness(value, spec)
+        if witness.verified:
+            found.append(witness)
+            if len(found) == count:
                 break
-            witness = verify_witness(fam.witness_value(p), spec)
-            if witness.verified:
-                shard_found.append(witness)
-                if len(shard_found) == count:
-                    break
-        found.extend(shard_found)
-    found.sort(key=lambda w: w.value)
-    del found[count:]
     return GapPrimeSearch(tuple(found), truncated=len(found) < count)

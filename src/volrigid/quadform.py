@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .arith import factorize
 
@@ -42,7 +43,13 @@ __all__ = [
     "primitive_value_set",
     "two_sided_gap",
     "kronecker_admissible",
+    "MAX_VALUE_SET_POINTS",
 ]
+
+# primitive_value_set walks the 2*pi*limit/sqrt(|D|) lattice points of
+# the ellipse Q <= limit, at roughly 0.4 us each; a walk longer than
+# this many points is refused instead of running for hours.
+MAX_VALUE_SET_POINTS = 3 * 10**7
 
 
 @dataclass(frozen=True)
@@ -316,10 +323,19 @@ def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
     """All values <= limit taken by the form on coprime pairs.
 
     Walks every lattice point inside the ellipse Q <= limit once, so the
-    cost is proportional to limit / sqrt(|D|).
+    cost is proportional to limit / sqrt(|D|); a limit whose ellipse
+    holds more than MAX_VALUE_SET_POINTS lattice points raises
+    ValueError up front.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
+    points = Decimal(limit) * Decimal(2 * math.pi / math.sqrt(-form.discriminant()))
+    if points > MAX_VALUE_SET_POINTS:
+        raise ValueError(
+            f"limit {limit} puts about {points:.2e} lattice points in the "
+            f"ellipse of form {form}; value sets are refused above "
+            f"{MAX_VALUE_SET_POINTS:.0e} points"
+        )
     return ValueSet(form, limit, tuple(sorted(_primitive_values(form, 1, limit))))
 
 

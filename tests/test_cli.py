@@ -248,16 +248,43 @@ def test_prime_seq_prime_free_progression_exits_1(capsys):
     assert "holds no prime" in err and "= 3" in err
 
 
-def test_shards_do_not_change_output(capsys):
-    plain = invoke(
-        capsys, "prime-seq", "--family", "m004", "-g", "1", "--count", "3",
-        "--cap", "10000",
+def test_shards_flag_is_a_usage_error(capsys):
+    code, out, err = invoke(
+        capsys, "prime-seq", "--family", "m004", "-g", "1", "--cap", "10000",
+        "--shards", "5",
     )
-    sharded = invoke(
-        capsys, "prime-seq", "--family", "m004", "-g", "1", "--count", "3",
-        "--cap", "10000", "--shards", "5",
+    assert code == 2 and out == ""
+    assert "--shards" in err
+
+
+def test_prime_seq_count_zero_at_default_cap(capsys, monkeypatch):
+    monkeypatch.delenv("VOLRIGID_CAP", raising=False)
+    payload = invoke_json(
+        capsys, "prime-seq", "--family", "m004", "-g", "1", "--count", "0"
     )
-    assert plain == sharded
+    assert payload["witnesses"] == [] and payload["truncated"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("nz", "constants"),
+    ("prime-seq", "--family", "m004", "-g", "1", "--cap", "1000"),
+    ("prime-seq", "--family", "m004", "-g", "1", "--verify-only", "241"),
+])
+def test_bad_env_cap_is_read_only_by_a_search_without_cap(argv, capsys, monkeypatch):
+    monkeypatch.setenv("VOLRIGID_CAP", "abc")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    json.loads(out)
+
+
+def test_qf_values_refuses_an_infeasible_limit(capsys):
+    code, out, err = invoke(
+        capsys, "qf", "values", "--form", "1,1,1", "--limit", "1000000000000"
+    )
+    assert code == 1 and out == ""
+    assert "lattice points" in err
+    payload = invoke_json(capsys, "qf", "values", "--form", "1,1,1", "--limit", "1000000")
+    assert payload["count"] == len(payload["values"]) > 0
 
 
 @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")

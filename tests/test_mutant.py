@@ -12,6 +12,7 @@ from volrigid.mutant import (
     ALL_ONES,
     CYCLE,
     COMPARISON_GROWTH_RATE,
+    MAX_WORD_LENGTH,
     CyclicWord,
     bracelet_count,
     canonical_form,
@@ -191,6 +192,13 @@ def test_census_report_n3():
     assert report.asymptotic_constant == pytest.approx(
         math.log(2) / (4 * V_OCT), rel=1e-12
     )
+
+
+def test_census_report_word_length_range():
+    for n in (2, MAX_WORD_LENGTH + 1):
+        with pytest.raises(ValueError, match=f"word length must be in 3..{MAX_WORD_LENGTH}"):
+            census_report(n)
+    assert census_report(MAX_WORD_LENGTH).class_count == bracelet_count(MAX_WORD_LENGTH)
 
 
 def test_census_growth_constant_value():

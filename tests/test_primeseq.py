@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from volrigid import primeseq
 from volrigid.arith import factorize
 from volrigid.primeseq import (
     CongruenceSystem,
@@ -190,14 +191,36 @@ def test_gap_prime_sequence_truncation_flag():
     assert 0 < len(search.witnesses) < 50
 
 
-def test_gap_prime_sequence_sharded_merge_deterministic():
+def test_gap_prime_sequence_count_zero_verifies_nothing(monkeypatch):
+    calls = []
+    real = primeseq.verify_witness
+    monkeypatch.setattr(
+        primeseq, "verify_witness", lambda v, spec: calls.append(v) or real(v, spec)
+    )
     spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
-    plain = gap_prime_sequence(spec, 5, cap=10**5)
-    for shards in (2, 3, 7):
-        sharded = gap_prime_sequence(spec, 5, cap=10**5, shards=shards)
-        assert [w.value for w in sharded.witnesses] == [
-            w.value for w in plain.witnesses
-        ], shards
+    search = gap_prime_sequence(spec, 0, cap=10**7)
+    assert search.witnesses == () and not search.truncated
+    assert calls == []
+
+
+def test_gap_prime_sequence_stops_at_the_last_witness(monkeypatch):
+    # 241 is the first term of the progression and the first witness:
+    # no later term may be tested for primality
+    spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
+    tested = []
+    monkeypatch.setattr(primeseq, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    search = gap_prime_sequence(spec, 1, cap=10**6)
+    assert [w.value for w in search.witnesses] == [241]
+    assert tested == [241]
+
+
+def test_primes_in_progression_count_zero_and_negative():
+    assert primes_in_progression(1, 4, 0, 10**5) == []
+    assert primes_in_progression(3, 6, 0, 100) == []  # the lone-prime path
+    assert primes_in_progression(3, 6, 1, 100) == [3]
+    for n0, modulus in ((1, 4), (3, 6)):
+        with pytest.raises(ValueError, match="count"):
+            primes_in_progression(n0, modulus, -1, 100)
 
 
 def test_golden_g2_witness_reverifies():
