@@ -13,8 +13,10 @@ Subcommands map one-to-one onto the library modules:
     census hist             cluster a name,volume table into a frequency histogram
 
 Exit codes: 0 success, 1 domain error (bad mathematics, missing file),
-2 usage error.  All floats are printed at 12 significant digits and all
-orderings are fixed, so identical invocations are byte-identical.
+2 usage error.  Every float is printed at 12 significant digits in every
+format, inside nested csv and table cells too, and all orderings are
+fixed, so identical invocations are byte-identical.  Each subcommand is
+declared once, by @_command on its handler.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import os
 import random
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .census import DEFAULT_EPSILON, cluster_volumes, clusters_as_dicts, parse_census
 from .cusplattice import builtin_names, builtin_record
@@ -50,7 +52,6 @@ from .nzvolume import (
     delta_v_explicit,
     delta_v_generic,
     delta_v_polar,
-    explicit_names,
     series_names,
     wl_series_coefficients,
     wl_taylor_coefficients,
@@ -101,47 +102,47 @@ def _default_cap() -> int:
 # deterministic rendering
 
 
-def _fmt_float(x: float) -> str:
-    return format(x, ".12g")
+def _json_text(obj: Any, indent: int | None = 0) -> str:
+    """JSON text of a payload, every float at 12 significant digits.
 
-
-def _json_text(obj: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    At nesting level ``indent`` containers are laid out as by
+    ``json.dumps(obj, indent=2)``; ``indent=None`` gives the compact
+    form of ``json.dumps(obj, separators=(",", ":"))``, which csv and
+    table cells use.
+    """
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return format(obj, ".12g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
         return "null"
+    deeper = None if indent is None else indent + 1
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+        colon = ":" if indent is None else ": "
+        brackets = "{}"
         parts = [
-            f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
+            f"{json.dumps(str(k))}{colon}{_json_text(v, deeper)}"
             for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    elif isinstance(obj, list):
+        brackets = "[]"
+        parts = [_json_text(v, deeper) for v in obj]
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not parts:
+        return brackets
+    if indent is None:
+        return brackets[0] + ",".join(parts) + brackets[1]
+    pad = "\n" + "  " * indent
+    return brackets[0] + pad + "  " + f",{pad}  ".join(parts) + pad + brackets[1]
 
 
 def _cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, separators=(",", ":"))
-    return str(value)
+    return value if isinstance(value, str) else _json_text(value, None)
 
 
 def _rows(payload: Any) -> tuple[list[str], list[list[str]]]:
@@ -187,12 +188,9 @@ def render(payload: Any, fmt: str) -> str:
 
 
 def _int_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected a,b,c with three integers")
     try:
-        a, b, c = (int(p) for p in parts)
-    except ValueError:
+        a, b, c = (int(p) for p in text.split(","))
+    except ValueError:  # a non-integer part, or not three parts
         raise argparse.ArgumentTypeError("expected a,b,c with three integers")
     return a, b, c
 
@@ -206,152 +204,77 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected comma-separated integers")
 
 
+# path -> (help, arguments, handler), filled by @_command in the order
+# of the usage text.  Only handlers are stored: they reach the library
+# through this module's globals, which a tracer may rebind.
+_COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], Any]]] = {}
+
+_GROUPS = {
+    "qf": "integral binary quadratic forms",
+    "nz": "truncated volume-change series",
+    "mutant": "mutant census of cyclic binary words",
+    "census": "volume tables",
+}
+
+
+def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, options
+
+
+def _command(path: str, help_text: str, *arguments: tuple) -> Callable:
+    """Declare the subcommand at ``path`` ("qf values", "certify"): its
+    help text and arguments, handled by the decorated function."""
+
+    def declare(handler: Callable[[argparse.Namespace], Any]) -> Callable:
+        _COMMANDS[path] = (help_text, arguments, handler)
+        return handler
+
+    return declare
+
+
+_FORMAT = _arg(
+    "--format",
+    choices=("json", "csv", "table"),
+    default="json",
+    help="output format (default json)",
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: construction costs milliseconds, and
     # parse_args keeps no state between calls.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "table"),
-        default="json",
-        help="output format (default json)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="volrigid",
         description="gap arithmetic, volume asymptotics, and mutant censuses "
         "for cusped hyperbolic 3-manifolds",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    qf = top.add_parser("qf", help="integral binary quadratic forms")
-    qfsub = qf.add_subparsers(dest="subcommand", required=True)
-
-    p = qfsub.add_parser("values", parents=[common], help="primitive value set")
-    p.add_argument("--form", type=_int_triple, required=True, metavar="a,b,c")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_cmd_qf_values)
-
-    p = qfsub.add_parser("gap", parents=[common], help="two-sided primitive gap")
-    p.add_argument("--form", type=_int_triple, required=True, metavar="a,b,c")
-    p.add_argument("--q0", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_cmd_qf_gap)
-
-    p = qfsub.add_parser("reps", parents=[common], help="representations of a value")
-    p.add_argument("--form", type=_int_triple, required=True, metavar="a,b,c")
-    p.add_argument("--value", type=int, required=True)
-    p.add_argument(
-        "--primitive", action="store_true", help="drop imprimitive solutions"
-    )
-    p.set_defaults(handler=_cmd_qf_reps)
-
-    p = top.add_parser(
-        "prime-seq", parents=[common], help="gap primes from congruence systems"
-    )
-    p.add_argument("--family", choices=sorted(_FAMILY_ALIASES), required=True)
-    p.add_argument("-g", "--gap", type=int, required=True, dest="g")
-    p.add_argument("--count", type=int, default=1, help="witnesses wanted (default 1)")
-    p.add_argument("--cap", type=int, default=None, help="search cap on the value")
-    p.add_argument(
-        "--avoid",
-        type=_int_list,
-        default=None,
-        metavar="p,q,...",
-        help="override the avoided-prime list",
-    )
-    p.add_argument(
-        "--verify-only",
-        type=int,
-        default=None,
-        metavar="VALUE",
-        help="skip the search and verify this single value",
-    )
-    p.set_defaults(handler=_cmd_prime_seq)
-
-    nz = top.add_parser("nz", help="truncated volume-change series")
-    nzsub = nz.add_subparsers(dest="subcommand", required=True)
-
-    p = nzsub.add_parser("eval", parents=[common], help="evaluate a volume change")
-    p.add_argument("--series", choices=series_names(), required=True)
-    p.add_argument("-a", type=float, required=True)
-    p.add_argument("-b", type=float, required=True)
-    p.add_argument(
-        "--route",
-        choices=("generic", "explicit", "polar"),
-        default="generic",
-    )
-    p.set_defaults(handler=_cmd_nz_eval)
-
-    p = nzsub.add_parser(
-        "check", parents=[common], help="cross-route identity suite"
-    )
-    p.add_argument("--points", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-10)
-    p.set_defaults(handler=_cmd_nz_check)
-
-    p = nzsub.add_parser(
-        "wl-coeffs", parents=[common], help="recover series coefficients numerically"
-    )
-    p.add_argument("--radius", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(handler=_cmd_nz_wl_coeffs)
-
-    p = nzsub.add_parser("constants", parents=[common], help="reference volumes")
-    p.set_defaults(handler=_cmd_nz_constants)
-
-    p = top.add_parser(
-        "certify", parents=[common], help="volume-uniqueness certificate"
-    )
-    p.add_argument("--manifold", choices=builtin_names(), required=True)
-    p.add_argument("-a", type=int, required=True)
-    p.add_argument("-b", type=int, required=True)
-    p.add_argument("--c2", type=float, default=DEFAULT_C2)
-    p.add_argument("--scan-limit", type=int, default=10**4)
-    p.set_defaults(handler=_cmd_certify)
-
-    mu = top.add_parser("mutant", help="mutant census of cyclic binary words")
-    musub = mu.add_subparsers(dest="subcommand", required=True)
-
-    p = musub.add_parser("census", parents=[common], help="count classes at length n")
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_mutant_census)
-
-    p = musub.add_parser("graph", parents=[common], help="cusp graph of one word")
-    p.add_argument("--word", required=True, metavar="BITS")
-    p.add_argument("--first-stage-modulus", type=int, default=1, choices=(1, 2))
-    p.set_defaults(handler=_cmd_mutant_graph)
-
-    p = musub.add_parser("classes", parents=[common], help="canonical class list")
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_mutant_classes)
-
-    ce = top.add_parser("census", help="volume tables")
-    cesub = ce.add_subparsers(dest="subcommand", required=True)
-
-    p = cesub.add_parser(
-        "hist", parents=[common], help="cluster name,volume lines into a histogram"
-    )
-    p.add_argument("path", help="CSV file, or - for standard input")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.set_defaults(handler=_cmd_census_hist)
-
+    groups: dict[str, Any] = {}
+    for path, (help_text, arguments, handler) in _COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        p = groups.get(group, top).add_parser(name, help=help_text)
+        for flags, options in (_FORMAT, *arguments):
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns a JSON-ready payload)
+# subcommands: one declaration each; handlers return JSON-ready payloads
+
+_FORM = _arg("--form", type=_int_triple, required=True, metavar="a,b,c")
+_LIMIT = _arg("--limit", type=int, required=True)
+_N = _arg("-n", type=int, required=True)
 
 
-def _form_of(args: argparse.Namespace) -> IntQuadForm:
-    a, b, c = args.form
-    return IntQuadForm(a, b, c)
-
-
+@_command("qf values", "primitive value set", _FORM, _LIMIT)
 def _cmd_qf_values(args: argparse.Namespace) -> Any:
-    form = _form_of(args)
+    form = IntQuadForm(*args.form)
     vs = primitive_value_set(form, args.limit)
     return {
         "form": str(form),
@@ -361,14 +284,19 @@ def _cmd_qf_values(args: argparse.Namespace) -> Any:
     }
 
 
+@_command("qf gap", "two-sided primitive gap",
+          _FORM, _arg("--q0", type=int, required=True), _LIMIT)
 def _cmd_qf_gap(args: argparse.Namespace) -> Any:
-    form = _form_of(args)
+    form = IntQuadForm(*args.form)
     gap = two_sided_gap(form, args.q0, args.limit)
     return {"form": str(form), "q0": args.q0, "limit": args.limit, "gap": gap}
 
 
+@_command("qf reps", "representations of a value",
+          _FORM, _arg("--value", type=int, required=True),
+          _arg("--primitive", action="store_true", help="drop imprimitive solutions"))
 def _cmd_qf_reps(args: argparse.Namespace) -> Any:
-    form = _form_of(args)
+    form = IntQuadForm(*args.form)
     reps = representations(form, args.value)
     if args.primitive:
         reps = [r for r in reps if r.primitive]
@@ -393,6 +321,15 @@ def _witness_payload(witness: Any) -> dict[str, Any]:
     }
 
 
+@_command("prime-seq", "gap primes from congruence systems",
+          _arg("--family", choices=sorted(_FAMILY_ALIASES), required=True),
+          _arg("-g", "--gap", type=int, required=True, dest="g"),
+          _arg("--count", type=int, default=1, help="witnesses wanted (default 1)"),
+          _arg("--cap", type=int, help="search cap on the value"),
+          _arg("--avoid", type=_int_list, metavar="p,q,...",
+               help="override the avoided-prime list"),
+          _arg("--verify-only", type=int, metavar="VALUE",
+               help="skip the search and verify this single value"))
 def _cmd_prime_seq(args: argparse.Namespace) -> Any:
     family = _FAMILY_ALIASES[args.family]
     avoid = args.avoid
@@ -419,12 +356,15 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
     return payload
 
 
+@_command("nz eval", "evaluate a volume change",
+          _arg("--series", choices=series_names(), required=True),
+          _arg("-a", type=float, required=True),
+          _arg("-b", type=float, required=True),
+          _arg("--route", choices=("generic", "explicit", "polar"), default="generic"))
 def _cmd_nz_eval(args: argparse.Namespace) -> Any:
     if args.route == "generic":
         value = delta_v_generic(builtin_series(args.series), args.a, args.b)
     elif args.route == "explicit":
-        if args.series not in explicit_names():
-            raise ValueError(f"no explicit polynomial route for {args.series!r}")
         value = delta_v_explicit(args.series, args.a, args.b)
     else:
         value = delta_v_polar(args.series, args.a, args.b)
@@ -437,6 +377,10 @@ def _cmd_nz_eval(args: argparse.Namespace) -> Any:
     }
 
 
+@_command("nz check", "cross-route identity suite",
+          _arg("--points", type=int, default=1000),
+          _arg("--seed", type=int, default=0),
+          _arg("--tolerance", type=float, default=1e-10))
 def _cmd_nz_check(args: argparse.Namespace) -> Any:
     rng = random.Random(args.seed)
     worst: dict[str, float] = {name: 0.0 for name in series_names()}
@@ -468,6 +412,9 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
     }
 
 
+@_command("nz wl-coeffs", "recover series coefficients numerically",
+          _arg("--radius", type=float, default=0.1),
+          _arg("--samples", type=int, default=64))
 def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
     coeffs = wl_taylor_coefficients(radius=args.radius, samples=args.samples)
     c1, c3 = wl_series_coefficients()
@@ -482,10 +429,17 @@ def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
     }
 
 
+@_command("nz constants", "reference volumes")
 def _cmd_nz_constants(args: argparse.Namespace) -> Any:
     return {"v_omega": V_FIG8, "V8": V_OCT}
 
 
+@_command("certify", "volume-uniqueness certificate",
+          _arg("--manifold", choices=builtin_names(), required=True),
+          _arg("-a", type=int, required=True),
+          _arg("-b", type=int, required=True),
+          _arg("--c2", type=float, default=DEFAULT_C2),
+          _arg("--scan-limit", type=int, default=10**4))
 def _cmd_certify(args: argparse.Namespace) -> Any:
     record = builtin_record(args.manifold)
     cert = certify_unique_volume(
@@ -505,6 +459,7 @@ def _cmd_certify(args: argparse.Namespace) -> Any:
     }
 
 
+@_command("mutant census", "count classes at length n", _N)
 def _cmd_mutant_census(args: argparse.Namespace) -> Any:
     report = census_report(args.n)
     return {
@@ -519,6 +474,9 @@ def _cmd_mutant_census(args: argparse.Namespace) -> Any:
     }
 
 
+@_command("mutant graph", "cusp graph of one word",
+          _arg("--word", required=True, metavar="BITS"),
+          _arg("--first-stage-modulus", type=int, default=1, choices=(1, 2)))
 def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
     word = CyclicWord.from_string(args.word)
     dec = decompose(word)
@@ -537,6 +495,7 @@ def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
     }
 
 
+@_command("mutant classes", "canonical class list", _N)
 def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
     classes = enumerate_classes(args.n)
     return {
@@ -546,6 +505,9 @@ def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
     }
 
 
+@_command("census hist", "cluster name,volume lines into a histogram",
+          _arg("path", help="CSV file, or - for standard input"),
+          _arg("--epsilon", type=float, default=DEFAULT_EPSILON))
 def _cmd_census_hist(args: argparse.Namespace) -> Any:
     if args.path == "-":
         report = parse_census(sys.stdin)

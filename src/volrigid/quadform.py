@@ -22,8 +22,9 @@ form an interval with the interval of Q <= lo - 1 cut out.  A value set
 up to a limit is the annulus 1 <= Q <= limit.  A two-sided gap around
 q0 walks annuli q0 - r <= Q <= q0 + r of doubling radius r until one
 holds another value, so its cost depends on q0 and the gap, not on the
-scan limit.  The Kronecker-symbol test is only a necessary condition
-used as a fast filter.
+scan limit.  kronecker_admissible, whether D is a square modulo 4m, is
+a necessary condition for a primitive representation of m, exported on
+its own: neither the engine nor the range walks call it.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from volrigid.cli import run
+from volrigid.cli import _cell, _json_text, run
 
 try:
     import jsonschema
@@ -285,6 +287,54 @@ def test_qf_values_refuses_an_infeasible_limit(capsys):
     assert "lattice points" in err
     payload = invoke_json(capsys, "qf", "values", "--form", "1,1,1", "--limit", "1000000")
     assert payload["count"] == len(payload["values"]) > 0
+
+
+def test_mutant_classes_refuses_long_words(capsys):
+    code, out, err = invoke(capsys, "mutant", "classes", "-n", "21")
+    assert code == 1 and out == ""
+    assert "refused above word length 20" in err
+    # the census counts by Burnside and keeps its own range
+    assert invoke_json(capsys, "mutant", "census", "-n", "30")["n"] == 30
+
+
+def _payloads(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.dictionaries(st.text(max_size=5), kids, max_size=4),
+        max_leaves=12,
+    )
+
+
+_FLOAT_FREE = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=_payloads(_FLOAT_FREE))
+def test_writer_matches_stdlib_json_without_floats(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+    assert _json_text(payload, None) == json.dumps(payload, separators=(",", ":"))
+    if not isinstance(payload, str):
+        assert _cell(payload) == _json_text(payload, None)
+
+
+def _at_12_digits(obj):
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, list):
+        return [_at_12_digits(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _at_12_digits(v) for k, v in obj.items()}
+    return obj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=_payloads(_FLOAT_FREE | _FLOATS))
+def test_writer_prints_every_float_at_12_digits(payload):
+    expected = _at_12_digits(payload)
+    assert json.loads(_json_text(payload)) == expected
+    assert json.loads(_json_text(payload, None)) == expected
 
 
 @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")

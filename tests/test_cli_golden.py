@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from volrigid.cli import run
+from volrigid.cli import _COMMANDS, run
 
 DATA = Path(__file__).parent / "data"
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "cli-schema.json"
 GOLDEN = DATA / "cli_golden.json"
 
 FORMATS = ("json", "csv", "table")
@@ -47,6 +48,7 @@ INVOCATIONS = [
     ("nz", "eval", "--series", "m004", "-a", "5", "-b", "1", "--route", "explicit"),
     ("nz", "eval", "--series", "m004", "-a", "5", "-b", "1", "--route", "polar"),
     ("nz", "check", "--points", "20"),
+    ("nz", "wl-coeffs"),
     ("nz", "constants"),
     ("certify", "--manifold", "m004", "-a", "7", "-b", "4"),
     ("certify", "--manifold", "m125", "-a", "1", "-b", "2"),
@@ -61,16 +63,9 @@ INVOCATIONS = [
     ("census", "hist", "volume_census_sample.csv"),
 ]
 
-# csv and table cells print nested floats at full precision, which
-# depends on the platform's complex arithmetic; these run as json only.
-JSON_ONLY = [
-    ("nz", "wl-coeffs"),
-]
-
 
 def _cases() -> list[tuple[str, ...]]:
-    cases = [argv + ("--format", fmt) for argv in INVOCATIONS for fmt in FORMATS]
-    return cases + [argv + ("--format", "json") for argv in JSON_ONLY]
+    return [argv + ("--format", fmt) for argv in INVOCATIONS for fmt in FORMATS]
 
 
 def _capture(argv: tuple[str, ...]) -> dict:
@@ -89,6 +84,18 @@ def _golden() -> dict[tuple[str, ...], dict]:
 
 def test_golden_covers_every_case():
     assert list(_golden()) == _cases()
+
+
+def test_schema_and_golden_cover_every_declared_command():
+    declared = set(_COMMANDS)
+    schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+    shapes = {ref["$ref"].rsplit("/", 1)[1] for ref in schema["oneOf"]}
+    assert shapes == {path.replace(" ", "_").replace("-", "_") for path in declared}
+    invoked = set()
+    for argv in INVOCATIONS:
+        path = " ".join(argv[:2])
+        invoked.add(path if path in declared else argv[0])
+    assert invoked == declared
 
 
 @pytest.mark.parametrize("argv", _cases(), ids=" ".join)

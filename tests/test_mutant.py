@@ -12,6 +12,7 @@ from volrigid.mutant import (
     ALL_ONES,
     CYCLE,
     COMPARISON_GROWTH_RATE,
+    MAX_CLASS_WORD_LENGTH,
     MAX_WORD_LENGTH,
     CyclicWord,
     bracelet_count,
@@ -106,6 +107,17 @@ def test_enumerate_classes_small():
         "0111",
         "1111",
     ]
+
+
+def test_enumerate_classes_word_length_range():
+    with pytest.raises(ValueError, match=f"must be in 3..{MAX_WORD_LENGTH}"):
+        enumerate_classes(2)
+    # refused up front: a scan of 2**n words is hours at n = 30
+    refusal = f"refused above word length {MAX_CLASS_WORD_LENGTH}"
+    for n in (MAX_CLASS_WORD_LENGTH + 1, MAX_WORD_LENGTH):
+        with pytest.raises(ValueError, match=refusal):
+            enumerate_classes(n)
+    assert MAX_CLASS_WORD_LENGTH < MAX_WORD_LENGTH
 
 
 def test_bracelet_count_oracle():

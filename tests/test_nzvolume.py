@@ -35,6 +35,11 @@ from volrigid.nzvolume import (
 CATALAN = 0.915965594177219015054603514932384110774
 
 
+def test_every_series_has_an_explicit_route():
+    # nz eval offers --route explicit for every --series choice
+    assert explicit_names() == series_names()
+
+
 def test_series_table():
     assert series_names() == ("WL", "m003", "m004", "m125", "m129")
     m004 = builtin_series("m004")
