@@ -64,12 +64,13 @@ COMPARISON_GROWTH_RATE = 0.0287706
 
 MAX_WORD_LENGTH = 30
 
-# enumerate_classes canonicalises all 2**n words, 2n rotations each, so
-# its time doubles with each step of n: at n = 20 the library call takes
-# about 8 s and `mutant classes -n 20` about 10 s, 0.76 MB of JSON and
-# 28 MB peak RSS.  Longer words are refused instead of running for hours;
+# enumerate_classes emits one word per class, and the class count,
+# about 2**n/(2n), doubles with each step of n.  `mutant classes -n N`
+# took 0.54 s, 0.76 MB of JSON and 31 MB peak RSS at N = 20, 4.8 s,
+# 11.3 MB and 214 MB at N = 24, and 9.6 s, 22.3 MB and 396 MB at N = 25
+# (one run each, 2-core x86-64, Python 3.11).  Longer lists are refused;
 # census_report counts by Burnside and keeps MAX_WORD_LENGTH.
-MAX_CLASS_WORD_LENGTH = 20
+MAX_CLASS_WORD_LENGTH = 24
 
 
 @dataclass(frozen=True)
@@ -159,15 +160,36 @@ def cusp_graph(word: CyclicWord) -> CuspGraph:
     )
 
 
-def _necklace_canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(labels)
-    best = labels
-    for seq in (labels, labels[::-1]):
-        for shift in range(k):
-            rot = seq[shift:] + seq[:shift]
-            if rot < best:
-                best = rot
-    return best
+def _least_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least rotation of seq.
+
+    Booth, "Lexicographically least circular substrings", IPL 10(4),
+    1980: a failure function over seq + seq, as in Knuth-Morris-Pratt,
+    moves the candidate start k past every rotation it beats, so the
+    cost is linear in len(seq).
+    """
+    s = seq + seq
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = f[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if i == -1 and c != s[k]:
+            if c < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return seq[k:] + seq[:k]
+
+
+def _dihedral_min(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest rotation of seq or of its reversal."""
+    return min(_least_rotation(seq), _least_rotation(seq[::-1]))
 
 
 def graphs_isomorphic(g1: CuspGraph, g2: CuspGraph) -> bool:
@@ -184,44 +206,12 @@ def graphs_isomorphic(g1: CuspGraph, g2: CuspGraph) -> bool:
         return sorted(g1.cycle_labels) == sorted(g2.cycle_labels)
     if len(g1.cycle_labels) != len(g2.cycle_labels):
         return False
-    return _necklace_canonical(g1.cycle_labels) == _necklace_canonical(
-        g2.cycle_labels
-    )
-
-
-def _reverse_bits(w: int, n: int) -> int:
-    return int(f"{w:0{n}b}"[::-1], 2)
-
-
-def _canonical_int(w: int, n: int) -> int:
-    """Smallest n-bit value over all rotations and reflections."""
-    mask = (1 << n) - 1
-    best = w
-    for start in (w, _reverse_bits(w, n)):
-        x = start
-        if x < best:
-            best = x
-        for _ in range(n - 1):
-            x = ((x << 1) & mask) | (x >> (n - 1))
-            if x < best:
-                best = x
-    return best
-
-
-def _word_to_int(word: CyclicWord) -> int:
-    out = 0
-    for b in word.bits:
-        out = (out << 1) | b
-    return out
-
-
-def _int_to_word(w: int, n: int) -> CyclicWord:
-    return CyclicWord(tuple((w >> (n - 1 - i)) & 1 for i in range(n)))
+    return _dihedral_min(g1.cycle_labels) == _dihedral_min(g2.cycle_labels)
 
 
 def canonical_form(word: CyclicWord) -> CyclicWord:
     """Lexicographically smallest rotation or reflected rotation."""
-    return _int_to_word(_canonical_int(_word_to_int(word), word.n), word.n)
+    return CyclicWord(_dihedral_min(word.bits))
 
 
 def _check_word_length(n: int) -> None:
@@ -232,19 +222,72 @@ def _check_word_length(n: int) -> None:
 def enumerate_classes(n: int) -> list[CyclicWord]:
     """Canonical representatives of all length-n words, sorted.
 
-    The scan is exhaustive over 2**n words, so n is capped at
-    MAX_CLASS_WORD_LENGTH; counts are cross-checkable against
-    bracelet_count.
+    Sawada's generator ("Generating bracelets in constant amortized
+    time", SIAM J. Comput. 31(1), 2001) emits the words that are least
+    among their rotations and reflected rotations, in lexicographic
+    order, at constant amortized cost per word.  It extends a prefix
+    a[1..t] letter by letter as the necklace generator of Fredricksen,
+    Kessler and Maiorana does (p is the period of the prefix's longest
+    Lyndon prefix) and prunes prefixes whose reversal is smaller: u is
+    the length of the leading run of a[1]s and v that of the current
+    trailing one; when they match, check_rev compares the prefix with its
+    reversal, and for a prefix equal to its reversal, r and rs track the
+    comparison of a[r+1..n] with its reversal.  The list has
+    bracelet_count(n) words, about 2**n/(2n), so n is capped at
+    MAX_CLASS_WORD_LENGTH.
     """
     _check_word_length(n)
     if n > MAX_CLASS_WORD_LENGTH:
         raise ValueError(
             f"class lists are refused above word length {MAX_CLASS_WORD_LENGTH}: "
-            f"the scan canonicalises all 2**{n} words; mutant census counts "
+            f"length {n} has {bracelet_count(n)} classes; mutant census counts "
             f"classes up to length {MAX_WORD_LENGTH}"
         )
-    reps = {_canonical_int(w, n) for w in range(1 << n)}
-    return [_int_to_word(w, n) for w in sorted(reps)]
+    a = [0] * (n + 1)
+    out: list[CyclicWord] = []
+
+    def check_rev(t: int, i: int) -> int:
+        # 0: the prefix a[1..t] beats its reversal, 1: they tie, -1: the
+        # reversal is smaller and no extension is a representative
+        for j in range(i + 1, (t + 1) // 2 + 1):
+            if a[j] < a[t - j + 1]:
+                return 0
+            if a[j] > a[t - j + 1]:
+                return -1
+        return 1
+
+    def gen(t: int, p: int, r: int, u: int, v: int, rs: bool) -> None:
+        if t - 1 > (n - r) // 2 + r:
+            if a[t - 1] > a[n - t + 2 + r]:
+                rs = False
+            elif a[t - 1] < a[n - t + 2 + r]:
+                rs = True
+        if t > n:
+            if not rs and n % p == 0:
+                out.append(CyclicWord(tuple(a[1:])))
+            return
+        a[t] = a[t - p]
+        v = v + 1 if a[t] == a[1] else 0
+        if u == -1 and a[t - 1] != a[1]:
+            u = r = t - 2
+        if u != -1 and t == n and a[n] == a[1]:
+            pass  # moving the last letter to the front gives a smaller word
+        elif u == v:
+            rev = check_rev(t, u)
+            if rev == 0:
+                gen(t + 1, p, r, u, v, rs)
+            elif rev == 1:
+                gen(t + 1, p, t, u, v, False)
+        else:
+            gen(t + 1, p, r, u, v, rs)
+        if a[t - p] == 0:
+            # raising a[t] to 1 makes a[1..t] a Lyndon word of period t;
+            # u, r and rs carry over unchanged
+            a[t] = 1
+            gen(t + 1, t, r, u, 0, rs)
+
+    gen(1, 1, 1, -1, 0, False)
+    return out
 
 
 def bracelet_count(n: int) -> int:

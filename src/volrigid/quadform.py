@@ -14,7 +14,9 @@ combined by the Chinese remainder theorem, and each candidate form
 sections 1.5 and 5.3; Buell, Binary Quadratic Forms, 1989).  Its cost
 is one factorization plus a few reductions per root, not a walk over
 the O(sqrt m) rows of the ellipse Q = m; that walk lives on in the tests
-as the oracle the engine is checked against.
+as the oracle the engine is checked against.  The number of roots is
+known from the factorization before any is computed, and a query with
+more than MAX_SQUARE_ROOTS of them is refused.
 
 Range queries walk the lattice points of an annulus lo <= Q <= hi: the
 admissible y satisfy |D|*y**2 <= 4*a*hi, and for each y the x values
@@ -45,12 +47,20 @@ __all__ = [
     "two_sided_gap",
     "kronecker_admissible",
     "MAX_VALUE_SET_POINTS",
+    "MAX_SQUARE_ROOTS",
 ]
 
 # primitive_value_set walks the 2*pi*limit/sqrt(|D|) lattice points of
 # the ellipse Q <= limit, at roughly 0.4 us each; a walk longer than
 # this many points is refused instead of running for hours.
 MAX_VALUE_SET_POINTS = 3 * 10**7
+
+# A point query runs over every square root of D modulo 4m.  There are at
+# most a few per prime factor of m unless m and D share a high prime
+# power p**e, which leaves about p**(e/2) of them, at about 10 us each:
+# representations((1, 0, 2**37), 2**37) runs over 524288 roots in 5.7 s.
+# A query with more roots than this is refused before any is computed.
+MAX_SQUARE_ROOTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -160,6 +170,37 @@ def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
     return roots
 
 
+def _sqrt_count(d: int, p: int, e: int) -> int:
+    """Number of x mod p**e with x**2 = d (mod p**e), p prime.
+
+    For d = 0 mod p**e the roots are the multiples of p**ceil(e/2).
+    Otherwise write d = p**j * u with p not dividing u and j < e: a root
+    is p**(j/2) * y with y a root of u mod p**(e - j), so j must be even,
+    and each such y mod p**(e - j) gives p**(j/2) roots x.  u has 2 roots
+    mod odd p**(e - j) when it is a residue mod p, and 1, 2 or 4 roots
+    mod 2**(e - j) for e - j = 1, 2 or >= 3 when u = 1 mod 2, 4 or 8.
+    """
+    d %= p**e
+    if d == 0:
+        return p ** (e // 2)
+    j = 0
+    while d % p == 0:
+        d //= p
+        j += 1
+    if j % 2:
+        return 0
+    f = e - j
+    if p > 2:
+        units = 2 if pow(d, (p - 1) // 2, p) == 1 else 0
+    elif f == 1:
+        units = 1
+    elif f == 2:
+        units = 2 if d % 4 == 1 else 0
+    else:
+        units = 4 if d % 8 == 1 else 0
+    return units * p ** (j // 2)
+
+
 def _reduce(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
     """Gauss reduction of a positive definite form, with its transform.
 
@@ -215,16 +256,29 @@ def _primitive_pairs(form: IntQuadForm, m: int, fac: dict[int, int]) -> list[tup
     d = b * b - 4 * a * c
     fac4 = dict(fac)
     fac4[2] = fac4.get(2, 0) + 2
-    per_prime = []
+    # A prime that does not divide 2D has at most two roots, found
+    # directly; the others are counted before their roots are built.
+    roots, total = {}, 1
     for p, e in fac4.items():
-        roots = _sqrt_mod_prime_power(d, p, e)
-        if not roots:
+        if 2 * d % p:
+            roots[p] = _sqrt_mod_prime_power(d, p, e)
+            count = len(roots[p])
+        else:
+            count = _sqrt_count(d, p, e)
+        if not count:
             return []
-        per_prime.append((roots, p**e))
+        total *= count
+    if total > MAX_SQUARE_ROOTS:
+        raise ValueError(
+            f"{d} has {total} square roots modulo {4 * m}; point "
+            f"queries on form {form} are refused above {MAX_SQUARE_ROOTS:.0e} roots"
+        )
     residues, modulus = [0], 1
-    for roots, pe in per_prime:
+    for p, e in fac4.items():
+        pe = p**e
         inv = pow(modulus, -1, pe)
-        residues = [x + modulus * ((r - x) * inv % pe) for x in residues for r in roots]
+        rs = roots[p] if p in roots else _sqrt_mod_prime_power(d, p, e)
+        residues = [x + modulus * ((r - x) * inv % pe) for x in residues for r in rs]
         modulus *= pe
     reduced, (p0, q0, r0, s0) = _reduce(a, b, c)
     u, v, w, z = _ROTATIONS.get(reduced, (-1, 0, 0, -1))
@@ -372,27 +426,6 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
         r = min(2 * r, cap)
 
 
-def _square_mod_prime_power(a: int, p: int, k: int) -> bool:
-    """Is x**2 = a (mod p**k) solvable?"""
-    a %= p**k
-    if a == 0:
-        return True
-    j = 0
-    while a % p == 0:
-        a //= p
-        j += 1
-    if j % 2:
-        return False
-    e = k - j
-    if p == 2:
-        if e == 1:
-            return True
-        if e == 2:
-            return a % 4 == 1
-        return a % 8 == 1
-    return pow(a, (p - 1) // 2, p) == 1
-
-
 def kronecker_admissible(form: IntQuadForm, m: int) -> bool:
     """Is the discriminant a square modulo 4m?
 
@@ -405,4 +438,4 @@ def kronecker_admissible(form: IntQuadForm, m: int) -> bool:
     fac = factorize(m)
     fac[2] = fac.get(2, 0) + 2
     d = form.discriminant()
-    return all(_square_mod_prime_power(d, p, k) for p, k in fac.items())
+    return all(_sqrt_count(d, p, k) for p, k in fac.items())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volrigid.cli import _cell, _json_text, run
+from volrigid.mutant import MAX_CLASS_WORD_LENGTH
 
 try:
     import jsonschema
@@ -290,11 +292,37 @@ def test_qf_values_refuses_an_infeasible_limit(capsys):
 
 
 def test_mutant_classes_refuses_long_words(capsys):
-    code, out, err = invoke(capsys, "mutant", "classes", "-n", "21")
+    code, out, err = invoke(
+        capsys, "mutant", "classes", "-n", str(MAX_CLASS_WORD_LENGTH + 1)
+    )
     assert code == 1 and out == ""
-    assert "refused above word length 20" in err
+    assert f"refused above word length {MAX_CLASS_WORD_LENGTH}" in err
     # the census counts by Burnside and keeps its own range
     assert invoke_json(capsys, "mutant", "census", "-n", "30")["n"] == 30
+
+
+# sha256 of the stdout of `mutant classes -n N`, as printed when the list
+# came from canonicalising all 2**N words
+CLASSES_STDOUT_SHA256 = {
+    17: "a51b8c9c92eb86a2f99e9ad868707e5bc4f89e206a0503ef9a7b00343dbcf8a3",
+    20: "d6a10159751f76547b80bcdcd160b4a8e6176b64538a89f73f7b669849b9b78d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLASSES_STDOUT_SHA256))
+def test_mutant_classes_bytes_are_pinned(capsys, n):
+    code, out, err = invoke(capsys, "mutant", "classes", "-n", str(n))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_STDOUT_SHA256[n]
+
+
+def test_qf_reps_refuses_too_many_square_roots(capsys):
+    code, out, err = invoke(
+        capsys, "qf", "reps", "--form", "1,0,1099511627776",
+        "--value", "1099511627776",
+    )
+    assert code == 1 and out == ""
+    assert "has 2097152 square roots" in err
 
 
 def _payloads(leaves):

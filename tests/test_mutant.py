@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volrigid.mutant import (
     ALL_ONES,
@@ -14,6 +16,7 @@ from volrigid.mutant import (
     COMPARISON_GROWTH_RATE,
     MAX_CLASS_WORD_LENGTH,
     MAX_WORD_LENGTH,
+    CuspGraph,
     CyclicWord,
     bracelet_count,
     canonical_form,
@@ -30,6 +33,39 @@ from volrigid.nzvolume import V_OCT
 
 def W(bits: str) -> CyclicWord:
     return CyclicWord.from_string(bits)
+
+
+def dihedral_images(seq: tuple) -> list[tuple]:
+    """Every rotation of seq and of its reversal."""
+    return [s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq))]
+
+
+def _reverse_bits(w: int, n: int) -> int:
+    return int(f"{w:0{n}b}"[::-1], 2)
+
+
+def _canonical_int(w: int, n: int) -> int:
+    """Smallest n-bit value over all rotations and reflections."""
+    mask = (1 << n) - 1
+    best = w
+    for start in (w, _reverse_bits(w, n)):
+        x = start
+        if x < best:
+            best = x
+        for _ in range(n - 1):
+            x = ((x << 1) & mask) | (x >> (n - 1))
+            if x < best:
+                best = x
+    return best
+
+
+def scan_classes(n: int) -> list[CyclicWord]:
+    """The class list by brute force: canonicalise all 2**n words, sort."""
+    reps = {_canonical_int(w, n) for w in range(1 << n)}
+    return [
+        CyclicWord(tuple((w >> (n - 1 - i)) & 1 for i in range(n)))
+        for w in sorted(reps)
+    ]
 
 
 def test_word_validation():
@@ -98,6 +134,26 @@ def test_canonical_form_is_class_invariant():
         assert canonical_form(canon) == canon
 
 
+_BITS = st.integers(0, 1)
+# random words, and words made of one short block repeated, where many
+# rotations tie
+_WORDS = st.one_of(
+    st.lists(_BITS, min_size=3, max_size=200),
+    st.builds(
+        lambda block, reps: block * reps,
+        st.lists(_BITS, min_size=1, max_size=8),
+        st.integers(1, 40),
+    ).filter(lambda bits: len(bits) >= 3),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(bits=_WORDS)
+def test_canonical_form_is_dihedral_minimum(bits):
+    word = CyclicWord(tuple(bits))
+    assert canonical_form(word).bits == min(dihedral_images(word.bits))
+
+
 def test_enumerate_classes_small():
     assert [str(w) for w in enumerate_classes(4)] == [
         "0000",
@@ -112,7 +168,7 @@ def test_enumerate_classes_small():
 def test_enumerate_classes_word_length_range():
     with pytest.raises(ValueError, match=f"must be in 3..{MAX_WORD_LENGTH}"):
         enumerate_classes(2)
-    # refused up front: a scan of 2**n words is hours at n = 30
+    # refused up front: the list at n = 30 would hold 17920860 classes
     refusal = f"refused above word length {MAX_CLASS_WORD_LENGTH}"
     for n in (MAX_CLASS_WORD_LENGTH + 1, MAX_WORD_LENGTH):
         with pytest.raises(ValueError, match=refusal):
@@ -122,24 +178,18 @@ def test_enumerate_classes_word_length_range():
 
 def test_bracelet_count_oracle():
     # direct orbit count over the dihedral group
-    def brute(n: int) -> int:
-        seen = set()
-        for code in range(2**n):
-            bits = tuple((code >> i) & 1 for i in range(n))
-            orbit = set()
-            for r in range(n):
-                rot = bits[r:] + bits[:r]
-                orbit.add(rot)
-                orbit.add(tuple(reversed(rot)))
-            seen.add(min(orbit))
-        return len(seen)
-
     for n in range(3, 13):
-        assert bracelet_count(n) == brute(n), n
+        assert bracelet_count(n) == len(scan_classes(n)), n
 
 
 def test_bracelet_count_pinned():
     assert [bracelet_count(n) for n in (3, 4, 5, 6, 10)] == [4, 6, 8, 13, 78]
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_generator_matches_scan(n):
+    # every n of the range, not a sample: the domain is this small
+    assert enumerate_classes(n) == scan_classes(n)
 
 
 def test_class_count_matches_bracelet_count():
@@ -169,6 +219,33 @@ def test_cusp_graph_respects_dihedral_moves():
         if rng.random() < 0.5:
             other = W(str(other)[::-1])
         assert graphs_isomorphic(cusp_graph(word), cusp_graph(other))
+
+
+_LABELS = st.lists(st.sampled_from((4, 8, 12, 16)), min_size=1, max_size=30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    labels=_LABELS,
+    other=_LABELS,
+    use_image=st.booleans(),
+    reflect=st.booleans(),
+    shift=st.integers(0, 29),
+)
+def test_graphs_isomorphic_matches_dihedral_matching(
+    labels, other, use_image, reflect, shift
+):
+    labels = tuple(labels)
+    if use_image:
+        # a rotation, maybe reflected, of the first cycle
+        seq = labels[::-1] if reflect else labels
+        shift %= len(seq)
+        other = seq[shift:] + seq[:shift]
+    other = tuple(other)
+    expected = other in dihedral_images(labels)
+    g1, g2 = CuspGraph(7, labels, False), CuspGraph(7, other, False)
+    assert graphs_isomorphic(g1, g2) == expected
+    assert graphs_isomorphic(g2, g1) == expected
 
 
 def test_horoball_areas_001():

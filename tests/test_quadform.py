@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from volrigid import quadform
 from volrigid.arith import factorize
 from volrigid.quadform import (
+    MAX_SQUARE_ROOTS,
     IntQuadForm,
     _primitive_values,
+    _sqrt_count,
+    _sqrt_mod_prime_power,
     kronecker_admissible,
     primitive_representations,
     primitive_value_set,
@@ -361,6 +366,36 @@ def test_kronecker_admissible_large_modulus_path():
         reps = representations(big, m)
         if any(r.primitive for r in reps):
             assert kronecker_admissible(big, m), m
+
+
+def test_sqrt_count_matches_residue_scan():
+    # every residue class of d, as a negative and a nonnegative integer,
+    # modulo every power up to 2048 of the primes up to 13
+    for p in (2, 3, 5, 7, 11, 13):
+        q, e = p, 1
+        while q <= 2048:
+            squares = Counter(x * x % q for x in range(q))
+            for d in range(-q, q):
+                count = squares[d % q]
+                assert _sqrt_count(d, p, e) == count, (d, p, e)
+                assert len({r % q for r in _sqrt_mod_prime_power(d, p, e)}) == count
+            q, e = q * p, e + 1
+
+
+def test_point_query_refuses_too_many_square_roots(monkeypatch):
+    # 2**40 and D = -2**42 share 2**42, which leaves 2**21 roots mod 4m;
+    # the refusal comes from the count, before any root is built
+    form = IntQuadForm(1, 0, 2**40)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadform, "_sqrt_mod_prime_power", None)
+        for query in (representations, primitive_representations):
+            with pytest.raises(ValueError, match="has 2097152 square roots"):
+                query(form, 2**40)
+    assert 2**21 > MAX_SQUARE_ROOTS
+    # a prime of m with no root of D decides the query before the count
+    # matters: 3 is inert for D = -2**42
+    assert representations(form, 3 * 2**40) == []
+    assert [r.pair for r in representations(form, 2**20)] == [(-(2**10), 0), (2**10, 0)]
 
 
 def test_value_set_scales_quadratically():
