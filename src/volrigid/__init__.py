@@ -83,7 +83,6 @@ from .quadform import (
     IntQuadForm,
     Representation,
     ValueSet,
-    kronecker_admissible,
     primitive_representations,
     primitive_value_set,
     representations,
@@ -106,7 +105,6 @@ __all__ = [
     "primitive_representations",
     "primitive_value_set",
     "two_sided_gap",
-    "kronecker_admissible",
     # cusplattice
     "CuspShape",
     "CuspRecord",

@@ -53,7 +53,6 @@ from .nzvolume import (
     delta_v_generic,
     delta_v_polar,
     series_names,
-    wl_series_coefficients,
     wl_taylor_coefficients,
 )
 from .primeseq import (
@@ -417,7 +416,7 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
           _arg("--samples", type=int, default=64))
 def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
     coeffs = wl_taylor_coefficients(radius=args.radius, samples=args.samples)
-    c1, c3 = wl_series_coefficients()
+    c1, c3 = coeffs[1], coeffs[3]
     return {
         "radius": args.radius,
         "samples": args.samples,

@@ -82,7 +82,7 @@ class CyclicWord:
     def __post_init__(self) -> None:
         if len(self.bits) < 3:
             raise ValueError("cyclic words must have length at least 3")
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("cyclic words are binary")
 
     @classmethod
@@ -127,10 +127,7 @@ def decompose(word: CyclicWord) -> SubwordDecomposition:
 
 def knot_cusp_moduli(word: CyclicWord) -> tuple[int, ...]:
     """Multiset (sorted) of knotted-cusp moduli: 4*(i_j + 1), or twice 2n."""
-    dec = decompose(word)
-    if dec.kind == ALL_ONES:
-        return (2 * word.n, 2 * word.n)
-    return tuple(sorted(4 * (i + 1) for i in dec.i_sequence))
+    return tuple(sorted(cusp_graph(word).cycle_labels))
 
 
 @dataclass(frozen=True)
@@ -323,12 +320,7 @@ def horoball_areas(
     if first_stage_modulus not in (1, 2):
         raise ValueError("first-stage circle modulus is 1 or 2")
     n = word.n
-    dec = decompose(word)
-    cusps = [(n, 4 * n)]
-    if dec.kind == ALL_ONES:
-        cusps += [(2 * n, 8 * n)] * 2
-    else:
-        cusps += [(4 * (i + 1), 16 * (i + 1)) for i in dec.i_sequence]
+    cusps = [(m, 4 * m) for m in (n, *cusp_graph(word).cycle_labels)]
     cusps += [(1 if b else 2, 2) for b in word.bits]
     cusps += [(first_stage_modulus, 2)] * n
     return tuple(sorted(cusps))

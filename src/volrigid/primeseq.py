@@ -11,23 +11,24 @@ that, verified from scratch by the exact engine in quadform:
         represented by the family's companion form Q0;
   (iii) v has no primitive representation by the excluded form Q2.
 
-Candidates come from a congruence system: shifted values v +- k pick up
-a designated "avoid" prime divisor, which kills primitive
-representability by Q0, and a base congruence (1 mod 12, or 1 mod 4 on
-the underlying prime) forces the wanted representation behaviour.  The
-system is solved by the Chinese remainder theorem and the resulting
-arithmetic progression is walked for primes.  The congruences only make
-conditions likely by design; every reported witness is re-verified
-directly, so a bug in the construction can cost completeness but never
-soundness.  The brute-force ellipse walk over Q = v lives on in the
-tests as the oracle the engine is checked against.
+Candidates are primes p with witness value v = f*p, f the family's
+value factor (1 for m004, 2 for m125).  A congruence system on p makes
+each shifted value v +- k divisible by a designated "avoid" prime,
+which kills primitive representability by Q0, and a base congruence
+on p (1 mod 12, or 1 mod 4) forces the wanted representation behaviour.
+The system is solved by the Chinese remainder theorem and the resulting
+arithmetic progression is walked for primes p <= cap / f.  The
+congruences only make conditions likely by design; every reported
+witness is re-verified directly, so a bug in the construction can cost
+completeness but never soundness.  The brute-force ellipse walk over
+Q = v lives on in the tests as the oracle the engine is checked against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .arith import is_prime
@@ -47,7 +48,6 @@ __all__ = [
     "FAMILY_M004",
     "FAMILY_M125",
     "DEFAULT_SEARCH_CAP",
-    "is_prime",
     "crt_solve",
     "primes_in_progression",
     "default_avoid_primes",
@@ -87,33 +87,30 @@ class CongruenceSystem:
 
 
 def crt_solve(system: CongruenceSystem) -> tuple[int, int]:
-    """Smallest nonnegative solution and combined modulus."""
+    """Smallest nonnegative solution and combined modulus.
+
+    The moduli are pairwise coprime: CongruenceSystem refuses others.
+    """
     n0, modulus = 0, 1
     for r, m in system.congruences:
-        if math.gcd(modulus, m) != 1:
-            raise ValueError("moduli are not pairwise coprime")
         k = (r - n0) * pow(modulus, -1, m) % m
         n0 += modulus * k
         modulus *= m
     return n0 % modulus, modulus
 
 
-def _progression(n0: int, modulus: int, cap: int) -> Iterator[int]:
-    """The primes among n0, n0 + modulus, ... up to cap, lazily."""
-    return filter(is_prime, range(n0, cap + 1, modulus))
-
-
-def _lone_prime(n0: int, modulus: int) -> bool:
-    """Is n0 the only term of the progression that can be prime?
+def _primes(n0: int, modulus: int, cap: int) -> Iterator[int]:
+    """The primes among n0, n0 + modulus, ... up to cap, lazily.
 
     When gcd(n0, modulus) > 1 every term shares that divisor, so the
-    progression is prime-free unless n0 itself is prime; a prime-free
-    progression raises EmptyProgressionError.
+    progression is prime-free unless n0 itself is prime.  A prime-free
+    progression raises EmptyProgressionError at the call, so this is not
+    a generator: a scan that is never stepped must refuse it too.
     """
     if math.gcd(n0, modulus) == 1:
-        return False
+        return filter(is_prime, range(n0, cap + 1, modulus))
     if is_prime(n0):
-        return True
+        return iter([n0] if n0 <= cap else [])
     raise EmptyProgressionError(
         f"the progression {n0} mod {modulus} holds no prime: every term is "
         f"divisible by gcd({n0}, {modulus}) = {math.gcd(n0, modulus)}"
@@ -128,46 +125,45 @@ def primes_in_progression(
 ) -> list[int]:
     """First `count` primes = n0 (mod modulus), bounded by cap, ascending.
 
-    When gcd(n0, modulus) > 1 every term shares that divisor, so the
-    progression is prime-free unless n0 itself is prime.
+    A progression that holds no prime raises EmptyProgressionError, even
+    for count = 0.
     """
     if modulus < 1 or n0 < 0:
         raise ValueError("need n0 >= 0 and modulus >= 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    scan = [n0] if _lone_prime(n0, modulus) else _progression(n0, modulus, cap)
-    return [p for p in itertools.islice(scan, count) if p <= cap]
+    return list(islice(_primes(n0, modulus, cap), count))
 
 
 @dataclass(frozen=True)
 class _Family:
-    tag: str
     gap_form: IntQuadForm        # Q0, must miss the shifted values
     carrier_form: IntQuadForm    # Q1, must hit the value essentially once
     excluded_form: IntQuadForm   # Q2, must miss the value
     avoid_residue: tuple[int, int]   # required residue class of avoid primes
     allow_swap: bool             # representation class includes (b, a)
-
-    def witness_value(self, p: int) -> int:
-        return 2 * p if self.tag == FAMILY_M125 else p
+    value_factor: int            # the witness value is value_factor * p
+    base: tuple[int, int]        # base congruence (r, m) on the prime p
 
 
 _FAMILIES = {
     FAMILY_M004: _Family(
-        tag=FAMILY_M004,
         gap_form=IntQuadForm(1, 1, 1),
         carrier_form=IntQuadForm(1, 0, 12),
         excluded_form=IntQuadForm(4, 4, 4),
         avoid_residue=(5, 6),
         allow_swap=False,
+        value_factor=1,
+        base=(1, 12),
     ),
     FAMILY_M125: _Family(
-        tag=FAMILY_M125,
         gap_form=IntQuadForm(1, 0, 1),
         carrier_form=IntQuadForm(2, 0, 2),
         excluded_form=IntQuadForm(1, 0, 4),
         avoid_residue=(3, 4),
         allow_swap=True,
+        value_factor=2,
+        base=(1, 4),
     ),
 }
 
@@ -218,25 +214,19 @@ def default_avoid_primes(family: str, g: int) -> tuple[int, ...]:
 def build_congruences(spec: GapPrimeSpec) -> CongruenceSystem:
     """Congruence system whose solutions are the search candidates.
 
-    m004 family (candidate is the prime p itself): p - i = 0 mod the
-    i-th avoid prime and p + i = 0 mod the (g+i)-th, plus p = 1 mod 12.
-
-    m125 family (candidate prime p, witness value 2p): the same shifts
-    on the value, rewritten on p through 2p -+ k = 0, plus p = 1 mod 4.
+    A candidate prime p has the witness value v = f*p, f the family's
+    value factor.  For i = 1..g, v - i must be divisible by the i-th
+    avoid prime q and v + i by the (g+i)-th, that is p = i * f**-1 and
+    p = -i * f**-1 modulo those primes; then comes the family's base
+    congruence on p (1 mod 12 for m004, 1 mod 4 for m125).
     """
     fam = _FAMILIES[spec.family]
-    g = spec.g
+    g, avoid = spec.g, spec.avoid_primes
     congruences = []
     for i in range(1, g + 1):
-        minus_p = spec.avoid_primes[i - 1]
-        plus_p = spec.avoid_primes[g + i - 1]
-        if fam.tag == FAMILY_M004:
-            congruences.append((i, minus_p))
-            congruences.append((-i, plus_p))
-        else:
-            congruences.append((i * pow(2, -1, minus_p), minus_p))
-            congruences.append((-i * pow(2, -1, plus_p), plus_p))
-    congruences.append((1, 12) if fam.tag == FAMILY_M004 else (1, 4))
+        for shift, q in ((i, avoid[i - 1]), (-i, avoid[g + i - 1])):
+            congruences.append((shift * pow(fam.value_factor, -1, q), q))
+    congruences.append(fam.base)
     return CongruenceSystem(tuple(congruences))
 
 
@@ -323,15 +313,12 @@ def gap_prime_sequence(
         raise ValueError("count and cap must be nonnegative")
     fam = _FAMILIES[spec.family]
     n0, modulus = crt_solve(build_congruences(spec))
-    scan = [n0] if _lone_prime(n0, modulus) else _progression(n0, modulus, cap)
+    scan = _primes(n0, modulus, cap // fam.value_factor)
     if count == 0:
         return GapPrimeSearch((), truncated=False)
     found: list[GapPrimeWitness] = []
     for p in scan:
-        value = fam.witness_value(p)
-        if value > cap:
-            break
-        witness = verify_witness(value, spec)
+        witness = verify_witness(fam.value_factor * p, spec)
         if witness.verified:
             found.append(witness)
             if len(found) == count:

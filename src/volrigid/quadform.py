@@ -5,10 +5,11 @@ integer coefficients, a > 0 and discriminant D = b**2 - 4*a*c < 0.  A
 representation Q(x, y) = m is primitive when gcd(x, y) = 1; note that
 gcd(x, 0) = |x|, so (2, 0) is not primitive while (1, 0) and (0, 1) are.
 
-Point queries, the solutions of Q(x, y) = m, come from an exact
-engine: m is factored once, the square roots of D modulo 4m are found
-prime power by prime power (Tonelli-Shanks and Hensel lifting) and
-combined by the Chinese remainder theorem, and each candidate form
+Point queries, the solutions of Q(x, y) = m, come from one exact
+engine, which also decides whether m is represented at all: m is
+factored once, the square roots of D modulo 4m are found prime power
+by prime power (Tonelli-Shanks and Hensel lifting) and combined by the
+Chinese remainder theorem, and each candidate form
 (m, B, (B**2 - D)/4m) is Gauss-reduced and compared with the reduced Q
 (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
 sections 1.5 and 5.3; Buell, Binary Quadratic Forms, 1989).  Its cost
@@ -24,9 +25,7 @@ form an interval with the interval of Q <= lo - 1 cut out.  A value set
 up to a limit is the annulus 1 <= Q <= limit.  A two-sided gap around
 q0 walks annuli q0 - r <= Q <= q0 + r of doubling radius r until one
 holds another value, so its cost depends on q0 and the gap, not on the
-scan limit.  kronecker_admissible, whether D is a square modulo 4m, is
-a necessary condition for a primitive representation of m, exported on
-its own: neither the engine nor the range walks call it.
+scan limit.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "primitive_representations",
     "primitive_value_set",
     "two_sided_gap",
-    "kronecker_admissible",
     "MAX_VALUE_SET_POINTS",
     "MAX_SQUARE_ROOTS",
 ]
@@ -424,18 +422,3 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
         if r == cap:
             return cap
         r = min(2 * r, cap)
-
-
-def kronecker_admissible(form: IntQuadForm, m: int) -> bool:
-    """Is the discriminant a square modulo 4m?
-
-    A primitive representation of m forces this, so a False here rules m
-    out of the primitive value set; True guarantees nothing.  Decided
-    exactly, prime power by prime power of 4m.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    fac = factorize(m)
-    fac[2] = fac.get(2, 0) + 2
-    d = form.discriminant()
-    return all(_sqrt_count(d, p, k) for p, k in fac.items())

@@ -108,6 +108,13 @@ def test_nz_wl_coeffs(capsys):
     assert abs(payload["c3"]["im"] - 1 / 6) < 1e-8
 
 
+def test_nz_wl_coeffs_c1_c3_use_the_requested_quadrature(capsys):
+    payload = invoke_json(capsys, "nz", "wl-coeffs", "--radius", "0.3", "--samples", "32")
+    coeffs = payload["coefficients"]
+    for k in (1, 3):
+        assert payload[f"c{k}"] == {"re": coeffs[k]["re"], "im": coeffs[k]["im"]}
+
+
 def test_certify(capsys):
     payload = invoke_json(capsys, "certify", "--manifold", "m125", "-a", "1", "-b", "2")
     assert payload["n_q0"] == 8

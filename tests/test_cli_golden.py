@@ -49,6 +49,7 @@ INVOCATIONS = [
     ("nz", "eval", "--series", "m004", "-a", "5", "-b", "1", "--route", "polar"),
     ("nz", "check", "--points", "20"),
     ("nz", "wl-coeffs"),
+    ("nz", "wl-coeffs", "--radius", "0.3", "--samples", "32"),
     ("nz", "constants"),
     ("certify", "--manifold", "m004", "-a", "7", "-b", "4"),
     ("certify", "--manifold", "m125", "-a", "1", "-b", "2"),

@@ -73,6 +73,11 @@ def test_word_validation():
         CyclicWord.from_string("01")  # too short
     with pytest.raises(ValueError):
         CyclicWord.from_string("0121")
+    # the constructor compares letters by value, so True == 1 passes
+    for letters in (("0", 0, 1), (2, 0, 1)):
+        with pytest.raises(ValueError, match="binary"):
+            CyclicWord(letters)
+    assert CyclicWord((True, 0, 1)).n == 3
     assert W("0101").n == 4
 
 

@@ -8,9 +8,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volrigid import primeseq
-from volrigid.arith import factorize
+from volrigid.arith import factorize, is_prime
 from volrigid.primeseq import (
     CongruenceSystem,
     EmptyProgressionError,
@@ -21,7 +23,6 @@ from volrigid.primeseq import (
     crt_solve,
     default_avoid_primes,
     gap_prime_sequence,
-    is_prime,
     primes_in_progression,
     verify_witness,
 )
@@ -89,8 +90,10 @@ def test_crt_random_systems():
 def test_primes_in_progression_pinned():
     assert primes_in_progression(241, 660, 1, 10**6) == [241]
     assert primes_in_progression(1, 12, 3, 200) == [13, 37, 61]
-    with pytest.raises(EmptyProgressionError):
-        primes_in_progression(0, 4, 1, 100)
+    # refused up front, even when no prime is asked for
+    for count in (1, 0):
+        with pytest.raises(EmptyProgressionError):
+            primes_in_progression(0, 4, count, 100)
 
 
 def test_primes_in_progression_membership():
@@ -116,6 +119,28 @@ def test_build_congruences_m125_spec_example():
     assert (n0, modulus) == (5, 132)
     assert (2 * n0 - 1) % 3 == 0
     assert (2 * n0 + 1) % 11 == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_congruence_rule_puts_avoid_primes_on_shifted_values(data):
+    # the witness value is p for m004 and 2p for m125; v - i must be a
+    # multiple of the i-th avoid prime and v + i of the (g+i)-th
+    family, factor, (res, mod), base = data.draw(st.sampled_from((
+        (FAMILY_M004, 1, (5, 6), (1, 12)),
+        (FAMILY_M125, 2, (3, 4), (1, 4)),
+    )))
+    g = data.draw(st.integers(1, 5))
+    pool = [q for q in range(2, 300) if q % mod == res and is_prime(q)]
+    avoid = data.draw(st.lists(st.sampled_from(pool), min_size=2 * g,
+                               max_size=2 * g, unique=True))
+    spec = GapPrimeSpec(g=g, family=family, avoid_primes=tuple(avoid))
+    p, modulus = crt_solve(build_congruences(spec))
+    assert modulus == math.prod(avoid) * base[1]
+    assert p % base[1] == base[0]
+    for i in range(1, g + 1):
+        assert (factor * p - i) % avoid[i - 1] == 0
+        assert (factor * p + i) % avoid[g + i - 1] == 0
 
 
 def test_verify_witness_241():
@@ -214,6 +239,21 @@ def test_gap_prime_sequence_stops_at_the_last_witness(monkeypatch):
     assert tested == [241]
 
 
+def test_lone_prime_above_the_cap(monkeypatch):
+    # 13 = 13 mod 26 is the only prime of its progression
+    assert primes_in_progression(13, 26, 1, 12) == []
+    assert primes_in_progression(13, 26, 2, 13) == [13]
+    # no valid spec leads the search there (the base congruence keeps
+    # n0 out of every avoid prime's residue class), so its CRT solution
+    # is replaced; 13 is a witness for avoid primes (5, 11)
+    monkeypatch.setattr(primeseq, "crt_solve", lambda system: (13, 26))
+    spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
+    capped = gap_prime_sequence(spec, 1, cap=12)
+    assert capped.witnesses == () and capped.truncated
+    at_cap = gap_prime_sequence(spec, 2, cap=13)
+    assert [w.value for w in at_cap.witnesses] == [13] and at_cap.truncated
+
+
 def test_primes_in_progression_count_zero_and_negative():
     assert primes_in_progression(1, 4, 0, 10**5) == []
     assert primes_in_progression(3, 6, 0, 100) == []  # the lone-prime path
@@ -278,6 +318,40 @@ def test_golden_g4_g5_witnesses():
             assert p % 4 != 0  # 4(x^2+xy+y^2) misses p
 
 
+def test_golden_m125_g4_g5_witnesses():
+    golden = json.loads((DATA / "m125_gap4_witness.json").read_text())
+    assert golden["family"] == FAMILY_M125
+    for entry in golden["searches"]:
+        g, values = entry["g"], [w["value"] for w in entry["witnesses"]]
+        avoid = tuple(entry["avoid_primes"])
+        spec = GapPrimeSpec(g=g, family=FAMILY_M125, avoid_primes=avoid)
+        assert avoid == default_avoid_primes(FAMILY_M125, g)
+        n0, modulus = crt_solve(build_congruences(spec))
+        assert (n0, modulus) == (entry["residue"], entry["modulus"])
+        search = gap_prime_sequence(spec, len(values), cap=entry["cap"])
+        assert not search.truncated
+        assert [w.value for w in search.witnesses] == values
+        assert [list(w.representation.pair) for w in search.witnesses] == [
+            w["representation"] for w in entry["witnesses"]
+        ]
+        # checks that do not touch quadform
+        for w in entry["witnesses"]:
+            v, (x, y) = w["value"], w["representation"]
+            p = v // 2
+            assert v == 2 * p and v <= entry["cap"]
+            assert factorize(p) == {p: 1} and (p - n0) % modulus == 0
+            # p = 1 mod 4 is prime, so by Fermat x^2 + y^2 = p has one
+            # solution up to order and signs, and 2x^2 + 2y^2 = v too
+            assert p % 4 == 1 and x * x + y * y == p and math.gcd(x, y) == 1
+            assert 2 * x * x + 2 * y * y == v
+            # an odd prime 3 mod 4 dividing n rules out coprime x, y
+            # with x^2 + y^2 = n
+            for k in range(1, g + 1):
+                assert avoid[k - 1] % 4 == 3 and (v - k) % avoid[k - 1] == 0
+                assert avoid[g + k - 1] % 4 == 3 and (v + k) % avoid[g + k - 1] == 0
+            assert v % 4 == 2  # x^2 + 4y^2 is 0 or 1 mod 4, so misses v
+
+
 def test_gap_prime_sequence_cap_bounds_value_not_prime():
     spec = GapPrimeSpec(g=1, family=FAMILY_M125, avoid_primes=(3, 7))
     # the first candidate prime is 17, whose witness value is 34
@@ -293,5 +367,6 @@ def test_gap_prime_sequence_refuses_prime_free_progression():
     # multiple of 3
     spec = GapPrimeSpec(g=3, family=FAMILY_M125,
                         avoid_primes=(7, 11, 3, 19, 23, 31))
-    with pytest.raises(EmptyProgressionError, match="holds no prime"):
-        gap_prime_sequence(spec, 1, cap=10**15)
+    for count in (1, 0):
+        with pytest.raises(EmptyProgressionError, match="holds no prime"):
+            gap_prime_sequence(spec, count, cap=10**15)

@@ -18,7 +18,6 @@ from volrigid.quadform import (
     _primitive_values,
     _sqrt_count,
     _sqrt_mod_prime_power,
-    kronecker_admissible,
     primitive_representations,
     primitive_value_set,
     representations,
@@ -332,40 +331,18 @@ def test_gap_neighborhood_is_really_empty():
             assert (q0 - gap in values) or (q0 + gap in values)
 
 
-def test_kronecker_admissible_agrees_with_value_sets():
+def test_value_set_members_have_primitive_representations():
     for form in (X2_12Y2, SUM_SQ, HEX):
         values = set(primitive_value_set(form, 150).values)
-        for m in range(1, 151):
-            if m in values:
-                assert kronecker_admissible(form, m), (str(form), m)
+        for m in values:
+            assert primitive_representations(form, m), (str(form), m)
 
 
-def test_kronecker_admissible_rejects_inert_prime_factors():
+def test_inert_prime_factors_rule_out_primitive_representations():
     # 5 and 11 are inert for discriminant -48, so no multiple of either
     # is primitively represented by x^2+12y^2.
     for m in (5, 10, 11, 22, 55, 240, 242):
-        assert not kronecker_admissible(X2_12Y2, m), m
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_kronecker_admissible_matches_residue_scan(data):
-    form = data.draw(forms(max_coeff=30))
-    m = data.draw(structured_values(form, 25000).filter(lambda m: m >= 1))
-    n = 4 * m
-    target = form.discriminant() % n
-    scan = any(x * x % n == target for x in range(n // 2 + 1))
-    assert kronecker_admissible(form, m) == scan
-
-
-def test_kronecker_admissible_large_modulus_path():
-    # a discriminant with large prime-power factors; compare against
-    # actual representability
-    big = IntQuadForm(1, 0, 3 * 10**5)
-    for m in (1, 2, 3, 4, 7, 13, 300001, 300004):
-        reps = representations(big, m)
-        if any(r.primitive for r in reps):
-            assert kronecker_admissible(big, m), m
+        assert primitive_representations(X2_12Y2, m) == [], m
 
 
 def test_sqrt_count_matches_residue_scan():
