@@ -24,13 +24,9 @@ from .census import (
 )
 from .cusplattice import (
     CuspRecord,
-    CuspShape,
-    UnsupportedShapeError,
     builtin_names,
     builtin_record,
     form_automorphisms,
-    integral_rescale,
-    normalized_value,
     orbit,
 )
 from .mutant import (
@@ -62,7 +58,6 @@ from .nzvolume import (
     lower_bound_holds,
     m125_asymmetry,
     series_names,
-    wl_series_coefficients,
 )
 from .primeseq import (
     DEFAULT_SEARCH_CAP,
@@ -106,11 +101,7 @@ __all__ = [
     "primitive_value_set",
     "two_sided_gap",
     # cusplattice
-    "CuspShape",
     "CuspRecord",
-    "UnsupportedShapeError",
-    "normalized_value",
-    "integral_rescale",
     "form_automorphisms",
     "orbit",
     "builtin_record",
@@ -138,7 +129,6 @@ __all__ = [
     "delta_v_polar",
     "m125_asymmetry",
     "lower_bound_holds",
-    "wl_series_coefficients",
     "lobachevsky",
     "V_OCT",
     "V_FIG8",

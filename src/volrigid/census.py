@@ -114,8 +114,8 @@ def cluster_volumes(
     records: Iterable[VolumeRecord], epsilon: float = DEFAULT_EPSILON
 ) -> list[VolumeCluster]:
     """Greedy chain clustering of records sorted by (volume, name)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be a nonnegative number")
     ordered = sorted(records, key=lambda r: (r.volume, r.name))
     clusters: list[VolumeCluster] = []
     chain: list[VolumeRecord] = []

@@ -26,7 +26,7 @@ import csv
 import functools
 import io
 import json
-import os
+import math
 import random
 import sys
 from typing import Any, Callable, Sequence
@@ -75,26 +75,12 @@ from .quadform import (
 
 __all__ = ["run", "main"]
 
-_ENV_CAP = "VOLRIGID_CAP"
 _FAMILY_ALIASES = {
     "m004": FAMILY_M004,
     FAMILY_M004: FAMILY_M004,
     "m125": FAMILY_M125,
     FAMILY_M125: FAMILY_M125,
 }
-
-
-def _default_cap() -> int:
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return DEFAULT_SEARCH_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise ValueError(f"{_ENV_CAP} must be positive")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +178,16 @@ def _int_triple(text: str) -> tuple[int, int, int]:
     except ValueError:  # a non-integer part, or not three parts
         raise argparse.ArgumentTypeError("expected a,b,c with three integers")
     return a, b, c
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -324,7 +320,8 @@ def _witness_payload(witness: Any) -> dict[str, Any]:
           _arg("--family", choices=sorted(_FAMILY_ALIASES), required=True),
           _arg("-g", "--gap", type=int, required=True, dest="g"),
           _arg("--count", type=int, default=1, help="witnesses wanted (default 1)"),
-          _arg("--cap", type=int, help="search cap on the value"),
+          _arg("--cap", type=int, default=DEFAULT_SEARCH_CAP,
+               help="search cap on the value (default 1e15)"),
           _arg("--avoid", type=_int_list, metavar="p,q,...",
                help="override the avoided-prime list"),
           _arg("--verify-only", type=int, metavar="VALUE",
@@ -347,9 +344,8 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
         payload["witnesses"] = [_witness_payload(verify_witness(args.verify_only, spec))]
         payload["truncated"] = False
         return payload
-    cap = _default_cap() if args.cap is None else args.cap
-    search = gap_prime_sequence(spec, args.count, cap=cap)
-    payload["cap"] = cap
+    search = gap_prime_sequence(spec, args.count, cap=args.cap)
+    payload["cap"] = args.cap
     payload["witnesses"] = [_witness_payload(w) for w in search.witnesses]
     payload["truncated"] = search.truncated
     return payload
@@ -357,16 +353,24 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
 
 @_command("nz eval", "evaluate a volume change",
           _arg("--series", choices=series_names(), required=True),
-          _arg("-a", type=float, required=True),
-          _arg("-b", type=float, required=True),
+          _arg("-a", type=_finite_float, required=True),
+          _arg("-b", type=_finite_float, required=True),
           _arg("--route", choices=("generic", "explicit", "polar"), default="generic"))
 def _cmd_nz_eval(args: argparse.Namespace) -> Any:
-    if args.route == "generic":
-        value = delta_v_generic(builtin_series(args.series), args.a, args.b)
-    elif args.route == "explicit":
-        value = delta_v_explicit(args.series, args.a, args.b)
-    else:
-        value = delta_v_polar(args.series, args.a, args.b)
+    try:
+        if args.route == "generic":
+            value = delta_v_generic(builtin_series(args.series), args.a, args.b)
+        elif args.route == "explicit":
+            value = delta_v_explicit(args.series, args.a, args.b)
+        else:
+            value = delta_v_polar(args.series, args.a, args.b)
+    except OverflowError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ArithmeticError(
+            f"the truncated volume change at a = {args.a:g}, b = {args.b:g} "
+            "overflows a float"
+        )
     return {
         "series": args.series,
         "a": args.a,
@@ -379,7 +383,7 @@ def _cmd_nz_eval(args: argparse.Namespace) -> Any:
 @_command("nz check", "cross-route identity suite",
           _arg("--points", type=int, default=1000),
           _arg("--seed", type=int, default=0),
-          _arg("--tolerance", type=float, default=1e-10))
+          _arg("--tolerance", type=_finite_float, default=1e-10))
 def _cmd_nz_check(args: argparse.Namespace) -> Any:
     rng = random.Random(args.seed)
     worst: dict[str, float] = {name: 0.0 for name in series_names()}
@@ -412,7 +416,7 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
 
 
 @_command("nz wl-coeffs", "recover series coefficients numerically",
-          _arg("--radius", type=float, default=0.1),
+          _arg("--radius", type=_finite_float, default=0.1),
           _arg("--samples", type=int, default=64))
 def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
     coeffs = wl_taylor_coefficients(radius=args.radius, samples=args.samples)
@@ -437,7 +441,7 @@ def _cmd_nz_constants(args: argparse.Namespace) -> Any:
           _arg("--manifold", choices=builtin_names(), required=True),
           _arg("-a", type=int, required=True),
           _arg("-b", type=int, required=True),
-          _arg("--c2", type=float, default=DEFAULT_C2),
+          _arg("--c2", type=_finite_float, default=DEFAULT_C2),
           _arg("--scan-limit", type=int, default=10**4))
 def _cmd_certify(args: argparse.Namespace) -> Any:
     record = builtin_record(args.manifold)
@@ -506,7 +510,7 @@ def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
 
 @_command("census hist", "cluster name,volume lines into a histogram",
           _arg("path", help="CSV file, or - for standard input"),
-          _arg("--epsilon", type=float, default=DEFAULT_EPSILON))
+          _arg("--epsilon", type=_finite_float, default=DEFAULT_EPSILON))
 def _cmd_census_hist(args: argparse.Namespace) -> Any:
     if args.path == "-":
         report = parse_census(sys.stdin)

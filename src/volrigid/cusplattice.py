@@ -1,80 +1,41 @@
 """Cusp cross-section lattices and their quadratic forms.
 
-A cusp torus is recorded by its shape parameter tau, stored with
-Im(tau) < 0; builders accept either sign and conjugate as needed.  The
-extremal-length form of the lattice generated by 1 and tau is
+A cusp torus with shape parameter tau has the extremal-length form
 
     Qhat(a, b) = |a + b*tau|**2 / |Im(tau)|,
 
-a real positive definite form of determinant 1.  For the shapes treated
-here tau is imaginary quadratic, so Qhat is a rational multiple of a
-primitive integral form; integral_rescale recovers that form together
-with the scale factor linking the two.
+a real positive definite form of determinant 1.  For the cusps treated
+here tau is imaginary quadratic, so Qhat is a real multiple of an
+integral form: a built-in record stores that integral carrier form,
+which every value computation uses, and derives the scale with
+integer_form = scale * Qhat from it.  Qhat has discriminant -4, so
+scale**2 = |D|/4 for the carrier form's discriminant D.
 
-A built-in record bundles the shape, the integral carrier form actually
-used for value computations, the scale with integer_form = scale * Qhat,
-and the subgroup of form automorphisms induced by symmetries of the
-underlying manifold, stored as explicit 2x2 matrices acting on column
-vectors (a, b).
+A record also holds the subgroup of form automorphisms induced by
+symmetries of the underlying manifold, stored as explicit 2x2 matrices
+acting on column vectors (a, b).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .quadform import IntQuadForm, primitive_representations
 
 __all__ = [
-    "CuspShape",
     "CuspRecord",
     "Orbit",
     "orbit",
-    "UnsupportedShapeError",
     "Mat",
     "apply_matrix",
     "is_automorphism",
     "form_automorphisms",
-    "normalized_value",
-    "integral_rescale",
     "builtin_record",
     "builtin_names",
 ]
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
-
-RESCALE_TOL = 1e-9
-# Keep the denominator cap far below 1/sqrt(RESCALE_TOL): best rational
-# approximants with denominator q err like 1/q^2, so a generic irrational
-# cannot sneak under the tolerance, only genuinely rational data can.
-RESCALE_MAX_DENOMINATOR = 10**3
-
-
-class UnsupportedShapeError(ValueError):
-    """The shape parameter is not recognizably imaginary quadratic."""
-
-
-@dataclass(frozen=True)
-class CuspShape:
-    """Shape parameter of a cusp torus, normalized to Im(tau) < 0."""
-
-    tau: complex
-
-    def __post_init__(self) -> None:
-        t = complex(self.tau)
-        if t.imag == 0:
-            raise ValueError("shape parameter must be non-real")
-        if t.imag > 0:
-            t = t.conjugate()
-        object.__setattr__(self, "tau", t)
-
-
-def normalized_value(shape: CuspShape, a: float, b: float) -> float:
-    """Qhat(a, b) = |a + b*tau|**2 / |Im tau|."""
-    z = a + b * shape.tau
-    return (z.real * z.real + z.imag * z.imag) / -shape.tau.imag
-
 
 def apply_matrix(mat: Mat, a: int, b: int) -> tuple[int, int]:
     (p, q), (r, s) = mat
@@ -117,11 +78,8 @@ class CuspRecord:
     """A named cusp with its carrier form and symmetry data."""
 
     name: str
-    shape: CuspShape
     integer_form: IntQuadForm
-    scale: float
     symmetry_group: tuple[Mat, ...]
-    full_form_group_order: int
 
     def __post_init__(self) -> None:
         mats = set(self.symmetry_group)
@@ -132,6 +90,11 @@ class CuspRecord:
         for mat in self.symmetry_group:
             if not is_automorphism(self.integer_form, mat):
                 raise ValueError(f"{mat} does not preserve {self.integer_form}")
+
+    @property
+    def scale(self) -> float:
+        """The factor with integer_form = scale * Qhat: sqrt(|D|)/2."""
+        return math.sqrt(-self.integer_form.discriminant()) / 2
 
 
 @dataclass(frozen=True)
@@ -152,39 +115,6 @@ def orbit(record: CuspRecord, a: int, b: int, full_group: bool = False) -> Orbit
     return Orbit((a, b), frozenset(apply_matrix(m, a, b) for m in mats))
 
 
-def _as_fraction(x: float) -> Fraction:
-    f = Fraction(x).limit_denominator(RESCALE_MAX_DENOMINATOR)
-    if abs(f - x) > RESCALE_TOL:
-        raise UnsupportedShapeError(
-            f"{x!r} is not close to a rational with denominator"
-            f" <= {RESCALE_MAX_DENOMINATOR}"
-        )
-    return f
-
-
-def integral_rescale(shape: CuspShape) -> tuple[IntQuadForm, float]:
-    """Primitive integral form proportional to Qhat, with its scale.
-
-    Requires tau to have rational trace and norm (an imaginary quadratic
-    shape); returns (form, scale) with form = scale * Qhat after
-    clearing denominators and dividing out the content.
-    """
-    tau = shape.tau
-    trace = _as_fraction(2.0 * tau.real)
-    norm = _as_fraction(tau.real * tau.real + tau.imag * tau.imag)
-    lcm = math.lcm(trace.denominator, norm.denominator)
-    a = lcm
-    b = trace.numerator * (lcm // trace.denominator)
-    c = norm.numerator * (lcm // norm.denominator)
-    g = math.gcd(a, b, c)
-    form = IntQuadForm(a // g, b // g, c // g)
-    scale = (lcm / g) * -tau.imag
-    return form, scale
-
-
-_ROOT3 = math.sqrt(3.0)
-
-_NEG_I: Mat = ((-1, 0), (0, -1))
 _I: Mat = ((1, 0), (0, 1))
 
 
@@ -200,11 +130,8 @@ def _make_builtins() -> dict[str, CuspRecord]:
     # orientation-preserving symmetries.
     records["m004"] = CuspRecord(
         name="m004",
-        shape=CuspShape(complex(0.0, -2.0 * _ROOT3)),
         integer_form=IntQuadForm(1, 0, 12),
-        scale=2.0 * _ROOT3,
         symmetry_group=(*_signed(_I), *_signed(((1, 0), (0, -1)))),
-        full_form_group_order=4,
     )
     # Figure-eight sister: hexagonal lattice, tau = (1 - sqrt(3)*i)/2.
     # The carrier form is 4*(a**2 + a*b + b**2), whose automorphism group
@@ -212,32 +139,23 @@ def _make_builtins() -> dict[str, CuspRecord]:
     # manifold only induces the order-4 subgroup below.
     records["m003"] = CuspRecord(
         name="m003",
-        shape=CuspShape(complex(0.5, -0.5 * _ROOT3)),
         integer_form=IntQuadForm(4, 4, 4),
-        scale=2.0 * _ROOT3,
         symmetry_group=(*_signed(_I), *_signed(((1, 1), (0, -1)))),
-        full_form_group_order=12,
     )
-    # Two-bridge chain link cusp: square lattice, tau = i stored as -i;
+    # Two-bridge chain link cusp: square lattice, tau = -i;
     # the quarter turn (a, b) -> (-b, a) is induced, the reflections are
     # not, so the induced group is cyclic of order 4 inside D4.
     records["m125"] = CuspRecord(
         name="m125",
-        shape=CuspShape(complex(0.0, -1.0)),
         integer_form=IntQuadForm(2, 0, 2),
-        scale=2.0,
         symmetry_group=(*_signed(_I), *_signed(((0, -1), (1, 0)))),
-        full_form_group_order=8,
     )
     # One cusp of m129 (Whitehead link geometry): tau = -2i; only the
     # central symmetry survives.
     records["m129"] = CuspRecord(
         name="m129",
-        shape=CuspShape(complex(0.0, -2.0)),
         integer_form=IntQuadForm(1, 0, 4),
-        scale=2.0,
         symmetry_group=_signed(_I),
-        full_form_group_order=4,
     )
     return records
 

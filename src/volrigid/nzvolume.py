@@ -43,12 +43,10 @@ __all__ = [
     "delta_v_generic",
     "delta_v_explicit",
     "delta_v_polar",
-    "explicit_names",
     "m125_asymmetry",
     "lower_bound_holds",
     "wl_log_holonomy",
     "wl_taylor_coefficients",
-    "wl_series_coefficients",
     "lobachevsky",
     "lobachevsky_direct",
     "V_OCT",
@@ -158,10 +156,6 @@ _EXPLICIT = {
 }
 
 
-def explicit_names() -> tuple[str, ...]:
-    return tuple(sorted(_EXPLICIT))
-
-
 def delta_v_explicit(name: str, a: float, b: float) -> float:
     """Truncated volume change, per-geometry polynomial route.
 
@@ -174,7 +168,7 @@ def delta_v_explicit(name: str, a: float, b: float) -> float:
         fn = _EXPLICIT[name]
     except KeyError:
         raise ValueError(
-            f"unknown geometry {name!r}; known: {', '.join(explicit_names())}"
+            f"unknown geometry {name!r}; known: {', '.join(series_names())}"
         ) from None
     return fn(a, b)
 
@@ -263,12 +257,6 @@ def wl_taylor_coefficients(
         )
         out.append(acc / samples / radius**n)
     return out
-
-
-def wl_series_coefficients() -> tuple[complex, complex]:
-    """(c1, c3) of the Whitehead-link geometry, computed numerically."""
-    coeffs = wl_taylor_coefficients(max_degree=3)
-    return coeffs[1], coeffs[3]
 
 
 def _zeta_even_table(count: int) -> list[float]:
@@ -385,11 +373,11 @@ def certify_unique_volume(
     scan_limit.  The gap and the value are reported normalized by the
     record's scale.
 
-    The two decisions are exact.  integer_form = scale * Qhat and Qhat
-    has discriminant -4, so scale**2 = |D|/4 for the carrier form's
-    discriminant D, and gap/scale > 2*c2 and q/scale >= REGIME_Q_MIN are
-    decided as gap**2 > c2**2 * |D| and 4*q**2 >= REGIME_Q_MIN**2 * |D|
-    on the exact rational values of the floats c2 and REGIME_Q_MIN.
+    The two decisions are exact.  The record's scale is defined as
+    sqrt(|D|)/2 for the carrier form's discriminant D, so gap/scale >
+    2*c2 and q/scale >= REGIME_Q_MIN are decided as gap**2 > c2**2 * |D|
+    and 4*q**2 >= REGIME_Q_MIN**2 * |D| on the exact rational values of
+    the floats c2 and REGIME_Q_MIN.
     """
     if math.gcd(a0, b0) != 1:
         raise ValueError("filling class must be a coprime pair")

@@ -266,7 +266,7 @@ def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
         canonical = min((abs(x), abs(y)) for x, y in prim)
         cls = _representation_class(canonical, fam.allow_swap)
         unique = all(r.pair in cls for r in all_reps)
-        representation = Representation.of(*canonical)
+        representation = Representation(*canonical)
     gap_clear = True
     for k in range(1, spec.g + 1):
         if value - k >= 0 and primitive_representations(fam.gap_form, value - k):

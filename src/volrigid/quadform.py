@@ -25,7 +25,9 @@ form an interval with the interval of Q <= lo - 1 cut out.  A value set
 up to a limit is the annulus 1 <= Q <= limit.  A two-sided gap around
 q0 walks annuli q0 - r <= Q <= q0 + r of doubling radius r until one
 holds another value, so its cost depends on q0 and the gap, not on the
-scan limit.
+scan limit.  Both walks are refused up front when they would run too
+long: a value set above MAX_VALUE_SET_POINTS lattice points, a gap scan
+above MAX_GAP_ROWS rows.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "primitive_value_set",
     "two_sided_gap",
     "MAX_VALUE_SET_POINTS",
+    "MAX_GAP_ROWS",
     "MAX_SQUARE_ROOTS",
 ]
 
@@ -52,6 +55,12 @@ __all__ = [
 # the ellipse Q <= limit, at roughly 0.4 us each; a walk longer than
 # this many points is refused instead of running for hours.
 MAX_VALUE_SET_POINTS = 3 * 10**7
+
+# two_sided_gap walks one row per |y| <= sqrt(4a*(q0 + r)/|D|) for each
+# annulus, at about 2 us a row (x**2 + 12*y**2 around q0 = 10**12 + 12:
+# five annuli, 2.9e6 rows, 5.5 s); a scan that would walk more rows than
+# this in total is refused instead of running for hours.
+MAX_GAP_ROWS = 10**6
 
 # A point query runs over every square root of D modulo 4m.  There are at
 # most a few per prime factor of m unless m and D share a high prime
@@ -87,19 +96,14 @@ class IntQuadForm:
 
 @dataclass(frozen=True)
 class Representation:
-    """A solution Q(x, y) = m, tagged with its primitivity."""
+    """A solution Q(x, y) = m; primitive when gcd(x, y) = 1."""
 
     x: int
     y: int
-    primitive: bool
 
-    def __post_init__(self) -> None:
-        if self.primitive != (math.gcd(self.x, self.y) == 1):
-            raise ValueError("primitive flag contradicts gcd(x, y)")
-
-    @classmethod
-    def of(cls, x: int, y: int) -> "Representation":
-        return cls(x, y, math.gcd(x, y) == 1)
+    @property
+    def primitive(self) -> bool:
+        return math.gcd(self.x, self.y) == 1
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -296,7 +300,7 @@ def _primitive_pairs(form: IntQuadForm, m: int, fac: dict[int, int]) -> list[tup
 
 
 def _in_order(pairs: list[tuple[int, int]]) -> list[Representation]:
-    return [Representation.of(x, y) for x, y in sorted(pairs, key=lambda xy: (xy[1], xy[0]))]
+    return [Representation(x, y) for x, y in sorted(pairs, key=lambda xy: (xy[1], xy[0]))]
 
 
 def representations(form: IntQuadForm, m: int) -> list[Representation]:
@@ -311,7 +315,7 @@ def representations(form: IntQuadForm, m: int) -> list[Representation]:
     if m < 0:
         raise ValueError("a positive definite form only represents m >= 0")
     if m == 0:
-        return [Representation.of(0, 0)]
+        return [Representation(0, 0)]
     square_divisors = [(1, {})]
     for p, e in factorize(m).items():
         square_divisors = [
@@ -404,7 +408,10 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
     q0 + r for r = 2, 4, 8, ... (at most limit - q0) and stops at the
     first one that holds a value other than q0.  Its cost is set by q0
     and the gap, not by limit, and stays within about twice that of one
-    walk over the final annulus.
+    walk over the final annulus.  Each annulus walks about
+    2*sqrt(4a*(q0 + r)/|D|) rows; a scan that would walk more than
+    MAX_GAP_ROWS rows in total raises ValueError before the annulus that
+    crosses the bound, so a large q0 is refused before any walk.
     """
     if limit <= q0:
         raise ValueError("scan limit must exceed q0")
@@ -412,7 +419,14 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
         raise ValueError("limit must be nonnegative")
     cap = limit - q0
     r = min(2, cap)
+    rows = 0
     while True:
+        rows += 2 * math.isqrt(4 * form.a * max(q0 + r, 0) // -form.discriminant()) + 3
+        if rows > MAX_GAP_ROWS:
+            raise ValueError(
+                f"a gap scan of form {form} around {q0} walks at least "
+                f"{rows:.2e} rows; gap scans are refused above {MAX_GAP_ROWS:.0e} rows"
+            )
         window = _primitive_values(form, q0 - r, q0 + r)
         if q0 not in window:
             raise ValueError(f"{q0} has no primitive representation by {form}")

@@ -100,6 +100,15 @@ def test_epsilon_monotonicity():
         previous = count
 
 
+@pytest.mark.parametrize("epsilon", [-1e-6, float("nan")])
+def test_epsilon_must_be_a_nonnegative_number(epsilon):
+    # a nan epsilon would compare false against every gap and merge all
+    # records into one cluster
+    records = [VolumeRecord("a", 1.0), VolumeRecord("b", 2.0)]
+    with pytest.raises(ValueError, match="nonnegative number"):
+        cluster_volumes(records, epsilon)
+
+
 def test_histogram_pairs():
     recs = [VolumeRecord("a", 2.0), VolumeRecord("b", 2.0), VolumeRecord("c", 3.5)]
     assert histogram(cluster_volumes(recs)) == [(2.0, 2), (3.5, 1)]

@@ -218,21 +218,14 @@ def test_exit_code_domain_error(capsys):
     assert code == 1
 
 
-def test_env_cap_override(capsys, monkeypatch):
+def test_environment_does_not_set_the_cap(capsys, monkeypatch):
     monkeypatch.setenv("VOLRIGID_CAP", "100")
-    payload = invoke_json(
-        capsys, "prime-seq", "--family", "m004", "-g", "1", "--count", "1"
-    )
-    assert payload["cap"] == 100
-    assert payload["truncated"] is True
-    monkeypatch.setenv("VOLRIGID_CAP", "not-a-number")
-    code, _, err = invoke(capsys, "prime-seq", "--family", "m004", "-g", "1")
-    assert code == 1
-    assert "VOLRIGID_CAP" in err
+    payload = invoke_json(capsys, "prime-seq", "--family", "m004", "-g", "1")
+    assert payload["cap"] == 10**15
+    assert [w["value"] for w in payload["witnesses"]] == [241]
 
 
-def test_default_cap_reaches_first_g3_witness(capsys, monkeypatch):
-    monkeypatch.delenv("VOLRIGID_CAP", raising=False)
+def test_default_cap_reaches_first_g3_witness(capsys):
     payload = invoke_json(capsys, "prime-seq", "--family", "m004", "-g", "3")
     assert [w["value"] for w in payload["witnesses"]] == [1226053501]
     assert payload["truncated"] is False
@@ -268,8 +261,7 @@ def test_shards_flag_is_a_usage_error(capsys):
     assert "--shards" in err
 
 
-def test_prime_seq_count_zero_at_default_cap(capsys, monkeypatch):
-    monkeypatch.delenv("VOLRIGID_CAP", raising=False)
+def test_prime_seq_count_zero_at_default_cap(capsys):
     payload = invoke_json(
         capsys, "prime-seq", "--family", "m004", "-g", "1", "--count", "0"
     )
@@ -277,15 +269,39 @@ def test_prime_seq_count_zero_at_default_cap(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("nz", "constants"),
-    ("prime-seq", "--family", "m004", "-g", "1", "--cap", "1000"),
-    ("prime-seq", "--family", "m004", "-g", "1", "--verify-only", "241"),
+    ("nz", "eval", "--series", "m004", "-a", "VALUE", "-b", "1"),
+    ("nz", "eval", "--series", "m004", "-a", "1", "-b", "VALUE"),
+    ("nz", "check", "--points", "2", "--tolerance", "VALUE"),
+    ("nz", "wl-coeffs", "--radius", "VALUE"),
+    ("certify", "--manifold", "m004", "-a", "7", "-b", "4", "--c2", "VALUE"),
+    ("census", "hist", FIXTURE, "--epsilon", "VALUE"),
 ])
-def test_bad_env_cap_is_read_only_by_a_search_without_cap(argv, capsys, monkeypatch):
-    monkeypatch.setenv("VOLRIGID_CAP", "abc")
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+def test_float_options_refuse_non_finite_values(argv, value, capsys):
+    argv = tuple(value if arg == "VALUE" else arg for arg in argv)
     code, out, err = invoke(capsys, *argv)
-    assert code == 0 and err == ""
-    json.loads(out)
+    assert code == 2 and out == ""
+    assert f"expected a finite number, got {value!r}" in err
+
+
+@pytest.mark.parametrize("route", ["generic", "explicit"])
+def test_nz_eval_exits_1_when_the_value_is_not_finite(route, capsys):
+    # a finite input whose truncation overflows: z**4 is out of range
+    code, out, err = invoke(
+        capsys, "nz", "eval", "--series", "m004", "-a", "1e200", "-b", "1",
+        "--route", route,
+    )
+    assert code == 1 and out == ""
+    assert "overflows a float" in err
+
+
+def test_certify_refuses_a_gap_scan_beyond_the_row_budget(capsys):
+    code, out, err = invoke(
+        capsys, "certify", "--manifold", "m004", "-a", "1000000000", "-b", "1",
+        "--scan-limit", "10000000000000000000",
+    )
+    assert code == 1 and out == ""
+    assert "5.77e+08 rows" in err and "refused above 1e+06 rows" in err
 
 
 def test_qf_values_refuses_an_infeasible_limit(capsys):

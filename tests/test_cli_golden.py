@@ -54,6 +54,8 @@ INVOCATIONS = [
     ("certify", "--manifold", "m004", "-a", "7", "-b", "4"),
     ("certify", "--manifold", "m125", "-a", "1", "-b", "2"),
     ("certify", "--manifold", "m004", "-a", "7", "-b", "4", "--c2", "0.5"),
+    ("certify", "--manifold", "m003", "-a", "2", "-b", "1"),
+    ("certify", "--manifold", "m129", "-a", "3", "-b", "1"),
     ("mutant", "census", "-n", "4"),
     ("mutant", "census", "-n", "12"),
     ("mutant", "census", "-n", "2"),
@@ -101,13 +103,11 @@ def test_schema_and_golden_cover_every_declared_command():
 
 @pytest.mark.parametrize("argv", _cases(), ids=" ".join)
 def test_cli_bytes_match_golden(argv, monkeypatch):
-    monkeypatch.delenv("VOLRIGID_CAP", raising=False)
     monkeypatch.chdir(DATA)
     assert _capture(argv) == _golden()[argv]
 
 
 if __name__ == "__main__":
-    os.environ.pop("VOLRIGID_CAP", None)
     target = GOLDEN.resolve()
     os.chdir(DATA)
     entries = [_capture(argv) for argv in _cases()]

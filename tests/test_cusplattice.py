@@ -1,40 +1,23 @@
-"""Cusp shapes, integral rescaling, and symmetry orbits."""
+"""Cusp carrier forms, their scales, and symmetry orbits."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from volrigid.cusplattice import (
-    CuspShape,
-    UnsupportedShapeError,
+    CuspRecord,
     builtin_names,
     builtin_record,
     form_automorphisms,
-    integral_rescale,
-    normalized_value,
     orbit,
 )
+from volrigid.nzvolume import builtin_series
 from volrigid.quadform import IntQuadForm
 
 SQRT3 = math.sqrt(3.0)
-
-
-def test_shape_conjugates_to_lower_half_plane():
-    assert CuspShape(complex(0.5, 0.7)).tau.imag < 0
-    assert CuspShape(complex(0.5, -0.7)).tau.imag < 0
-    with pytest.raises(ValueError):
-        CuspShape(complex(1.0, 0.0))
-
-
-def test_normalized_value_matches_formula():
-    tau = complex(0.25, -1.5)
-    shape = CuspShape(tau)
-    for a, b in [(1, 0), (0, 1), (3, -2), (5, 7)]:
-        z = a + b * tau
-        expected = abs(z) ** 2 / abs(tau.imag)
-        assert normalized_value(shape, a, b) == pytest.approx(expected, rel=1e-14)
 
 
 def test_builtin_names_stable():
@@ -52,7 +35,14 @@ def test_builtin_forms_and_scales():
         record = builtin_record(name)
         a, b, c = coeffs
         assert record.integer_form == IntQuadForm(a, b, c), name
-        assert record.scale == pytest.approx(scale, rel=1e-14), name
+        # the derived sqrt(|D|)/2 is bit-identical to these closed forms
+        assert record.scale == scale, name
+
+
+def test_record_fields():
+    assert [f.name for f in dataclasses.fields(CuspRecord)] == [
+        "name", "integer_form", "symmetry_group",
+    ]
 
 
 def test_builtin_record_unknown_name():
@@ -60,35 +50,16 @@ def test_builtin_record_unknown_name():
         builtin_record("m000")
 
 
-def test_integral_rescale_recovers_builtin_forms():
+def test_forms_match_the_published_series():
+    # nzvolume's c1 = -tau is an independent record of each cusp shape:
+    # scale * |a + b*tau|**2 / |Im tau| must be the carrier form's value
     for name in builtin_names():
         record = builtin_record(name)
-        form, scale = integral_rescale(record.shape)
-        # rescaling from the raw shape gives the primitive form; the
-        # stored form may be an integer multiple (m003 stores 4,4,4)
-        g = math.gcd(
-            record.integer_form.a, math.gcd(record.integer_form.b, record.integer_form.c)
-        )
-        assert (form.a * g, form.b * g, form.c * g) == (
-            record.integer_form.a,
-            record.integer_form.b,
-            record.integer_form.c,
-        ), name
-
-
-def test_integral_rescale_agrees_with_normalized_value():
-    for name in builtin_names():
-        record = builtin_record(name)
-        form, scale = integral_rescale(record.shape)
-        for a, b in [(1, 0), (0, 1), (2, 3), (-5, 4), (7, 7)]:
-            lhs = form.evaluate(a, b)
-            rhs = scale * normalized_value(record.shape, a, b)
-            assert lhs == pytest.approx(rhs, rel=1e-9), (name, a, b)
-
-
-def test_integral_rescale_rejects_transcendental_shape():
-    with pytest.raises(UnsupportedShapeError):
-        integral_rescale(CuspShape(complex(math.pi / 10, -math.e)))
+        tau = -builtin_series(name).c1
+        for a, b in [(1, 0), (0, 1), (2, 3), (-5, 4), (7, 7), (7, -4)]:
+            qhat = abs(a + b * tau) ** 2 / abs(tau.imag)
+            expected = record.integer_form.evaluate(a, b)
+            assert record.scale * qhat == pytest.approx(expected, rel=1e-12), (name, a, b)
 
 
 def test_symmetry_groups_preserve_forms():
@@ -109,7 +80,10 @@ def test_symmetry_group_orders():
 
 
 def test_full_form_group_orders():
-    full = {name: builtin_record(name).full_form_group_order for name in builtin_names()}
+    full = {
+        name: len(form_automorphisms(builtin_record(name).integer_form))
+        for name in builtin_names()
+    }
     assert full == {"m003": 12, "m004": 4, "m125": 8, "m129": 4}
 
 
@@ -133,7 +107,6 @@ def test_form_automorphisms_brute_force_cross_check():
                         if ok:
                             brute.add(((p, q), (r, s)))
         assert got == brute, name
-        assert len(got) == record.full_form_group_order, name
 
 
 def test_orbit_examples():

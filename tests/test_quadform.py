@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from volrigid import quadform
 from volrigid.arith import factorize
 from volrigid.quadform import (
+    MAX_GAP_ROWS,
     MAX_SQUARE_ROOTS,
     IntQuadForm,
     _primitive_values,
@@ -313,6 +314,24 @@ def test_two_sided_gap_cost_does_not_depend_on_limit():
     assert two_sided_gap(X2_12Y2, 241, 10**15) == 4
     # next to 1, the nearest primitive value of x^2 + 10^4 y^2 is Q(0, 1)
     assert two_sided_gap(IntQuadForm(1, 0, 10**4), 1, 10**15) == 10**4 - 1
+
+
+def test_gap_scan_refuses_too_many_rows(monkeypatch):
+    # one annulus around 10**18 + 12 spans 5.77e8 rows of x^2 + 12y^2;
+    # the refusal comes before any annulus is walked
+    assert 5.77e8 > MAX_GAP_ROWS
+    with monkeypatch.context() as patch:
+        patch.setattr(quadform, "_primitive_values", None)
+        with pytest.raises(ValueError, match=r"walks at least 5\.77e\+08 rows"):
+            two_sided_gap(X2_12Y2, 10**18 + 12, 10**19)
+    # the bound counts the rows of every annulus: the gap 4 at 241 takes
+    # the annuli r = 2 and r = 4, 11 rows each
+    with monkeypatch.context() as patch:
+        patch.setattr(quadform, "MAX_GAP_ROWS", 22)
+        assert two_sided_gap(X2_12Y2, 241, 10**4) == 4
+        patch.setattr(quadform, "MAX_GAP_ROWS", 21)
+        with pytest.raises(ValueError, match=r"walks at least 2\.20e\+01 rows"):
+            two_sided_gap(X2_12Y2, 241, 10**4)
 
 
 def test_gap_neighborhood_is_really_empty():
