@@ -3,9 +3,16 @@
 Everything here works on plain Python ints, so there is no overflow to
 worry about; the only cost of large inputs is time.  Primality is a
 Miller-Rabin test that is deterministic below 2**64 and has error
-probability below 2**-128 above.  Factorization is trial division by
-the primes below 200, then a primality test of the cofactor and Brent's
-variant of Pollard's rho on what is composite, which is plenty for the
+probability below 2**-128 above.
+
+Factorization is lazy: prime_powers(n) yields each prime of n with its
+full exponent the moment it is found, by trial division over the primes
+below 200, then by a primality test of each cofactor and Brent's
+variant of Pollard's rho on the composite ones, smallest part first.  A
+caller that can decide its question from one prime, such as the
+representation engine in quadform meeting a prime at which D has no
+square root, stops there and never pays for the rest.  factorize(n)
+collects the whole stream into a dict.  This is plenty for the
 desk-scale inputs this package deals with.
 """
 
@@ -13,8 +20,9 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Iterator
 
-__all__ = ["is_prime", "kronecker_symbol", "factorize", "euler_phi"]
+__all__ = ["is_prime", "kronecker_symbol", "prime_powers", "factorize", "euler_phi"]
 
 # Sufficient witness set for deterministic Miller-Rabin below 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -122,15 +130,23 @@ def _pollard_rho(n: int) -> int:
 _TRIAL_BOUND = 200
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+def prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """The prime factorization of n >= 1 as a stream of (prime, exponent).
+
+    Each prime comes once, with its full exponent, as soon as it is
+    found: first the primes up to _TRIAL_BOUND in ascending order, then
+    the rest in the order the primality test and rho reach them.  A
+    consumer that only needs one prime stops the work there.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    factors: dict[int, int] = {}
     for p in (2, 3, 5):
+        e = 0
         while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
             n //= p
+            e += 1
+        if e:
+            yield p, e
     # Trial division over the mod-30 wheel only up to _TRIAL_BOUND: the
     # cofactor is then tested for primality, so a prime input stops here,
     # and rho splits a composite one faster than the wheel would.
@@ -138,25 +154,39 @@ def factorize(n: int) -> dict[int, int]:
     step = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
     while f <= _TRIAL_BOUND and f * f <= n:
+        e = 0
         while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
             n //= f
+            e += 1
+        if e:
+            yield f, e
         f += step[i]
         i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        n = stack.pop()
-        if n == 1:
-            continue
+    # Unsplit parts of the cofactor as [part, multiplicity]; the smallest
+    # is taken up first, as it is the cheapest to test and to split.
+    parts = [[n, 1]] if n > 1 else []
+    while parts:
+        parts.sort(reverse=True)
+        n, k = parts.pop()
         if is_prime(n):
-            factors[n] = factors.get(n, 0) + 1
-            continue
-        if math.isqrt(n) ** 2 == n:
-            stack += [math.isqrt(n)] * 2
-            continue
-        d = _pollard_rho(n)
-        stack += [d, n // d]
-    return factors
+            # n may still divide the other parts: a split need not be coprime
+            e = k
+            for part in parts:
+                while part[0] % n == 0:
+                    part[0] //= n
+                    e += part[1]
+            parts = [part for part in parts if part[0] > 1]
+            yield n, e
+        elif math.isqrt(n) ** 2 == n:
+            parts.append([math.isqrt(n), 2 * k])
+        else:
+            d = _pollard_rho(n)
+            parts += [[d, k], [n // d, k]]
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}."""
+    return dict(prime_powers(n))
 
 
 def euler_phi(n: int) -> int:

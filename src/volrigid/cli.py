@@ -190,6 +190,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     if not text:
         return ()
@@ -321,7 +335,9 @@ def _witness_payload(witness: Any) -> dict[str, Any]:
           _arg("-g", "--gap", type=int, required=True, dest="g"),
           _arg("--count", type=int, default=1, help="witnesses wanted (default 1)"),
           _arg("--cap", type=int, default=DEFAULT_SEARCH_CAP,
-               help="search cap on the value (default 1e15)"),
+               help="search cap on the value (default 1e15, which reaches the "
+                    "first witnesses up to g = 4 only; write a larger cap out "
+                    "in digits for deeper searches)"),
           _arg("--avoid", type=_int_list, metavar="p,q,...",
                help="override the avoided-prime list"),
           _arg("--verify-only", type=int, metavar="VALUE",
@@ -357,20 +373,12 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
           _arg("-b", type=_finite_float, required=True),
           _arg("--route", choices=("generic", "explicit", "polar"), default="generic"))
 def _cmd_nz_eval(args: argparse.Namespace) -> Any:
-    try:
-        if args.route == "generic":
-            value = delta_v_generic(builtin_series(args.series), args.a, args.b)
-        elif args.route == "explicit":
-            value = delta_v_explicit(args.series, args.a, args.b)
-        else:
-            value = delta_v_polar(args.series, args.a, args.b)
-    except OverflowError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ArithmeticError(
-            f"the truncated volume change at a = {args.a:g}, b = {args.b:g} "
-            "overflows a float"
-        )
+    if args.route == "generic":
+        value = delta_v_generic(builtin_series(args.series), args.a, args.b)
+    elif args.route == "explicit":
+        value = delta_v_explicit(args.series, args.a, args.b)
+    else:
+        value = delta_v_polar(args.series, args.a, args.b)
     return {
         "series": args.series,
         "a": args.a,
@@ -383,7 +391,7 @@ def _cmd_nz_eval(args: argparse.Namespace) -> Any:
 @_command("nz check", "cross-route identity suite",
           _arg("--points", type=int, default=1000),
           _arg("--seed", type=int, default=0),
-          _arg("--tolerance", type=_finite_float, default=1e-10))
+          _arg("--tolerance", type=_nonnegative_float, default=1e-10))
 def _cmd_nz_check(args: argparse.Namespace) -> Any:
     rng = random.Random(args.seed)
     worst: dict[str, float] = {name: 0.0 for name in series_names()}
@@ -416,7 +424,7 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
 
 
 @_command("nz wl-coeffs", "recover series coefficients numerically",
-          _arg("--radius", type=_finite_float, default=0.1),
+          _arg("--radius", type=_positive_float, default=0.1),
           _arg("--samples", type=int, default=64))
 def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
     coeffs = wl_taylor_coefficients(radius=args.radius, samples=args.samples)

@@ -28,6 +28,7 @@ bounded number of fillings.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,12 +105,42 @@ def builtin_series(name: str) -> NZSeries:
         ) from None
 
 
+def _in_float_range(route):
+    """Guard a delta_v route against the edges of the float range.
+
+    (0, 0) has no meaning and is a ValueError.  Any other class has
+    |z| > 0, but |z|**2 and the powers of it that a route divides by can
+    round to 0 or to inf.  The route then divides by zero, overflows, or
+    returns a value without meaning; all three raise ArithmeticError
+    saying whether an underflow or an overflow happened, the same on
+    every route.
+    """
+    @functools.wraps(route)
+    def guarded(geometry, p: float, q: float) -> float:
+        if p == 0 and q == 0:
+            raise ValueError("filling class (0, 0) has no meaning")
+        try:
+            value = route(geometry, p, q)
+        except ZeroDivisionError:
+            happened = "underflows: a power of |z| rounds to 0"
+        except OverflowError:
+            happened = "overflows a float"
+        else:
+            if math.isfinite(value):
+                return value
+            happened = "overflows a float"
+        raise ArithmeticError(
+            f"the truncated volume change at a = {p:g}, b = {q:g} {happened}"
+        )
+
+    return guarded
+
+
+@_in_float_range
 def delta_v_generic(series: NZSeries, p: float, q: float) -> float:
     """Truncated volume change along p + q*tau, complex-arithmetic route."""
     z = p + q * series.tau
     zz = z.real * z.real + z.imag * z.imag
-    if zz == 0:
-        raise ValueError("filling class (0, 0) has no meaning")
     w = series.c3 / z**4
     return math.pi**2 * abs(series.c1.imag) / zz - 2 * math.pi**4 * w.imag
 
@@ -156,14 +187,13 @@ _EXPLICIT = {
 }
 
 
+@_in_float_range
 def delta_v_explicit(name: str, a: float, b: float) -> float:
     """Truncated volume change, per-geometry polynomial route.
 
     Accepts real arguments so that lattice substitutions such as
     m003(a, b) = m004(2a + b, b/2) can be exercised directly.
     """
-    if (a, b) == (0, 0):
-        raise ValueError("filling class (0, 0) has no meaning")
     try:
         fn = _EXPLICIT[name]
     except KeyError:
@@ -173,13 +203,15 @@ def delta_v_explicit(name: str, a: float, b: float) -> float:
     return fn(a, b)
 
 
+@_in_float_range
 def delta_v_polar(name: str, p: float, q: float) -> float:
     """Truncated volume change, polar route: z = r*e^(i*theta)."""
     series = builtin_series(name)
     z = p + q * series.tau
     r2 = z.real * z.real + z.imag * z.imag
-    if r2 == 0:
-        raise ValueError("filling class (0, 0) has no meaning")
+    if r2 == math.inf:
+        # both terms would divide to 0 instead of failing
+        raise OverflowError
     theta = cmath.phase(z)
     if name == "m004":
         angular = 4 * math.cos(4 * theta) / _ROOT3

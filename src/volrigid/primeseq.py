@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .quadform import (
     IntQuadForm,
     Representation,
+    _primitive_representations,
+    _representations,
     primitive_representations,
-    representations,
 )
 
 __all__ = [
@@ -255,10 +256,15 @@ def _representation_class(rep: tuple[int, int], allow_swap: bool) -> set[tuple[i
 def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
     """From-scratch check of the three gap conditions for one value.
 
-    Failed conditions are reported in the result, never raised.
+    Failed conditions are reported in the result, never raised.  The
+    value is factored once, for both the carrier and the excluded form;
+    each neighbour is factored only until its first prime at which the
+    gap form's discriminant has no square root.
     """
     fam = _FAMILIES[spec.family]
-    all_reps = representations(fam.carrier_form, value)
+    # 0 has no factorization, and the queries answer 0 and below without one
+    fac = factorize(value) if value > 0 else {}
+    all_reps = _representations(fam.carrier_form, value, fac.items())
     prim = [r.pair for r in all_reps if r.primitive]
     representation = None
     unique = False
@@ -267,13 +273,9 @@ def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
         cls = _representation_class(canonical, fam.allow_swap)
         unique = all(r.pair in cls for r in all_reps)
         representation = Representation(*canonical)
-    gap_clear = True
-    for k in range(1, spec.g + 1):
-        if value - k >= 0 and primitive_representations(fam.gap_form, value - k):
-            gap_clear = False
-        if primitive_representations(fam.gap_form, value + k):
-            gap_clear = False
-    excluded = not primitive_representations(fam.excluded_form, value)
+    neighbours = [value + k for k in range(-spec.g, spec.g + 1) if k and value + k >= 0]
+    gap_clear = not any(primitive_representations(fam.gap_form, n) for n in neighbours)
+    excluded = not _primitive_representations(fam.excluded_form, value, fac.items())
     return GapPrimeWitness(
         value=value,
         representation=representation,

@@ -6,18 +6,26 @@ representation Q(x, y) = m is primitive when gcd(x, y) = 1; note that
 gcd(x, 0) = |x|, so (2, 0) is not primitive while (1, 0) and (0, 1) are.
 
 Point queries, the solutions of Q(x, y) = m, come from one exact
-engine, which also decides whether m is represented at all: m is
-factored once, the square roots of D modulo 4m are found prime power
-by prime power (Tonelli-Shanks and Hensel lifting) and combined by the
-Chinese remainder theorem, and each candidate form
-(m, B, (B**2 - D)/4m) is Gauss-reduced and compared with the reduced Q
-(Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
-sections 1.5 and 5.3; Buell, Binary Quadratic Forms, 1989).  Its cost
-is one factorization plus a few reductions per root, not a walk over
-the O(sqrt m) rows of the ellipse Q = m; that walk lives on in the tests
-as the oracle the engine is checked against.  The number of roots is
-known from the factorization before any is computed, and a query with
-more than MAX_SQUARE_ROOTS of them is refused.
+engine, which also decides whether m is represented at all.  The square
+roots of D modulo 4m are found prime power by prime power
+(Tonelli-Shanks and Hensel lifting) and combined by the Chinese
+remainder theorem, and each candidate form (m, B, (B**2 - D)/4m) is
+Gauss-reduced and compared with the reduced Q (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, sections 1.5 and 5.3;
+Buell, Binary Quadratic Forms, 1989).  The engine reads the prime
+powers of m from the lazy stream arith.prime_powers and counts the
+roots of D at each one as it arrives.  A prime power with no root
+means D is not a square mod 4m, so m has no primitive representation;
+the engine returns at once, and the rest of m is never factored.  This
+is the common case in a gap-prime search, where each neighbour of a
+witness carries a small prime q with (D|q) = -1.  A query for all
+representations, primitive or not, needs the square divisors of m and
+so reads the whole factorization.  The cost is one factorization, or
+a prefix of one, plus a few reductions per root, not a walk over the
+O(sqrt m) rows of the ellipse Q = m; that walk lives on in the tests as
+the oracle the engine is checked against.  The number of roots is known
+from the factorization before any is computed, and a query with more
+than MAX_SQUARE_ROOTS of them is refused once m is fully factored.
 
 Range queries walk the lattice points of an annulus lo <= Q <= hi: the
 admissible y satisfy |D|*y**2 <= 4*a*hi, and for each y the x values
@@ -32,11 +40,13 @@ above MAX_GAP_ROWS rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Iterable
 
-from .arith import factorize
+from .arith import prime_powers
 
 __all__ = [
     "IntQuadForm",
@@ -232,36 +242,45 @@ def _reduce(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, in
 _ROTATIONS = {(1, 0, 1): (0, -1, 1, 0), (1, 1, 1): (0, -1, 1, 1)}
 
 
-def _primitive_pairs(form: IntQuadForm, m: int, fac: dict[int, int]) -> list[tuple[int, int]]:
+def _primitive_pairs(
+    form: IntQuadForm, m: int, fac: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
     """The primitive solutions of Q(x, y) = m >= 1, unordered.
 
-    fac is the factorization of m.  Every primitive solution (x, y) is
-    the first column of some M in SL2(Z), and Q(M (x, y)) is a form
-    (m, B, C) with B**2 = D (mod 4m), B unique mod 2m.  So the solutions
-    are found by running over the square roots B of D mod 4m, keeping
-    those whose form (m, B, (B**2 - D)/4m) reduces to the reduced Q, and
-    taking each one's images under the proper automorphisms of Q.
+    fac is the factorization of m as (prime, exponent) pairs, each prime
+    once; it may be a lazy stream, and is read only as far as needed.
+    Every primitive solution (x, y) is the first column of some M in
+    SL2(Z), and Q(M (x, y)) is a form (m, B, C) with B**2 = D (mod 4m),
+    B unique mod 2m.  So the solutions are found by running over the
+    square roots B of D mod 4m, keeping those whose form
+    (m, B, (B**2 - D)/4m) reduces to the reduced Q, and taking each
+    one's images under the proper automorphisms of Q.  A prime power of
+    4m modulo which D has no square root leaves no B at all, so the
+    answer is [] as soon as the stream reaches one.
     """
     content = math.gcd(form.a, form.b, form.c)
     if m % content:
         return []
     a, b, c = form.a // content, form.b // content, form.c // content
-    if content > 1:
-        m //= content
-        fac = dict(fac)
-        for p in list(fac):
-            while content % p == 0:
-                content //= p
-                fac[p] -= 1
-            if not fac[p]:
-                del fac[p]
+    m //= content
     d = b * b - 4 * a * c
-    fac4 = dict(fac)
-    fac4[2] = fac4.get(2, 0) + 2
+    # The factorization of 4m: m's with the content divided out and two
+    # more 2s, the latter added at the end when m's stream holds no 2.
     # A prime that does not divide 2D has at most two roots, found
     # directly; the others are counted before their roots are built.
-    roots, total = {}, 1
-    for p, e in fac4.items():
+    fac4, roots, total = {}, {}, 1
+    for p, e in itertools.chain(fac, [(2, 0)]):
+        if p in fac4:
+            continue
+        k = content
+        while k % p == 0:
+            k //= p
+            e -= 1
+        if p == 2:
+            e += 2
+        if not e:
+            continue
+        fac4[p] = e
         if 2 * d % p:
             roots[p] = _sqrt_mod_prime_power(d, p, e)
             count = len(roots[p])
@@ -303,6 +322,38 @@ def _in_order(pairs: list[tuple[int, int]]) -> list[Representation]:
     return [Representation(x, y) for x, y in sorted(pairs, key=lambda xy: (xy[1], xy[0]))]
 
 
+def _representations(
+    form: IntQuadForm, m: int, fac: Iterable[tuple[int, int]]
+) -> list[Representation]:
+    """representations(form, m), read off the prime powers fac of m."""
+    if m < 0:
+        raise ValueError("a positive definite form only represents m >= 0")
+    if m == 0:
+        return [Representation(0, 0)]
+    square_divisors = [(1, {})]
+    for p, e in fac:
+        square_divisors = [
+            (k * p**j, {**sub, p: e - 2 * j} if e > 2 * j else sub)
+            for k, sub in square_divisors
+            for j in range(e // 2 + 1)
+        ]
+    pairs = []
+    for k, sub in square_divisors:
+        pairs += [(k * x, k * y) for x, y in _primitive_pairs(form, m // (k * k), sub.items())]
+    return _in_order(pairs)
+
+
+def _primitive_representations(
+    form: IntQuadForm, m: int, fac: Iterable[tuple[int, int]]
+) -> list[Representation]:
+    """primitive_representations(form, m), read off the prime powers fac of m."""
+    if m < 0:
+        raise ValueError("a positive definite form only represents m >= 0")
+    if m == 0:
+        return []
+    return _in_order(_primitive_pairs(form, m, fac))
+
+
 def representations(form: IntQuadForm, m: int) -> list[Representation]:
     """All integer solutions of Q(x, y) = m, primitive or not.
 
@@ -312,30 +363,16 @@ def representations(form: IntQuadForm, m: int) -> list[Representation]:
     primitive solutions over the square divisors of m, all read off one
     factorization of m.
     """
-    if m < 0:
-        raise ValueError("a positive definite form only represents m >= 0")
-    if m == 0:
-        return [Representation(0, 0)]
-    square_divisors = [(1, {})]
-    for p, e in factorize(m).items():
-        square_divisors = [
-            (k * p**j, {**sub, p: e - 2 * j} if e > 2 * j else sub)
-            for k, sub in square_divisors
-            for j in range(e // 2 + 1)
-        ]
-    pairs = []
-    for k, sub in square_divisors:
-        pairs += [(k * x, k * y) for x, y in _primitive_pairs(form, m // (k * k), sub)]
-    return _in_order(pairs)
+    return _representations(form, m, prime_powers(m))
 
 
 def primitive_representations(form: IntQuadForm, m: int) -> list[Representation]:
-    """The primitive solutions of Q(x, y) = m, in (y, x) order."""
-    if m < 0:
-        raise ValueError("a positive definite form only represents m >= 0")
-    if m == 0:
-        return []
-    return _in_order(_primitive_pairs(form, m, factorize(m)))
+    """The primitive solutions of Q(x, y) = m, in (y, x) order.
+
+    m is factored lazily, and not past the first prime power of 4m
+    modulo which D has no square root.
+    """
+    return _primitive_representations(form, m, prime_powers(m))
 
 
 def _primitive_values(form: IntQuadForm, lo: int, hi: int) -> set[int]:

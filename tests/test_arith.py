@@ -5,10 +5,47 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volrigid.arith import euler_phi, factorize, is_prime, kronecker_symbol
+from volrigid import arith
+from volrigid.arith import euler_phi, factorize, is_prime, kronecker_symbol, prime_powers
+
+
+def eager_factorize(n: int) -> dict[int, int]:
+    """The factorization of n >= 1 taken whole before anything is read:
+    trial division by the primes up to arith._TRIAL_BOUND, then the
+    primality test and rho on a stack of cofactors.  The oracle for the
+    lazy stream arith.prime_powers."""
+    factors: dict[int, int] = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    f = 7
+    step = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while f <= arith._TRIAL_BOUND and f * f <= n:
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += step[i]
+        i = (i + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        n = stack.pop()
+        if n == 1:
+            continue
+        if is_prime(n):
+            factors[n] = factors.get(n, 0) + 1
+            continue
+        if math.isqrt(n) ** 2 == n:
+            stack += [math.isqrt(n)] * 2
+            continue
+        d = arith._pollard_rho(n)
+        stack += [d, n // d]
+    return factors
 
 
 def naive_is_prime(n: int) -> bool:
@@ -118,6 +155,54 @@ def test_factorize_prime_powers():
     # powers of primes above the trial-division bound reach rho
     assert factorize(211**2) == {211: 2}
     assert factorize(211**2 * 10007**3) == {211: 2, 10007: 3}
+
+
+_MID_PRIMES = st.integers(10**4, 10**9).map(_next_prime)
+
+
+def _lazy_factorization_inputs():
+    """Integers up to 10**30 whose composite parts rho splits quickly:
+    products of up to three integers below 10**10, prime powers, products
+    of powers of two primes above 10**4 with a small cofactor, and
+    squares of primes up to 10**15."""
+    small = st.sampled_from((1, 2, 3 * 7, 199, 211, 2**5 * 11**3))
+    return st.one_of(
+        st.lists(st.integers(1, 10**10), min_size=1, max_size=3).map(math.prod),
+        st.tuples(_MID_PRIMES, st.integers(1, 3)).map(lambda pe: pe[0] ** pe[1]),
+        st.tuples(_MID_PRIMES, st.integers(1, 2), _MID_PRIMES, st.integers(1, 2), small)
+        .map(lambda t: t[0] ** t[1] * t[2] ** t[3] * t[4]),
+        st.integers(2, 10**15).map(_next_prime).map(lambda p: p * p),
+    ).filter(lambda n: n <= 10**30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=_lazy_factorization_inputs())
+def test_prime_powers_match_eager_factorization(n):
+    stream = list(prime_powers(n))
+    primes = [p for p, _ in stream]
+    # each prime once, with its full exponent
+    assert len(set(primes)) == len(primes)
+    assert dict(stream) == eager_factorize(n) == factorize(n)
+    # the primes trial division finds come first, in ascending order
+    small = [p for p in primes if p <= arith._TRIAL_BOUND]
+    assert primes[: len(small)] == sorted(small)
+
+
+def test_prime_powers_is_lazy(monkeypatch):
+    # 227 * 10007**2 * 1000003: the cofactor of 227 is never split
+    # when the consumer stops at 227
+    calls = []
+    rho = arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", lambda n: calls.append(n) or rho(n))
+    n = 2**3 * 227 * 10007**2 * 1000003
+    stream = prime_powers(n)
+    assert next(stream) == (2, 3)
+    assert calls == []
+    assert next(stream) == (227, 1)
+    assert len(calls) == 1
+    assert dict(stream) == {10007: 2, 1000003: 1}
+    with pytest.raises(ValueError):
+        next(prime_powers(0))
 
 
 def test_euler_phi_small():

@@ -284,15 +284,55 @@ def test_float_options_refuse_non_finite_values(argv, value, capsys):
     assert f"expected a finite number, got {value!r}" in err
 
 
-@pytest.mark.parametrize("route", ["generic", "explicit"])
+@pytest.mark.parametrize("argv, value, expected", [
+    (("nz", "wl-coeffs", "--radius", "VALUE"), "0", "a positive number"),
+    (("nz", "wl-coeffs", "--radius", "VALUE"), "-0.1", "a positive number"),
+    (("nz", "check", "--points", "2", "--tolerance", "VALUE"), "-1", "a nonnegative number"),
+])
+def test_float_options_refuse_out_of_range_values(argv, value, expected, capsys):
+    # a radius of 0 would divide by zero in the Cauchy integrals, and a
+    # negative tolerance would fail every series
+    argv = tuple(value if arg == "VALUE" else arg for arg in argv)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"expected {expected}, got {value!r}" in err
+
+
+def test_nz_check_accepts_a_zero_tolerance(capsys):
+    payload = invoke_json(capsys, "nz", "check", "--points", "2", "--tolerance", "0")
+    assert payload["tolerance"] == 0
+
+
+@pytest.mark.parametrize("route", ["generic", "explicit", "polar"])
 def test_nz_eval_exits_1_when_the_value_is_not_finite(route, capsys):
-    # a finite input whose truncation overflows: z**4 is out of range
+    # a finite input whose truncation overflows: |z|**2 is inf, and the
+    # polar route must not divide its terms to 0
     code, out, err = invoke(
         capsys, "nz", "eval", "--series", "m004", "-a", "1e200", "-b", "1",
         "--route", route,
     )
     assert code == 1 and out == ""
-    assert "overflows a float" in err
+    assert err == ("error: the truncated volume change at a = 1e+200, b = 1 "
+                   "overflows a float\n")
+
+
+@pytest.mark.parametrize("route", ["generic", "explicit", "polar"])
+def test_nz_eval_tells_an_underflow_from_the_zero_class(route, capsys):
+    # |z|**2 underflows to 0 for a tiny nonzero class: an underflow,
+    # not the meaningless class (0, 0) nor a bare division by zero
+    code, out, err = invoke(
+        capsys, "nz", "eval", "--series", "m004", "-a", "1e-200", "-b", "0",
+        "--route", route,
+    )
+    assert code == 1 and out == ""
+    assert err == ("error: the truncated volume change at a = 1e-200, b = 0 "
+                   "underflows: a power of |z| rounds to 0\n")
+    code, out, err = invoke(
+        capsys, "nz", "eval", "--series", "m004", "-a", "0", "-b", "0",
+        "--route", route,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: filling class (0, 0) has no meaning\n"
 
 
 def test_certify_refuses_a_gap_scan_beyond_the_row_budget(capsys):

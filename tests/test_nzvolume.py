@@ -81,6 +81,27 @@ def test_three_routes_agree():
             assert abs(g - p) <= 1e-10 * scale, (name, a, b)
 
 
+def _routes(name: str):
+    return (
+        lambda a, b: delta_v_generic(builtin_series(name), a, b),
+        lambda a, b: delta_v_explicit(name, a, b),
+        lambda a, b: delta_v_polar(name, a, b),
+    )
+
+
+@pytest.mark.parametrize("name", series_names())
+def test_routes_refuse_the_edges_of_the_float_range_alike(name):
+    for route in _routes(name):
+        with pytest.raises(ValueError, match=r"\(0, 0\) has no meaning"):
+            route(0.0, 0.0)
+        for a, b in ((1e-200, 0.0), (0.0, -1e-200), (1e-100, 1e-100)):
+            with pytest.raises(ArithmeticError, match="underflows: a power of"):
+                route(a, b)
+        for a, b in ((1e200, 1.0), (1.0, -1e200), (1e100, 1e100)):
+            with pytest.raises(ArithmeticError, match="overflows a float"):
+                route(a, b)
+
+
 def test_substitution_identities():
     rng = random.Random(9)
     for _ in range(300):

@@ -352,6 +352,46 @@ def test_golden_m125_g4_g5_witnesses():
             assert v % 4 == 2  # x^2 + 4y^2 is 0 or 1 mod 4, so misses v
 
 
+_DEEP = json.loads((DATA / "gap6_9_witnesses.json").read_text())["searches"]
+
+
+@pytest.mark.parametrize("entry", _DEEP, ids=lambda e: f"{e['family']}-g{e['g']}")
+def test_golden_g6_to_g9_witnesses(entry):
+    # recorded from the search that factored every neighbour in full;
+    # the lazy engine must find the same first witness
+    family, g = entry["family"], entry["g"]
+    avoid = tuple(entry["avoid_primes"])
+    spec = GapPrimeSpec(g=g, family=family, avoid_primes=avoid)
+    assert avoid == default_avoid_primes(family, g)
+    n0, modulus = crt_solve(build_congruences(spec))
+    assert (n0, modulus) == (entry["residue"], entry["modulus"])
+    search = gap_prime_sequence(spec, 1, cap=entry["cap"])
+    assert not search.truncated
+    [w] = entry["witnesses"]
+    assert [(s.value, list(s.representation.pair)) for s in search.witnesses] == [
+        (w["value"], w["representation"])
+    ]
+    # checks that do not touch quadform: v = f*p with p a prime of the
+    # progression, carried by Q1 on a coprime pair, each shift divisible
+    # by its avoid prime, which is inert for Q0 (2 mod 3 for
+    # x^2+xy+y^2, 3 mod 4 for x^2+y^2), and v is outside the values of Q2
+    v, (x, y) = w["value"], w["representation"]
+    f = 1 if family == FAMILY_M004 else 2
+    p = v // f
+    assert v == f * p <= entry["cap"] and is_prime(p) and (p - n0) % modulus == 0
+    assert math.gcd(x, y) == 1
+    if family == FAMILY_M004:
+        assert p % 12 == 1 and x * x + 12 * y * y == v
+        assert all(q % 3 == 2 for q in avoid)
+        assert v % 4 != 0  # 4(x^2+xy+y^2) misses v
+    else:
+        assert p % 4 == 1 and 2 * x * x + 2 * y * y == v
+        assert all(q % 4 == 3 for q in avoid)
+        assert v % 4 == 2  # x^2 + 4y^2 is 0 or 1 mod 4, so misses v
+    for k in range(1, g + 1):
+        assert (v - k) % avoid[k - 1] == 0 and (v + k) % avoid[g + k - 1] == 0
+
+
 def test_gap_prime_sequence_cap_bounds_value_not_prime():
     spec = GapPrimeSpec(g=1, family=FAMILY_M125, avoid_primes=(3, 7))
     # the first candidate prime is 17, whose witness value is 34

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from volrigid import quadform
-from volrigid.arith import factorize
+from test_arith import eager_factorize
+from volrigid import arith, quadform
+from volrigid.arith import factorize, prime_powers
 from volrigid.quadform import (
     MAX_GAP_ROWS,
     MAX_SQUARE_ROOTS,
     IntQuadForm,
+    _primitive_pairs,
     _primitive_values,
     _sqrt_count,
     _sqrt_mod_prime_power,
@@ -181,6 +183,69 @@ def test_engine_counts_match_divisor_sums_at_large_m(m):
     fac = factorize(m)
     hex_primitive = m % 9 != 0 and all(p % 3 != 2 for p in fac)
     assert bool(primitive_representations(HEX, m)) == hex_primitive
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_primitive_pairs_same_on_stream_and_eager_factorization(data):
+    # the early exit only drops work: the lazy stream and the whole
+    # factorization give the same solutions, on primitive forms and on
+    # their multiples by 2 and 4
+    base = data.draw(forms(max_coeff=30))
+    k = data.draw(st.sampled_from((1, 2, 4)))
+    form = IntQuadForm(k * base.a, k * base.b, k * base.c)
+    m = data.draw(st.one_of(
+        structured_values(form, 10**9),
+        st.integers(1, 10**18),
+        st.tuples(st.integers(1, 10**9), st.sampled_from((1, 2, 4, 8, 16))).map(math.prod),
+    ))
+    assume(m >= 1)
+    lazy = _primitive_pairs(form, m, prime_powers(m))
+    eager = _primitive_pairs(form, m, eager_factorize(m).items())
+    assert sorted(lazy) == sorted(eager)
+    assert all(form.evaluate(x, y) == m and math.gcd(x, y) == 1 for x, y in lazy)
+
+
+def _recorded_stream(monkeypatch):
+    """Patch the engine's factorization stream and rho to record what
+    one query reads: the prime powers taken and the rho calls made."""
+    taken, rho_calls = [], []
+    stream, rho = quadform.prime_powers, arith._pollard_rho
+
+    def recording(n):
+        for pe in stream(n):
+            taken.append(pe)
+            yield pe
+
+    monkeypatch.setattr(quadform, "prime_powers", recording)
+    monkeypatch.setattr(arith, "_pollard_rho", lambda n: rho_calls.append(n) or rho(n))
+    return taken, rho_calls
+
+
+def _hex_obstruction(p: int, e: int) -> bool:
+    """D = -3 has no square root modulo p**e (times 4 for p = 2)."""
+    return p % 3 == 2 or (p == 3 and e >= 2)
+
+
+@pytest.mark.parametrize("v, g, rho_budget", [
+    # first default m004 witnesses at g = 9 and g = 12; the 24th avoid
+    # prime of g = 12 is 227, past the trial-division bound, so rho finds it
+    (690784655558503585697241258125581, 9, 0),
+    (105198585777923501373769305855152416405923653461, 12, 1),
+])
+def test_neighbour_queries_stop_at_first_prime_without_root(monkeypatch, v, g, rho_budget):
+    assert 227 > arith._TRIAL_BOUND
+    taken, rho_calls = _recorded_stream(monkeypatch)
+    for n in [v + k for k in range(-g, g + 1) if k]:
+        taken.clear()
+        assert primitive_representations(HEX, n) == [], n
+        # the stream stops at its first obstruction, well before n
+        *before, last = taken
+        assert _hex_obstruction(*last) and not any(_hex_obstruction(*pe) for pe in before)
+        assert math.prod(p**e for p, e in taken) < n
+    assert len(rho_calls) == rho_budget
+    if rho_budget:
+        assert (v + 12) % 227 == 0 and taken == [(227, 1)]
 
 
 def test_engine_pinned_large_value():
