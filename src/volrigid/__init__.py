@@ -11,7 +11,7 @@ volume.  Everything is pure Python on top of the standard library; the
 
 from __future__ import annotations
 
-from .arith import factorize, is_prime, kronecker_symbol
+from .arith import factorize, is_prime
 from .census import (
     DEFAULT_EPSILON,
     ParseReport,
@@ -19,16 +19,9 @@ from .census import (
     VolumeRecord,
     cluster_volumes,
     clusters_as_dicts,
-    histogram,
     parse_census,
 )
-from .cusplattice import (
-    CuspRecord,
-    builtin_names,
-    builtin_record,
-    form_automorphisms,
-    orbit,
-)
+from .cusplattice import CuspRecord, builtin_names, builtin_record
 from .mutant import (
     CuspGraph,
     CyclicWord,
@@ -71,7 +64,6 @@ from .primeseq import (
     crt_solve,
     default_avoid_primes,
     gap_prime_sequence,
-    primes_in_progression,
     verify_witness,
 )
 from .quadform import (
@@ -90,7 +82,6 @@ __all__ = [
     "__version__",
     # arith
     "is_prime",
-    "kronecker_symbol",
     "factorize",
     # quadform
     "IntQuadForm",
@@ -102,8 +93,6 @@ __all__ = [
     "two_sided_gap",
     # cusplattice
     "CuspRecord",
-    "form_automorphisms",
-    "orbit",
     "builtin_record",
     "builtin_names",
     # primeseq
@@ -117,7 +106,6 @@ __all__ = [
     "crt_solve",
     "build_congruences",
     "default_avoid_primes",
-    "primes_in_progression",
     "verify_witness",
     "gap_prime_sequence",
     # nzvolume
@@ -155,6 +143,5 @@ __all__ = [
     "ParseReport",
     "parse_census",
     "cluster_volumes",
-    "histogram",
     "clusters_as_dicts",
 ]

@@ -2,8 +2,10 @@
 
 Everything here works on plain Python ints, so there is no overflow to
 worry about; the only cost of large inputs is time.  Primality is a
-Miller-Rabin test that is deterministic below 2**64 and has error
-probability below 2**-128 above.
+Miller-Rabin test to the twelve prime bases 2..37, which decides exactly
+below psi_12 = 318665857834031151167461 ~ 3.19e23 (Sorenson and
+Webster, Math. Comp. 86, 2017); above it, 64 more bases seeded from n
+bring the error probability below 2**-128.
 
 Factorization is lazy: prime_powers(n) yields each prime of n with its
 full exponent the moment it is found, by trial division over the primes
@@ -22,15 +24,18 @@ import math
 import random
 from typing import Iterator
 
-__all__ = ["is_prime", "kronecker_symbol", "prime_powers", "factorize", "euler_phi"]
+__all__ = ["is_prime", "prime_powers", "factorize", "euler_phi"]
 
-# Sufficient witness set for deterministic Miller-Rabin below 2**64.
+# The twelve prime bases up to 37 and the least composite that is a strong
+# probable prime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017): below _PSI_12 they decide primality exactly.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_EXTRA_ROUNDS = 64  # error < 4**-64 = 2**-128 for inputs >= 2**64
+_PSI_12 = 318665857834031151167461
+_EXTRA_ROUNDS = 64  # error < 4**-64 = 2**-128 for inputs >= _PSI_12
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below 2**64, Miller-Rabin above."""
+    """Primality test: exact below _PSI_12 ~ 3.19e23, Miller-Rabin above."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -40,7 +45,7 @@ def is_prime(n: int) -> bool:
     r = (d & -d).bit_length() - 1
     d >>= r
     witnesses = list(_MR_WITNESSES)
-    if n >= 1 << 64:
+    if n >= _PSI_12:
         # Bases seeded from n itself: deterministic output, random-base
         # error bound in practice.
         rng = random.Random(n)
@@ -56,39 +61,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), the usual extension of the Jacobi symbol.
-
-    Multiplicative in both arguments; for an odd prime n it agrees with
-    the Legendre symbol, so (a|n) == 1 exactly when a is a nonzero square
-    mod n.
-    """
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    t = (n & -n).bit_length() - 1
-    n >>= t
-    if t:
-        if a & 1 == 0:
-            return 0
-        if t & 1 and a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a:
-        t = (a & -a).bit_length() - 1
-        a >>= t
-        if t & 1 and n % 8 in (3, 5):
-            result = -result
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
 
 
 def _pollard_rho(n: int) -> int:

@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_EPSILON",
     "parse_census",
     "cluster_volumes",
-    "histogram",
     "clusters_as_dicts",
 ]
 
@@ -135,11 +134,6 @@ def _finish(chain: list[VolumeRecord]) -> VolumeCluster:
         count=len(chain),
         names=tuple(r.name for r in chain),
     )
-
-
-def histogram(clusters: Iterable[VolumeCluster]) -> list[tuple[float, int]]:
-    """(representative volume, multiplicity) pairs, ascending."""
-    return sorted((c.representative, c.count) for c in clusters)
 
 
 def clusters_as_dicts(clusters: Iterable[VolumeCluster]) -> list[dict]:

@@ -21,25 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quadform import IntQuadForm, primitive_representations
+from .quadform import IntQuadForm
 
 __all__ = [
     "CuspRecord",
-    "Orbit",
-    "orbit",
     "Mat",
-    "apply_matrix",
     "is_automorphism",
-    "form_automorphisms",
     "builtin_record",
     "builtin_names",
 ]
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
-
-def apply_matrix(mat: Mat, a: int, b: int) -> tuple[int, int]:
-    (p, q), (r, s) = mat
-    return (p * a + q * b, r * a + s * b)
 
 
 def is_automorphism(form: IntQuadForm, mat: Mat) -> bool:
@@ -53,24 +45,6 @@ def is_automorphism(form: IntQuadForm, mat: Mat) -> bool:
         and 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s == b
         and a * q * q + b * q * s + c * s * s == c
     )
-
-
-def form_automorphisms(form: IntQuadForm) -> list[Mat]:
-    """Every integral automorphism of a positive definite form.
-
-    The columns of an automorphism are primitive representations of the
-    outer coefficients (a unimodular matrix has primitive columns), so
-    candidates come from two finite representation lists.
-    """
-    first = [r.pair for r in primitive_representations(form, form.a)]
-    second = [r.pair for r in primitive_representations(form, form.c)]
-    out = []
-    for p, r in first:
-        for q, s in second:
-            mat = ((p, q), (r, s))
-            if is_automorphism(form, mat):
-                out.append(mat)
-    return out
 
 
 @dataclass(frozen=True)
@@ -95,24 +69,6 @@ class CuspRecord:
     def scale(self) -> float:
         """The factor with integer_form = scale * Qhat: sqrt(|D|)/2."""
         return math.sqrt(-self.integer_form.discriminant()) / 2
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """Orbit of a lattice class under a group of form automorphisms."""
-
-    seed: tuple[int, int]
-    members: frozenset[tuple[int, int]]
-
-
-def orbit(record: CuspRecord, a: int, b: int, full_group: bool = False) -> Orbit:
-    """Orbit of (a, b) under the record's symmetries or the full group."""
-    mats: list[Mat] | tuple[Mat, ...]
-    if full_group:
-        mats = form_automorphisms(record.integer_form)
-    else:
-        mats = record.symmetry_group
-    return Orbit((a, b), frozenset(apply_matrix(m, a, b) for m in mats))
 
 
 _I: Mat = ((1, 0), (0, 1))

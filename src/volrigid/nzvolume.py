@@ -49,7 +49,6 @@ __all__ = [
     "wl_log_holonomy",
     "wl_taylor_coefficients",
     "lobachevsky",
-    "lobachevsky_direct",
     "V_OCT",
     "V_FIG8",
     "DEFAULT_C2",
@@ -145,11 +144,13 @@ def delta_v_generic(series: NZSeries, p: float, q: float) -> float:
     return math.pi**2 * abs(series.c1.imag) / zz - 2 * math.pi**4 * w.imag
 
 
+# Each quartic term divides by s*s twice rather than by s**4: s**4 = |z|**8
+# overflows once |z|**2 passes about 1.3e77, long before the value does.
 def _explicit_m004(p: float, q: float) -> float:
     s = p * p + 12 * q * q
     quartic = p**4 - 72 * p * p * q * q + 144 * q**4
     return (2 * _ROOT3 * math.pi**2 / s
-            - 4 * _ROOT3 * quartic * math.pi**4 / (3 * s**4))
+            - 4 * _ROOT3 * quartic * math.pi**4 / 3 / (s * s) / (s * s))
 
 
 def _explicit_m003(a: float, b: float) -> float:
@@ -157,25 +158,25 @@ def _explicit_m003(a: float, b: float) -> float:
     t = 2 * a + b
     quartic = t**4 - 18 * b * b * t * t + 9 * b**4
     return (_ROOT3 * math.pi**2 / (2 * s)
-            - math.pi**4 * quartic / (64 * _ROOT3 * s**4))
+            - math.pi**4 * quartic / (64 * _ROOT3) / (s * s) / (s * s))
 
 
 def _explicit_m125(p: float, q: float) -> float:
     s = p * p + q * q
     quartic = p**4 - 12 * p**3 * q - 6 * p * p * q * q + 12 * p * q**3 + q**4
-    return math.pi**2 / s - math.pi**4 * quartic / (24 * s**4)
+    return math.pi**2 / s - math.pi**4 * quartic / 24 / (s * s) / (s * s)
 
 
 def _explicit_wl(p: float, q: float) -> float:
     s = p * p + 4 * p * q + 8 * q * q
     quartic = (p * p - 8 * q * q) * (p * p + 8 * p * q + 8 * q * q)
-    return 2 * math.pi**2 / s - math.pi**4 * quartic / (3 * s**4)
+    return 2 * math.pi**2 / s - math.pi**4 * quartic / 3 / (s * s) / (s * s)
 
 
 def _explicit_m129(a: float, b: float) -> float:
     s = a * a + 4 * b * b
     quartic = a**4 - 24 * a * a * b * b + 16 * b**4
-    return 2 * math.pi**2 / s - math.pi**4 * quartic / (3 * s**4)
+    return 2 * math.pi**2 / s - math.pi**4 * quartic / 3 / (s * s) / (s * s)
 
 
 _EXPLICIT = {
@@ -232,7 +233,7 @@ def m125_asymmetry(a: float, b: float) -> float:
     s = a * a + b * b
     if s == 0:
         raise ValueError("filling class (0, 0) has no meaning")
-    return math.pi**4 * a * b * (a * a - b * b) / s**4
+    return math.pi**4 * a * b * (a * a - b * b) / (s * s) / (s * s)
 
 
 def lower_bound_holds(a: int, b: int) -> bool:
@@ -266,23 +267,21 @@ def wl_log_holonomy(u: complex) -> complex:
     return -4 * cmath.log(arg)
 
 
-def wl_taylor_coefficients(
-    max_degree: int = 4, radius: float = 0.1, samples: int = 64
-) -> list[complex]:
-    """Taylor coefficients of the holonomy logarithm at u = 0.
+def wl_taylor_coefficients(radius: float = 0.1, samples: int = 64) -> list[complex]:
+    """Taylor coefficients of degree 0..4 of the holonomy logarithm at u = 0.
 
     Cauchy integrals over |u| = radius, trapezoid rule with the given
     sample count; both defaults keep the quadrature error far below
     1e-10 because the integrand is analytic out to |u| ~ 1.76.
     """
-    if samples < 4 * (max_degree + 1):
-        raise ValueError("too few samples for the requested degree")
+    if samples < 20:
+        raise ValueError("need at least 20 samples for degrees 0..4")
     vals = [
         wl_log_holonomy(radius * cmath.exp(2j * math.pi * j / samples))
         for j in range(samples)
     ]
     out = []
-    for n in range(max_degree + 1):
+    for n in range(5):
         acc = sum(
             v * cmath.exp(-2j * math.pi * j * n / samples)
             for j, v in enumerate(vals)
@@ -319,8 +318,7 @@ def lobachevsky(theta: float) -> float:
         t - t*log(2t) + sum_k zeta(2k) t^(2k+1) / (k*(2k+1)*pi^(2k)),
 
     which converges geometrically (ratio <= 1/4) and is accurate to
-    about 1e-15; the defining series itself is kept in
-    lobachevsky_direct as an independent cross-check.
+    about 1e-15; the tests check it against the defining series.
     """
     t = math.fmod(theta, math.pi)
     if t < 0:
@@ -341,15 +339,6 @@ def lobachevsky(theta: float) -> float:
         if abs(term) < 1e-17:
             break
     return sign * total
-
-
-def lobachevsky_direct(theta: float, terms: int) -> float:
-    """Partial sum of the defining series; error at most 1/(2*terms)."""
-    if terms < 1:
-        raise ValueError("need at least one term")
-    return 0.5 * sum(
-        math.sin(2 * n * theta) / (n * n) for n in range(1, terms + 1)
-    )
 
 
 # Volume of the regular ideal octahedron and of the regular-ideal-

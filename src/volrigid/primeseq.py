@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterator
 
 from .arith import factorize, is_prime
@@ -50,7 +49,6 @@ __all__ = [
     "FAMILY_M125",
     "DEFAULT_SEARCH_CAP",
     "crt_solve",
-    "primes_in_progression",
     "default_avoid_primes",
     "build_congruences",
     "verify_witness",
@@ -104,36 +102,18 @@ def _primes(n0: int, modulus: int, cap: int) -> Iterator[int]:
     """The primes among n0, n0 + modulus, ... up to cap, lazily.
 
     When gcd(n0, modulus) > 1 every term shares that divisor, so the
-    progression is prime-free unless n0 itself is prime.  A prime-free
-    progression raises EmptyProgressionError at the call, so this is not
-    a generator: a scan that is never stepped must refuse it too.
+    progression holds no prime but perhaps n0 itself.  A search's n0 is
+    never such a prime: it lies in the family's base class, and an avoid
+    prime lies in the avoid class, which is disjoint from it.  So a
+    shared divisor raises EmptyProgressionError, at the call: this is
+    not a generator, and a scan that is never stepped refuses it too.
     """
-    if math.gcd(n0, modulus) == 1:
-        return filter(is_prime, range(n0, cap + 1, modulus))
-    if is_prime(n0):
-        return iter([n0] if n0 <= cap else [])
-    raise EmptyProgressionError(
-        f"the progression {n0} mod {modulus} holds no prime: every term is "
-        f"divisible by gcd({n0}, {modulus}) = {math.gcd(n0, modulus)}"
-    )
-
-
-def primes_in_progression(
-    n0: int,
-    modulus: int,
-    count: int,
-    cap: int,
-) -> list[int]:
-    """First `count` primes = n0 (mod modulus), bounded by cap, ascending.
-
-    A progression that holds no prime raises EmptyProgressionError, even
-    for count = 0.
-    """
-    if modulus < 1 or n0 < 0:
-        raise ValueError("need n0 >= 0 and modulus >= 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return list(islice(_primes(n0, modulus, cap), count))
+    if math.gcd(n0, modulus) != 1:
+        raise EmptyProgressionError(
+            f"the progression {n0} mod {modulus} holds no prime: every term is "
+            f"divisible by gcd({n0}, {modulus}) = {math.gcd(n0, modulus)}"
+        )
+    return filter(is_prime, range(n0, cap + 1, modulus))
 
 
 @dataclass(frozen=True)
@@ -256,6 +236,9 @@ def _representation_class(rep: tuple[int, int], allow_swap: bool) -> set[tuple[i
 def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
     """From-scratch check of the three gap conditions for one value.
 
+    Only conditions (i)-(iii) are checked: neither the primality of
+    value / f nor membership in the search's progression is.  A
+    search's candidates are prime because its scan tests them.
     Failed conditions are reported in the result, never raised.  The
     value is factored once, for both the carrier and the excluded form;
     each neighbour is factored only until its first prime at which the

@@ -1,4 +1,4 @@
-"""Primality, Kronecker symbols, and factorization against brute force."""
+"""Primality and factorization against brute force."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volrigid import arith
-from volrigid.arith import euler_phi, factorize, is_prime, kronecker_symbol, prime_powers
+from volrigid.arith import euler_phi, factorize, is_prime, prime_powers
 
 
 def eager_factorize(n: int) -> dict[int, int]:
@@ -75,38 +75,30 @@ def test_is_prime_random_against_trial_division():
         assert is_prime(n) == naive_is_prime(n), n
 
 
-def naive_legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if any(x * x % p == a for x in range(1, p)) else -1
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Does odd n > 2 pass the Miller-Rabin round to base a?"""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
-def test_kronecker_matches_legendre_for_odd_primes():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        for a in range(-2 * p, 2 * p + 1):
-            assert kronecker_symbol(a, p) == naive_legendre(a, p), (a, p)
-
-
-def test_kronecker_pinned():
-    assert kronecker_symbol(-3, 7) == 1
-    assert kronecker_symbol(-3, 5) == -1
-    assert kronecker_symbol(12345, 1) == 1
-    assert kronecker_symbol(-48, 5) == -1
-    assert kronecker_symbol(-48, 11) == -1
-    assert kronecker_symbol(-4, 3) == -1
-    assert kronecker_symbol(-4, 13) == 1
-
-
-def test_kronecker_multiplicative_in_top_argument():
-    rng = random.Random(5)
-    for _ in range(200):
-        a = rng.randrange(-200, 201)
-        b = rng.randrange(-200, 201)
-        n = rng.randrange(1, 400)
-        lhs = kronecker_symbol(a * b, n)
-        rhs = kronecker_symbol(a, n) * kronecker_symbol(b, n)
-        assert lhs == rhs, (a, b, n)
+def test_psi_12_is_the_first_composite_the_fixed_bases_miss():
+    # psi_12 (Sorenson and Webster 2017) fools all twelve fixed bases, so
+    # the fixed bases alone decide exactly only below it; the seeded
+    # rounds above it must catch it
+    psi_12 = 399165290221 * 798330580441
+    assert psi_12 == arith._PSI_12 == 318665857834031151167461
+    assert all(strong_probable_prime(psi_12, a) for a in arith._MR_WITNESSES)
+    assert not strong_probable_prime(psi_12, 41)
+    assert not is_prime(psi_12)
 
 
 def _next_prime(n: int) -> int:

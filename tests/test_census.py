@@ -11,7 +11,6 @@ from volrigid.census import (
     VolumeRecord,
     cluster_volumes,
     clusters_as_dicts,
-    histogram,
     parse_census,
 )
 
@@ -107,12 +106,6 @@ def test_epsilon_must_be_a_nonnegative_number(epsilon):
     records = [VolumeRecord("a", 1.0), VolumeRecord("b", 2.0)]
     with pytest.raises(ValueError, match="nonnegative number"):
         cluster_volumes(records, epsilon)
-
-
-def test_histogram_pairs():
-    recs = [VolumeRecord("a", 2.0), VolumeRecord("b", 2.0), VolumeRecord("c", 3.5)]
-    assert histogram(cluster_volumes(recs)) == [(2.0, 2), (3.5, 1)]
-    assert histogram([]) == []
 
 
 def test_fixture_parses_clean():

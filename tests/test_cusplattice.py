@@ -1,4 +1,4 @@
-"""Cusp carrier forms, their scales, and symmetry orbits."""
+"""Cusp carrier forms, their scales, and symmetry groups."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from volrigid.cusplattice import (
     CuspRecord,
     builtin_names,
     builtin_record,
-    form_automorphisms,
-    orbit,
+    is_automorphism,
 )
 from volrigid.nzvolume import builtin_series
 from volrigid.quadform import IntQuadForm
@@ -79,49 +78,56 @@ def test_symmetry_group_orders():
     assert orders == {"m003": 4, "m004": 4, "m125": 4, "m129": 2}
 
 
+# every matrix with entries in -4..4: an automorphism's columns represent
+# a and c, so its entries are at most 2*max(a, c)/sqrt(|D|), which is
+# below 4 for every built-in carrier form
+BOX = [
+    ((p, q), (r, s))
+    for p in range(-4, 5) for q in range(-4, 5)
+    for r in range(-4, 5) for s in range(-4, 5)
+]
+
+
+def brute_automorphisms(form: IntQuadForm) -> set:
+    """The unimodular matrices in BOX that preserve the form's values at
+    (1, 0), (0, 1), (1, 1) and (2, -1), which pin a binary form."""
+    out = set()
+    for mat in BOX:
+        (p, q), (r, s) = mat
+        if p * s - q * r not in (-1, 1):
+            continue
+        if all(
+            form.evaluate(p * x + q * y, r * x + s * y) == form.evaluate(x, y)
+            for x, y in [(1, 0), (0, 1), (1, 1), (2, -1)]
+        ):
+            out.add(mat)
+    return out
+
+
+def _product(m1, m2):
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
 def test_full_form_group_orders():
     full = {
-        name: len(form_automorphisms(builtin_record(name).integer_form))
+        name: len(brute_automorphisms(builtin_record(name).integer_form))
         for name in builtin_names()
     }
     assert full == {"m003": 12, "m004": 4, "m125": 8, "m129": 4}
 
 
-def test_form_automorphisms_brute_force_cross_check():
+def test_symmetry_groups_are_subgroups_of_the_full_group():
     for name in builtin_names():
         record = builtin_record(name)
-        form = record.integer_form
-        got = set(form_automorphisms(form))
-        brute = set()
-        for p in range(-4, 5):
-            for q in range(-4, 5):
-                for r in range(-4, 5):
-                    for s in range(-4, 5):
-                        if p * s - q * r not in (-1, 1):
-                            continue
-                        ok = all(
-                            form.evaluate(p * x + q * y, r * x + s * y)
-                            == form.evaluate(x, y)
-                            for x, y in [(1, 0), (0, 1), (1, 1), (2, -1)]
-                        )
-                        if ok:
-                            brute.add(((p, q), (r, s)))
-        assert got == brute, name
+        group = set(record.symmetry_group)
+        assert group <= brute_automorphisms(record.integer_form), name
+        assert all(_product(m1, m2) in group for m1 in group for m2 in group), name
 
 
-def test_orbit_examples():
-    m003 = builtin_record("m003")
-    assert len(orbit(m003, 2, 1).members) == 4
-    assert len(orbit(m003, 1, 0).members) == 2
-    assert len(orbit(m003, 1, 0, full_group=True).members) == 6
-    m004 = builtin_record("m004")
-    assert orbit(m004, 7, 4).members == {(7, 4), (-7, 4), (7, -4), (-7, -4)}
-
-
-def test_orbit_members_share_form_value():
+def test_is_automorphism_brute_force_cross_check():
     for name in builtin_names():
-        record = builtin_record(name)
-        form = record.integer_form
-        for a, b in [(3, 1), (5, -2)]:
-            vals = {form.evaluate(x, y) for x, y in orbit(record, a, b).members}
-            assert vals == {form.evaluate(a, b)}, (name, a, b)
+        form = builtin_record(name).integer_form
+        got = {mat for mat in BOX if is_automorphism(form, mat)}
+        assert got == brute_automorphisms(form), name

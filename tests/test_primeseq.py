@@ -23,7 +23,6 @@ from volrigid.primeseq import (
     crt_solve,
     default_avoid_primes,
     gap_prime_sequence,
-    primes_in_progression,
     verify_witness,
 )
 from volrigid.quadform import IntQuadForm, primitive_value_set
@@ -85,23 +84,6 @@ def test_crt_random_systems():
         assert 0 <= n0 < modulus
         for r, m in congruences:
             assert n0 % m == r, (congruences, n0)
-
-
-def test_primes_in_progression_pinned():
-    assert primes_in_progression(241, 660, 1, 10**6) == [241]
-    assert primes_in_progression(1, 12, 3, 200) == [13, 37, 61]
-    # refused up front, even when no prime is asked for
-    for count in (1, 0):
-        with pytest.raises(EmptyProgressionError):
-            primes_in_progression(0, 4, count, 100)
-
-
-def test_primes_in_progression_membership():
-    primes = primes_in_progression(5, 132, 6, 10**5)
-    assert primes[0] == 5
-    for p in primes:
-        assert is_prime(p)
-        assert p % 132 == 5 or p == 5
 
 
 def test_build_congruences_m004():
@@ -237,30 +219,6 @@ def test_gap_prime_sequence_stops_at_the_last_witness(monkeypatch):
     search = gap_prime_sequence(spec, 1, cap=10**6)
     assert [w.value for w in search.witnesses] == [241]
     assert tested == [241]
-
-
-def test_lone_prime_above_the_cap(monkeypatch):
-    # 13 = 13 mod 26 is the only prime of its progression
-    assert primes_in_progression(13, 26, 1, 12) == []
-    assert primes_in_progression(13, 26, 2, 13) == [13]
-    # no valid spec leads the search there (the base congruence keeps
-    # n0 out of every avoid prime's residue class), so its CRT solution
-    # is replaced; 13 is a witness for avoid primes (5, 11)
-    monkeypatch.setattr(primeseq, "crt_solve", lambda system: (13, 26))
-    spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
-    capped = gap_prime_sequence(spec, 1, cap=12)
-    assert capped.witnesses == () and capped.truncated
-    at_cap = gap_prime_sequence(spec, 2, cap=13)
-    assert [w.value for w in at_cap.witnesses] == [13] and at_cap.truncated
-
-
-def test_primes_in_progression_count_zero_and_negative():
-    assert primes_in_progression(1, 4, 0, 10**5) == []
-    assert primes_in_progression(3, 6, 0, 100) == []  # the lone-prime path
-    assert primes_in_progression(3, 6, 1, 100) == [3]
-    for n0, modulus in ((1, 4), (3, 6)):
-        with pytest.raises(ValueError, match="count"):
-            primes_in_progression(n0, modulus, -1, 100)
 
 
 def test_golden_g2_witness_reverifies():
@@ -400,6 +358,13 @@ def test_gap_prime_sequence_cap_bounds_value_not_prime():
     at_cap = gap_prime_sequence(spec, 1, cap=34)
     assert [w.value for w in at_cap.witnesses] == [34]
     assert not at_cap.truncated
+
+
+def test_gap_prime_sequence_refuses_negative_count_and_cap():
+    spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
+    for count, cap in ((-1, 10**6), (1, -1)):
+        with pytest.raises(ValueError, match="count and cap must be nonnegative"):
+            gap_prime_sequence(spec, count, cap=cap)
 
 
 def test_gap_prime_sequence_refuses_prime_free_progression():

@@ -1,0 +1,43 @@
+"""The public surface: every exported name exists, and the README's
+library example runs and gives the results its comments state."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import volrigid
+
+README = Path(__file__).parent.parent / "README.md"
+MODULES = ["arith", "census", "cli", "cusplattice", "mutant", "nzvolume", "primeseq", "quadform"]
+
+
+@pytest.mark.parametrize("module", ["volrigid"] + [f"volrigid.{m}" for m in MODULES])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    names = mod.__all__
+    assert len(names) == len(set(names)), module
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert missing == [], module
+
+
+def test_readme_library_example_gives_its_commented_results():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    lines = block.splitlines()
+    namespace: dict = {}
+    results = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.lineno - 1].split("#", 1)[1].strip()
+            assert comment.startswith(repr(value)), (comment, value)
+            results.append(value)
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert results == [4, 241, Fraction(1, 1)]
