@@ -17,8 +17,8 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "VolumeRecord",
@@ -34,38 +34,46 @@ __all__ = [
 DEFAULT_EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
-class VolumeRecord:
-    """One named manifold with a positive finite volume."""
-
+class _Record(NamedTuple):
     name: str
     volume: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.volume) or self.volume <= 0:
-            raise ValueError(f"volume of {self.name!r} must be finite and positive")
+
+class VolumeRecord(_Record):
+    """One named manifold with a positive finite volume."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, volume: float) -> "VolumeRecord":
+        if not 0 < volume < math.inf:  # false for nan
+            raise ValueError(f"volume of {name!r} must be finite and positive")
+        return tuple.__new__(cls, (name, volume))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "VolumeRecord":
+        # namedtuple's own _make (which _replace calls) skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     line_number: int
     text: str
     reason: str
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(NamedTuple):
     records: tuple[VolumeRecord, ...]
     errors: tuple[ParseError, ...]
 
 
 def _parse_line(text: str) -> VolumeRecord:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
+    name, comma, raw = text.partition(",")
+    if not comma or "," in raw:
         raise ValueError("expected exactly one comma: name,volume")
-    name, raw = parts
+    name = name.strip()
     if not name:
         raise ValueError("empty name")
+    raw = raw.strip()
     try:
         volume = float(raw)
     except ValueError:
@@ -100,8 +108,7 @@ def parse_census(lines: Iterable[str]) -> ParseReport:
     return ParseReport(tuple(records), tuple(errors))
 
 
-@dataclass(frozen=True)
-class VolumeCluster:
+class VolumeCluster(NamedTuple):
     """A maximal chain of records with consecutive gaps <= epsilon."""
 
     representative: float
@@ -115,30 +122,25 @@ def cluster_volumes(
     """Greedy chain clustering of records sorted by (volume, name)."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be a nonnegative number")
-    ordered = sorted(records, key=lambda r: (r.volume, r.name))
+    ordered = sorted(records, key=itemgetter(1, 0))
+    if not ordered:
+        return []
     clusters: list[VolumeCluster] = []
-    chain: list[VolumeRecord] = []
-    for record in ordered:
-        if chain and record.volume - chain[-1].volume > epsilon:
-            clusters.append(_finish(chain))
-            chain = []
-        chain.append(record)
-    if chain:
-        clusters.append(_finish(chain))
+    names: list[str] = []
+    start = previous = ordered[0].volume
+    for name, volume in ordered:
+        if volume - previous > epsilon:
+            clusters.append(VolumeCluster(start, len(names), tuple(names)))
+            start, names = volume, []
+        names.append(name)
+        previous = volume
+    clusters.append(VolumeCluster(start, len(names), tuple(names)))
     return clusters
-
-
-def _finish(chain: list[VolumeRecord]) -> VolumeCluster:
-    return VolumeCluster(
-        representative=chain[0].volume,
-        count=len(chain),
-        names=tuple(r.name for r in chain),
-    )
 
 
 def clusters_as_dicts(clusters: Iterable[VolumeCluster]) -> list[dict]:
     """JSON-ready form: {"volume", "count", "names"} per cluster."""
     return [
-        {"volume": c.representative, "count": c.count, "names": list(c.names)}
-        for c in clusters
+        {"volume": volume, "count": count, "names": list(names)}
+        for volume, count, names in clusters
     ]

@@ -45,6 +45,7 @@ from .mutant import (
 )
 from .nzvolume import (
     DEFAULT_C2,
+    MIN_WL_SAMPLES,
     V_FIG8,
     V_OCT,
     builtin_series,
@@ -87,6 +88,29 @@ _FAMILY_ALIASES = {
 # deterministic rendering
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+# exact type -> JSON text of a value of that type.  Lookups use the exact
+# type, so a bool is never printed as an int.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _encode_str,
+    float: "{:.12g}".format,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+@functools.cache
+def _layout(indent: int | None) -> tuple[str, str, str, int | None]:
+    """Text before the first item of a container at nesting level
+    ``indent``, between items and after the last, and the items' level."""
+    if indent is None:
+        return "", ",", "", None
+    pad = "\n" + "  " * indent
+    return pad + "  ", "," + pad + "  ", pad, indent + 1
+
+
 def _json_text(obj: Any, indent: int | None = 0) -> str:
     """JSON text of a payload, every float at 12 significant digits.
 
@@ -95,35 +119,35 @@ def _json_text(obj: Any, indent: int | None = 0) -> str:
     form of ``json.dumps(obj, separators=(",", ":"))``, which csv and
     table cells use.
     """
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format(obj, ".12g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    deeper = None if indent is None else indent + 1
-    if isinstance(obj, dict):
-        colon = ":" if indent is None else ": "
+    kind = type(obj)
+    encode = _SCALARS.get(kind)
+    if encode is not None:
+        return encode(obj)
+    if kind is dict:
         brackets = "{}"
-        parts = [
-            f"{json.dumps(str(k))}{colon}{_json_text(v, deeper)}"
-            for k, v in obj.items()
-        ]
-    elif isinstance(obj, list):
+    elif kind is list:
         brackets = "[]"
-        parts = [_json_text(v, deeper) for v in obj]
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if not parts:
+        raise TypeError(f"cannot serialize {kind.__name__}")
+    if not obj:
         return brackets
-    if indent is None:
-        return brackets[0] + ",".join(parts) + brackets[1]
-    pad = "\n" + "  " * indent
-    return brackets[0] + pad + "  " + f",{pad}  ".join(parts) + pad + brackets[1]
+    opening, sep, closing, deeper = _layout(indent)
+    if kind is dict:
+        colon = ":" if indent is None else ": "
+        parts = []
+        for key, value in obj.items():
+            encode = _SCALARS.get(type(value))
+            text = encode(value) if encode is not None else _json_text(value, deeper)
+            parts.append(_encode_str(key) + colon + text)
+    else:
+        # a list of one scalar type is printed in one join
+        types = set(map(type, obj))
+        encode = _SCALARS.get(types.pop()) if len(types) == 1 else None
+        if encode is not None:
+            parts = map(encode, obj)
+        else:
+            parts = [_json_text(value, deeper) for value in obj]
+    return brackets[0] + opening + sep.join(parts) + closing + brackets[1]
 
 
 def _cell(value: Any) -> str:
@@ -202,6 +226,21 @@ def _nonnegative_float(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
     return value
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -388,11 +427,21 @@ def _cmd_nz_eval(args: argparse.Namespace) -> Any:
     }
 
 
+# Each point evaluates every series on all three routes, about 0.3 s per
+# 10**4 points; 10**5 points take about 3 s (2-core x86-64, Python 3.11).
+# Larger counts are refused.
+MAX_CHECK_POINTS = 10**5
+
+
 @_command("nz check", "cross-route identity suite",
-          _arg("--points", type=int, default=1000),
+          _arg("--points", type=_int_at_least(1), default=1000),
           _arg("--seed", type=int, default=0),
           _arg("--tolerance", type=_nonnegative_float, default=1e-10))
 def _cmd_nz_check(args: argparse.Namespace) -> Any:
+    if args.points > MAX_CHECK_POINTS:
+        raise ValueError(
+            f"checks are refused above {MAX_CHECK_POINTS} points, got {args.points}"
+        )
     rng = random.Random(args.seed)
     worst: dict[str, float] = {name: 0.0 for name in series_names()}
     for _ in range(args.points):
@@ -425,7 +474,7 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
 
 @_command("nz wl-coeffs", "recover series coefficients numerically",
           _arg("--radius", type=_positive_float, default=0.1),
-          _arg("--samples", type=int, default=64))
+          _arg("--samples", type=_int_at_least(MIN_WL_SAMPLES), default=64))
 def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
     coeffs = wl_taylor_coefficients(radius=args.radius, samples=args.samples)
     c1, c3 = coeffs[1], coeffs[3]

@@ -66,11 +66,14 @@ MAX_WORD_LENGTH = 30
 
 # enumerate_classes emits one word per class, and the class count,
 # about 2**n/(2n), doubles with each step of n.  `mutant classes -n N`
-# took 0.54 s, 0.76 MB of JSON and 31 MB peak RSS at N = 20, 4.8 s,
-# 11.3 MB and 214 MB at N = 24, and 9.6 s, 22.3 MB and 396 MB at N = 25
+# takes 0.35 s, 0.76 MB of JSON and 30 MB peak RSS at N = 20, 3.0 s,
+# 11.3 MB and 203 MB at N = 24, and 5.5 s, 22.3 MB and 403 MB at N = 25
 # (one run each, 2-core x86-64, Python 3.11).  Longer lists are refused;
 # census_report counts by Burnside and keeps MAX_WORD_LENGTH.
 MAX_CLASS_WORD_LENGTH = 24
+
+# letter value -> its digit, for printing words through bytes.translate
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,8 @@ class CyclicWord:
         return len(self.bits)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        # a True letter is the byte 1 and prints as "1"
+        return bytes(self.bits).translate(_DIGITS).decode("ascii")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+import math
+import pickle
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volrigid.census import (
+    ParseError,
+    ParseReport,
+    VolumeCluster,
     VolumeRecord,
     cluster_volumes,
     clusters_as_dicts,
@@ -24,6 +33,35 @@ def test_record_validation():
         VolumeRecord("x", 0.0)
     with pytest.raises(ValueError):
         VolumeRecord("x", float("inf"))
+
+
+@pytest.mark.parametrize("volume", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_no_public_path_builds_an_invalid_record(volume):
+    good = VolumeRecord("x", 1.5)
+    builds = [
+        lambda: VolumeRecord("x", volume),
+        lambda: VolumeRecord(name="x", volume=volume),
+        lambda: VolumeRecord._make(("x", volume)),
+        lambda: good._replace(volume=volume),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            build()
+
+
+def test_records_are_tuples_with_named_fields():
+    record = VolumeRecord("m004", 2.0298832128)
+    assert (record.name, record.volume) == tuple(record) == ("m004", 2.0298832128)
+    assert record._replace(name="m003") == VolumeRecord("m003", 2.0298832128)
+    assert repr(record) == "VolumeRecord(name='m004', volume=2.0298832128)"
+    assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
+    assert type(pickle.loads(pickle.dumps(record))) is VolumeRecord
+    with pytest.raises(AttributeError):
+        record.volume = 3.0
+    cluster = VolumeCluster(representative=1.0, count=2, names=("a", "b"))
+    assert (cluster.representative, cluster.count, cluster.names) == (1.0, 2, ("a", "b"))
+    error = ParseError(line_number=3, text="x", reason="empty name")
+    assert ParseReport(records=(record,), errors=(error,)).errors[0].line_number == 3
 
 
 def test_parse_basic_and_header():
@@ -125,3 +163,102 @@ def test_clusters_as_dicts_shape():
     recs = [VolumeRecord("a", 2.0), VolumeRecord("b", 2.0)]
     payload = clusters_as_dicts(cluster_volumes(recs))
     assert payload == [{"volume": 2.0, "count": 2, "names": ["a", "b"]}]
+
+
+# ---------------------------------------------------------------------------
+# the census as it was when every record and cluster was a frozen
+# dataclass, kept as the oracle for the tuple records
+
+
+@dataclass(frozen=True)
+class OracleRecord:
+    name: str
+    volume: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.volume) or self.volume <= 0:
+            raise ValueError(f"volume of {self.name!r} must be finite and positive")
+
+
+def oracle_parse_line(text):
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError("expected exactly one comma: name,volume")
+    name, raw = parts
+    if not name:
+        raise ValueError("empty name")
+    try:
+        volume = float(raw)
+    except ValueError:
+        raise ValueError(f"volume {raw!r} is not a number") from None
+    return OracleRecord(name, volume)
+
+
+def oracle_parse_census(lines):
+    """(records, errors) with errors as (line_number, text, reason)."""
+    records, errors = [], []
+    first_data_line = True
+    for line_number, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            records.append(oracle_parse_line(text))
+        except ValueError as exc:
+            header = (
+                first_data_line
+                and text.count(",") == 1
+                and "is not a number" in str(exc)
+            )
+            if not header:
+                errors.append((line_number, text, str(exc)))
+        first_data_line = False
+    return records, errors
+
+
+def oracle_cluster_volumes(records, epsilon):
+    """Clusters as (representative, count, names)."""
+    ordered = sorted(records, key=lambda r: (r.volume, r.name))
+    clusters, chain = [], []
+    for record in ordered:
+        if chain and record.volume - chain[-1].volume > epsilon:
+            clusters.append(chain)
+            chain = []
+        chain.append(record)
+    if chain:
+        clusters.append(chain)
+    return [(c[0].volume, len(c), tuple(r.name for r in c)) for c in clusters]
+
+
+_VOLUME_TEXT = (
+    st.sampled_from([
+        "1", "2.5", "2.5000001", "2.5000002", "1e-7", "nan", "NaN", "inf",
+        "-inf", "1e999", "-1e999", "-2.5", "0", "-0.0", "abc", "", "1,5",
+        "0x10", "1_000", " 3.25 ", "\t4\t",
+    ])
+    | st.floats().map(repr)
+    | st.floats(0.5, 0.5000003).map(repr)
+)
+_NAME = st.sampled_from(["a", "b", "m004", "name", "#x", " pad ", ""]) | st.text(max_size=5)
+_LINE = (
+    st.builds(lambda n, sep, v, end: f"{n}{sep}{v}{end}",
+              _NAME, st.sampled_from([",", ",,", ", ", "", " , "]), _VOLUME_TEXT,
+              st.sampled_from(["", "\n", "  ", ",extra"]))
+    | st.sampled_from(["", "\n", "   ", "# comment", "  # indented", "name,volume"])
+    | st.text(max_size=8)
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(lines=st.lists(_LINE, max_size=25),
+       epsilon=st.sampled_from([0.0, 1e-7, 1e-6, 0.5]))
+def test_census_matches_the_dataclass_census(lines, epsilon):
+    report = parse_census(lines)
+    records, errors = oracle_parse_census(lines)
+    assert [(r.name, r.volume) for r in report.records] == [
+        (r.name, r.volume) for r in records
+    ]
+    assert [(e.line_number, e.text, e.reason) for e in report.errors] == errors
+    assert [tuple(c) for c in cluster_volumes(report.records, epsilon)] == (
+        oracle_cluster_volumes(records, epsilon)
+    )

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +300,34 @@ def test_float_options_refuse_out_of_range_values(argv, value, expected, capsys)
     assert f"expected {expected}, got {value!r}" in err
 
 
+@pytest.mark.parametrize("argv, value, expected", [
+    (("nz", "wl-coeffs", "--samples", "VALUE"), "19", "an integer of at least 20"),
+    (("nz", "wl-coeffs", "--samples", "VALUE"), "-64", "an integer of at least 20"),
+    (("nz", "wl-coeffs", "--samples", "VALUE"), "2.5", "an integer"),
+    (("nz", "check", "--points", "VALUE"), "0", "an integer of at least 1"),
+    (("nz", "check", "--points", "VALUE"), "many", "an integer"),
+])
+def test_count_options_refuse_out_of_range_values(argv, value, expected, capsys):
+    argv = tuple(value if arg == "VALUE" else arg for arg in argv)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"expected {expected}, got {value!r}" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("nz", "wl-coeffs", "--samples", "1000001"),
+     "quadratures are refused above 1000000 samples, got 1000001"),
+    (("nz", "check", "--points", "100001"),
+     "checks are refused above 100000 points, got 100001"),
+])
+def test_nz_counts_above_their_cap_exit_1(argv, expected, capsys):
+    # both run in time linear in the count, so they are refused before
+    # any work instead of running for an hour at 10**9
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {expected}\n"
+
+
 def test_nz_check_accepts_a_zero_tolerance(capsys):
     payload = invoke_json(capsys, "nz", "check", "--points", "2", "--tolerance", "0")
     assert payload["tolerance"] == 0
@@ -379,6 +409,68 @@ def test_mutant_classes_bytes_are_pinned(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_STDOUT_SHA256[n]
 
 
+def planted_census_table(seed: int, rows: int) -> str:
+    """Text of a shuffled name,volume table with planted clusters.
+
+    Clusters of 1..6 names start at least 1e-3 apart, and consecutive
+    members lie within 2e-7 of each other.  Some names carry quotes,
+    tabs, backslashes or non-ASCII letters, some volumes repeat exactly,
+    volumes come in several float spellings, and a few lines are blank,
+    comments or malformed.
+    """
+    rng = random.Random(seed)
+    bad = ("x,-1", "y,nan", "z,inf", "w,1e999", "a,b,c", ",2.5", "v,abc",
+           "no comma", "u,0", " ,3.0")
+    odd = ('"q"', "é", "Ω", "t\tab", "back\\slash", "x y")
+    body = []
+    start = 0.5
+    while len(body) < rows:
+        start += rng.uniform(1e-3, 3e-3)
+        volume = start
+        for _ in range(rng.choice((1, 1, 1, 1, 2, 2, 3, 6))):
+            name = f"{rng.choice('LKmstv')}{len(body)}{rng.choice('abcdefgh')}"
+            if rng.random() < 0.02:
+                name += rng.choice(odd)
+            text = rng.choice(
+                (repr(volume), f"{volume:.15e}", f"  {volume!r} ", f"{volume:.17g}")
+            )
+            body.append(f"{name},{text}")
+            if rng.random() < 0.05:
+                body.append(f"{name}=,{text}")
+            volume += rng.uniform(0.0, 2e-7)
+        roll = rng.random()
+        if roll < 0.006:
+            body.append(("", f"# note {len(body)}", rng.choice(bad))[int(roll / 0.002)])
+    rng.shuffle(body)
+    return "\n".join(["name,volume", "# planted clusters", *body]) + "\n"
+
+
+# sha256 of the stdout of `census hist` on planted_census_table(12, 30000),
+# as printed by the writer that recursed once per value and the census
+# that built one dataclass per record
+HIST_STDOUT_SHA256 = {
+    "json": "bc0e210d6cdddeb6af6e20fcb902036ec886ab80e34523ccbeb66a75438f751f",
+    "csv": "7a48c36780f926f6cec75857364ba455974b0f71122d4fac87e71323ba4ab3eb",
+    "table": "4fb53eb6e7d981b6d6f940cd4fb1bebfa9179525048f86b22c89f39a8ad62fb7",
+}
+HIST_STDERR_SHA256 = "8eb179bf4aee76468d7ecaecb903543fa7819e5c9ef0e28b5c9e77d90578b061"
+
+
+@pytest.fixture(scope="module")
+def planted_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("census") / "planted.csv"
+    path.write_text(planted_census_table(12, 30000), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(HIST_STDOUT_SHA256))
+def test_census_hist_bytes_are_pinned(capsys, planted_table, fmt):
+    code, out, err = invoke(capsys, "census", "hist", planted_table, "--format", fmt)
+    assert code == 0 and err.count("\n") == 24
+    assert hashlib.sha256(out.encode()).hexdigest() == HIST_STDOUT_SHA256[fmt]
+    assert hashlib.sha256(err.encode()).hexdigest() == HIST_STDERR_SHA256
+
+
 def test_qf_reps_refuses_too_many_square_roots(capsys):
     code, out, err = invoke(
         capsys, "qf", "reps", "--form", "1,0,1099511627776",
@@ -386,6 +478,40 @@ def test_qf_reps_refuses_too_many_square_roots(capsys):
     )
     assert code == 1 and out == ""
     assert "has 2097152 square roots" in err
+
+
+def recursive_json_text(obj, indent=0):
+    """The writer as it was before exact-type dispatch: one recursive
+    call per value and one json.dumps per string.  Oracle for _json_text."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".12g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    deeper = None if indent is None else indent + 1
+    if isinstance(obj, dict):
+        colon = ":" if indent is None else ": "
+        brackets = "{}"
+        parts = [
+            f"{json.dumps(str(k))}{colon}{recursive_json_text(v, deeper)}"
+            for k, v in obj.items()
+        ]
+    elif isinstance(obj, list):
+        brackets = "[]"
+        parts = [recursive_json_text(v, deeper) for v in obj]
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not parts:
+        return brackets
+    if indent is None:
+        return brackets[0] + ",".join(parts) + brackets[1]
+    pad = "\n" + "  " * indent
+    return brackets[0] + pad + "  " + f",{pad}  ".join(parts) + pad + brackets[1]
 
 
 def _payloads(leaves):
@@ -426,6 +552,46 @@ def test_writer_prints_every_float_at_12_digits(payload):
     expected = _at_12_digits(payload)
     assert json.loads(_json_text(payload)) == expected
     assert json.loads(_json_text(payload, None)) == expected
+
+
+_ODD_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, 123456789012.5,
+])
+_ANY_FLOAT = st.floats() | _ODD_FLOATS
+_TEXT = st.text(max_size=8) | st.text(st.characters(max_codepoint=0x1F), max_size=4)
+_SCALAR = st.none() | st.booleans() | st.integers() | _ANY_FLOAT | _TEXT
+# lists of one scalar type take the writer's join path; bool and int mixed
+# must not, or True would print as an int
+_FLAT_LISTS = (
+    st.lists(st.booleans() | st.integers(), max_size=6)
+    | st.lists(_ANY_FLOAT, max_size=6)
+    | st.lists(_TEXT, max_size=6)
+    | st.lists(st.none(), max_size=3)
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(payload=_payloads(_SCALAR | _FLAT_LISTS))
+def test_writer_matches_the_recursive_writer(payload):
+    assert _json_text(payload) == recursive_json_text(payload)
+    assert _json_text(payload, None) == recursive_json_text(payload, None)
+    assert _json_text(payload, 3) == recursive_json_text(payload, 3)
+
+
+def test_writer_keeps_bool_and_int_apart():
+    assert _json_text([True, 1, False, 0], None) == "[true,1,false,0]"
+    assert _json_text([1, True], None) == "[1,true]"
+    assert _json_text({"a": [True, True], "b": [0, 1]}, None) == (
+        '{"a":[true,true],"b":[0,1]}'
+    )
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1, 2}, b"x", 1j, object()])
+def test_writer_refuses_other_types(value):
+    for payload in (value, [value], [1, value], {"k": value}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _json_text(payload)
 
 
 @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")

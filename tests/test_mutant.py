@@ -78,6 +78,7 @@ def test_word_validation():
         with pytest.raises(ValueError, match="binary"):
             CyclicWord(letters)
     assert CyclicWord((True, 0, 1)).n == 3
+    assert str(CyclicWord((True, False, 1))) == "101"
     assert W("0101").n == 4
 
 

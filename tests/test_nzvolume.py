@@ -13,6 +13,8 @@ from volrigid.cusplattice import builtin_record
 from volrigid.quadform import two_sided_gap
 from volrigid.nzvolume import (
     DEFAULT_C2,
+    MAX_WL_SAMPLES,
+    MIN_WL_SAMPLES,
     REGIME_Q_MIN,
     V_FIG8,
     V_OCT,
@@ -203,6 +205,15 @@ def test_wl_taylor_coefficients_match_series():
     assert abs(coeffs[3] - complex(0, 1) / 6) < 1e-8
     assert abs(coeffs[0]) < 1e-10
     assert abs(coeffs[2]) < 1e-8
+
+
+def test_wl_taylor_coefficients_sample_range():
+    with pytest.raises(ValueError, match="at least 20 samples"):
+        wl_taylor_coefficients(samples=MIN_WL_SAMPLES - 1)
+    # refused before any sample is taken
+    with pytest.raises(ValueError, match="refused above 1000000 samples, got 1000001"):
+        wl_taylor_coefficients(samples=MAX_WL_SAMPLES + 1)
+    assert len(wl_taylor_coefficients(samples=MIN_WL_SAMPLES)) == 5
 
 
 def test_lobachevsky_closed_values():
