@@ -66,6 +66,10 @@ class ParseReport(NamedTuple):
     errors: tuple[ParseError, ...]
 
 
+class _VolumeNotANumber(ValueError):
+    """The volume field of a line does not parse as a float."""
+
+
 def _parse_line(text: str) -> VolumeRecord:
     name, comma, raw = text.partition(",")
     if not comma or "," in raw:
@@ -77,15 +81,15 @@ def _parse_line(text: str) -> VolumeRecord:
     try:
         volume = float(raw)
     except ValueError:
-        raise ValueError(f"volume {raw!r} is not a number") from None
+        raise _VolumeNotANumber(f"volume {raw!r} is not a number") from None
     return VolumeRecord(name, volume)
 
 
 def parse_census(lines: Iterable[str]) -> ParseReport:
     """Parse name,volume lines; malformed lines go to the error report.
 
-    A first line whose volume field is non-numeric is taken to be the
-    optional header and skipped silently.
+    A first line with one comma, a name and a volume field that float()
+    refuses is taken to be the optional header and skipped silently.
     """
     records: list[VolumeRecord] = []
     errors: list[ParseError] = []
@@ -97,12 +101,7 @@ def parse_census(lines: Iterable[str]) -> ParseReport:
         try:
             records.append(_parse_line(text))
         except ValueError as exc:
-            header = (
-                first_data_line
-                and text.count(",") == 1
-                and "is not a number" in str(exc)
-            )
-            if not header:
+            if not (first_data_line and isinstance(exc, _VolumeNotANumber)):
                 errors.append(ParseError(line_number, text, str(exc)))
         first_data_line = False
     return ParseReport(tuple(records), tuple(errors))

@@ -567,7 +567,7 @@ def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
 
 @_command("census hist", "cluster name,volume lines into a histogram",
           _arg("path", help="CSV file, or - for standard input"),
-          _arg("--epsilon", type=_finite_float, default=DEFAULT_EPSILON))
+          _arg("--epsilon", type=_nonnegative_float, default=DEFAULT_EPSILON))
 def _cmd_census_hist(args: argparse.Namespace) -> Any:
     if args.path == "-":
         report = parse_census(sys.stdin)

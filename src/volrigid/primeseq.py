@@ -20,8 +20,15 @@ The system is solved by the Chinese remainder theorem and the resulting
 arithmetic progression is walked for primes p <= cap / f.  The
 congruences only make conditions likely by design; every reported
 witness is re-verified directly, so a bug in the construction can cost
-completeness but never soundness.  The brute-force ellipse walk over
-Q = v lives on in the tests as the oracle the engine is checked against.
+completeness but never soundness.
+
+The scan's primality test is the only primality decision made per
+candidate.  It also decides v's factorization: f's primes and p once,
+as p = 1 mod 4 is odd and f is 1 or 2.  The search verifies conditions
+(i)-(iii) from that factorization with the same exact engine, instead
+of factoring v again and re-running the same test on p.  The
+brute-force ellipse walk over Q = v lives on in the tests as the oracle
+the engine is checked against.
 """
 
 from __future__ import annotations
@@ -125,6 +132,12 @@ class _Family:
     allow_swap: bool             # representation class includes (b, a)
     value_factor: int            # the witness value is value_factor * p
     base: tuple[int, int]        # base congruence (r, m) on the prime p
+    # factorize(value_factor), taken once: a candidate's witness value
+    # factors as this plus {p: 1}
+    value_factorization: dict[int, int] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value_factorization", factorize(self.value_factor))
 
 
 _FAMILIES = {
@@ -238,15 +251,23 @@ def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
 
     Only conditions (i)-(iii) are checked: neither the primality of
     value / f nor membership in the search's progression is.  A
-    search's candidates are prime because its scan tests them.
-    Failed conditions are reported in the result, never raised.  The
-    value is factored once, for both the carrier and the excluded form;
-    each neighbour is factored only until its first prime at which the
-    gap form's discriminant has no square root.
+    search's candidates are prime because its scan tests them, and the
+    search verifies each one from the factorization that test implies
+    rather than through this function, which factors the value itself.
+    Failed conditions are reported in the result, never raised.
+    """
+    # 0 has no factorization, and the queries answer 0 and below without one
+    return _verify(value, spec, factorize(value) if value > 0 else {})
+
+
+def _verify(value: int, spec: GapPrimeSpec, fac: dict[int, int]) -> GapPrimeWitness:
+    """verify_witness(value, spec), read off the factorization fac of value.
+
+    The value's prime powers serve both the carrier and the excluded
+    form; each neighbour is factored only until its first prime at
+    which the gap form's discriminant has no square root.
     """
     fam = _FAMILIES[spec.family]
-    # 0 has no factorization, and the queries answer 0 and below without one
-    fac = factorize(value) if value > 0 else {}
     all_reps = _representations(fam.carrier_form, value, fac.items())
     prim = [r.pair for r in all_reps if r.primitive]
     representation = None
@@ -287,11 +308,12 @@ def gap_prime_sequence(
     """First `count` fully verified witnesses from the congruence search.
 
     The progression of candidate primes is scanned once, in ascending
-    order, and each candidate's witness value is verified from scratch;
-    the scan stops at the count-th witness, so count = 0 verifies
-    nothing.  Only witness values up to `cap` are considered; running
-    out before `count` witnesses are found returns a truncated result
-    rather than raising.  A progression that holds no prime raises
+    order, and each candidate's witness value f*p is verified from
+    scratch, from the factorization (f's primes and {p: 1}) that the
+    scan's primality test decided; the scan stops at the count-th
+    witness, so count = 0 verifies nothing.  Only witness values up to
+    `cap` are considered; running out before `count` witnesses are
+    found returns a truncated result rather than raising.  A progression that holds no prime raises
     EmptyProgressionError up front.
     """
     if count < 0 or cap < 0:
@@ -303,7 +325,7 @@ def gap_prime_sequence(
         return GapPrimeSearch((), truncated=False)
     found: list[GapPrimeWitness] = []
     for p in scan:
-        witness = verify_witness(fam.value_factor * p, spec)
+        witness = _verify(fam.value_factor * p, spec, {**fam.value_factorization, p: 1})
         if witness.verified:
             found.append(witness)
             if len(found) == count:

@@ -94,6 +94,19 @@ def test_header_detection_only_on_first_line():
     assert len(report.errors) == 1
 
 
+def test_header_is_a_volume_float_refuses_not_an_error_message():
+    # the first line's volume -1 is a number, so the line is a bad
+    # record, whatever its name says
+    report = parse_census(["is not a number,-1", "b,2"])
+    assert [r.name for r in report.records] == ["b"]
+    assert [(e.line_number, e.text) for e in report.errors] == [(1, "is not a number,-1")]
+    # a first line that fails before its volume is read is no header
+    report = parse_census(["name,volume,unit", "b,2"])
+    assert [e.line_number for e in report.errors] == [1]
+    report = parse_census(["name,volume", "b,2"])
+    assert [r.name for r in report.records] == ["b"] and not report.errors
+
+
 def test_cluster_examples():
     recs = [VolumeRecord("a", 2.029883), VolumeRecord("b", 2.029883),
             VolumeRecord("c", 2.568970)]
@@ -205,6 +218,9 @@ def oracle_parse_census(lines):
         try:
             records.append(oracle_parse_line(text))
         except ValueError as exc:
+            # parse_census decides from the failed float() instead; the
+            # two differ only on a name holding "is not a number", which
+            # _NAME below never draws
             header = (
                 first_data_line
                 and text.count(",") == 1

@@ -290,10 +290,12 @@ def test_float_options_refuse_non_finite_values(argv, value, capsys):
     (("nz", "wl-coeffs", "--radius", "VALUE"), "0", "a positive number"),
     (("nz", "wl-coeffs", "--radius", "VALUE"), "-0.1", "a positive number"),
     (("nz", "check", "--points", "2", "--tolerance", "VALUE"), "-1", "a nonnegative number"),
+    (("census", "hist", "no-such-file.csv", "--epsilon", "VALUE"), "-1", "a nonnegative number"),
 ])
 def test_float_options_refuse_out_of_range_values(argv, value, expected, capsys):
-    # a radius of 0 would divide by zero in the Cauchy integrals, and a
-    # negative tolerance would fail every series
+    # a radius of 0 would divide by zero in the Cauchy integrals, a
+    # negative tolerance would fail every series, and a negative epsilon
+    # is refused before the table is read (the file does not exist)
     argv = tuple(value if arg == "VALUE" else arg for arg in argv)
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""

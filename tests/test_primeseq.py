@@ -178,8 +178,7 @@ def test_gap_prime_sequence_m004_g1():
     assert not search.truncated
     for w in search.witnesses:
         assert w.value % 12 == 1
-        again = verify_witness(w.value, spec)
-        assert again.verified and again.value == w.value
+        assert _same_witness(w, verify_witness(w.value, spec))
 
 
 def test_gap_prime_sequence_m125_g1():
@@ -189,6 +188,7 @@ def test_gap_prime_sequence_m125_g1():
     for w in search.witnesses:
         assert w.value % 4 == 2
         assert is_prime(w.value // 2)
+        assert _same_witness(w, verify_witness(w.value, spec))
 
 
 def test_gap_prime_sequence_truncation_flag():
@@ -199,10 +199,11 @@ def test_gap_prime_sequence_truncation_flag():
 
 
 def test_gap_prime_sequence_count_zero_verifies_nothing(monkeypatch):
+    # the search verifies through _verify, not the public verify_witness
     calls = []
-    real = primeseq.verify_witness
+    real = primeseq._verify
     monkeypatch.setattr(
-        primeseq, "verify_witness", lambda v, spec: calls.append(v) or real(v, spec)
+        primeseq, "_verify", lambda v, spec, fac: calls.append(v) or real(v, spec, fac)
     )
     spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
     search = gap_prime_sequence(spec, 0, cap=10**7)
@@ -219,6 +220,63 @@ def test_gap_prime_sequence_stops_at_the_last_witness(monkeypatch):
     search = gap_prime_sequence(spec, 1, cap=10**6)
     assert [w.value for w in search.witnesses] == [241]
     assert tested == [241]
+
+
+def test_gap_prime_sequence_never_factors(monkeypatch):
+    # the scan's primality test decides each candidate's factorization,
+    # so no value is factored again, however deep the search
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(primeseq, "factorize", refuse)
+    for family, g, count, cap in ((FAMILY_M004, 1, 3, 10**4),
+                                  (FAMILY_M125, 1, 4, 10**3),
+                                  (FAMILY_M004, 6, 1, 10**40),
+                                  (FAMILY_M125, 6, 1, 10**40)):
+        spec = GapPrimeSpec(g=g, family=family,
+                            avoid_primes=default_avoid_primes(family, g))
+        assert len(gap_prime_sequence(spec, count, cap=cap).witnesses) == count
+    # the public entry still factors the value, so the patch is live
+    with pytest.raises(AssertionError, match="factorize"):
+        verify_witness(241, spec)
+
+
+def _same_witness(a, b):
+    # conditions is compare=False, so == alone would not see it
+    return a == b and a.conditions == b.conditions
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_search_matches_verify_witness_over_the_progression(data):
+    # oracle: every prime p of the progression, in order, verified from
+    # scratch by verify_witness; the search must report the first count
+    # verified ones, witness for witness, and flag a shortfall
+    family, factor, (res, mod) = data.draw(st.sampled_from((
+        (FAMILY_M004, 1, (5, 6)),
+        (FAMILY_M125, 2, (3, 4)),
+    )))
+    g = data.draw(st.integers(1, 2))
+    pool = [q for q in range(2, 300) if q % mod == res and is_prime(q)]
+    avoid = data.draw(st.lists(st.sampled_from(pool), min_size=2 * g,
+                               max_size=2 * g, unique=True))
+    count = data.draw(st.integers(0, 3))
+    spec = GapPrimeSpec(g=g, family=family, avoid_primes=tuple(avoid))
+    try:
+        n0, modulus = crt_solve(build_congruences(spec))
+        search = gap_prime_sequence(spec, count, cap=factor * (n0 + 60 * modulus))
+    except EmptyProgressionError:
+        # an avoid prime dividing its own shift: no term is prime
+        assert math.gcd(n0, modulus) > 1
+        return
+    expected = [
+        w for w in (verify_witness(factor * p, spec)
+                    for p in range(n0, n0 + 61 * modulus, modulus) if is_prime(p))
+        if w.verified
+    ][:count]
+    assert len(search.witnesses) == len(expected)
+    assert all(map(_same_witness, search.witnesses, expected))
+    assert search.truncated == (len(expected) < count)
 
 
 def test_golden_g2_witness_reverifies():
@@ -310,6 +368,7 @@ def test_golden_m125_g4_g5_witnesses():
             assert v % 4 == 2  # x^2 + 4y^2 is 0 or 1 mod 4, so misses v
 
 
+
 _DEEP = json.loads((DATA / "gap6_9_witnesses.json").read_text())["searches"]
 
 
@@ -329,6 +388,9 @@ def test_golden_g6_to_g9_witnesses(entry):
     assert [(s.value, list(s.representation.pair)) for s in search.witnesses] == [
         (w["value"], w["representation"])
     ]
+    # the search verified from the scan's factorization; the public entry
+    # factors the value itself and must agree on every condition
+    assert _same_witness(search.witnesses[0], verify_witness(w["value"], spec))
     # checks that do not touch quadform: v = f*p with p a prime of the
     # progression, carried by Q1 on a coprime pair, each shift divisible
     # by its avoid prime, which is inert for Q0 (2 mod 3 for
