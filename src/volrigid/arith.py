@@ -24,7 +24,7 @@ import math
 import random
 from typing import Iterator
 
-__all__ = ["is_prime", "prime_powers", "factorize", "euler_phi"]
+__all__ = ["is_prime", "prime_powers", "factorize"]
 
 # The twelve prime bases up to 37 and the least composite that is a strong
 # probable prime to all of them (Sorenson and Webster, Math. Comp. 86,
@@ -160,10 +160,3 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     return dict(prime_powers(n))
 
-
-def euler_phi(n: int) -> int:
-    """Euler totient, via the factorization of n."""
-    out = 1
-    for p, e in factorize(n).items():
-        out *= (p - 1) * p ** (e - 1)
-    return out

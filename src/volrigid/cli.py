@@ -593,11 +593,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.handler(args)
+        # rendering can refuse too: an int past sys.get_int_max_str_digits
+        text = render(args.handler(args), args.format)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(render(payload, args.format))
+    sys.stdout.write(text)
     return 0
 
 

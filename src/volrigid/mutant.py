@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import euler_phi, factorize
 from .nzvolume import V_OCT
 
 __all__ = [
@@ -294,16 +293,14 @@ def enumerate_classes(n: int) -> list[CyclicWord]:
 def bracelet_count(n: int) -> int:
     """Number of binary bracelets of length n, by Burnside's lemma.
 
-    Rotations contribute sum over d | n of phi(d)*2^(n/d); reflections
-    contribute n*2^((n+1)/2) for odd n and
-    (n/2)*(2^(n/2+1) + 2^(n/2)) for even n; divide the lot by 2n.
+    Rotation by k fixes 2^gcd(k, n) words, so rotations contribute the
+    sum of those over k = 0..n-1; reflections contribute
+    n*2^((n+1)/2) for odd n and (n/2)*(2^(n/2+1) + 2^(n/2)) for even n;
+    divide the lot by 2n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    divisors = [1]
-    for p, e in factorize(n).items():
-        divisors = [d * p**i for d in divisors for i in range(e + 1)]
-    rotations = sum(euler_phi(d) * 2 ** (n // d) for d in divisors)
+    rotations = sum(2 ** math.gcd(k, n) for k in range(n))
     if n % 2:
         reflections = n * 2 ** ((n + 1) // 2)
     else:

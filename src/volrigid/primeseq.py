@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arith import factorize, is_prime
 from .quadform import (
@@ -47,7 +47,6 @@ from .quadform import (
 )
 
 __all__ = [
-    "CongruenceSystem",
     "GapPrimeSpec",
     "GapPrimeWitness",
     "GapPrimeSearch",
@@ -72,37 +71,26 @@ class EmptyProgressionError(ValueError):
     """The arithmetic progression contains no primes at all."""
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """Simultaneous congruences n = r (mod m) with pairwise coprime moduli."""
+def crt_solve(congruences: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Smallest nonnegative solution and combined modulus of n = r (mod m).
 
-    congruences: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        reduced = []
-        for r, m in self.congruences:
-            if m < 2:
-                raise ValueError(f"modulus {m} must be at least 2")
-            reduced.append((r % m, m))
-        moduli = [m for _, m in reduced]
-        for i, m1 in enumerate(moduli):
-            for m2 in moduli[i + 1 :]:
-                if math.gcd(m1, m2) != 1:
-                    raise ValueError(f"moduli {m1} and {m2} are not coprime")
-        object.__setattr__(self, "congruences", tuple(reduced))
-
-
-def crt_solve(system: CongruenceSystem) -> tuple[int, int]:
-    """Smallest nonnegative solution and combined modulus.
-
-    The moduli are pairwise coprime: CongruenceSystem refuses others.
+    Each modulus must be at least 2 and coprime to the moduli before it,
+    so the moduli are pairwise coprime; the check is the modular inverse
+    each step takes anyway, in one pass over the congruences.
     """
     n0, modulus = 0, 1
-    for r, m in system.congruences:
-        k = (r - n0) * pow(modulus, -1, m) % m
-        n0 += modulus * k
-        modulus *= m
-    return n0 % modulus, modulus
+    for r, m in congruences:
+        if m < 2:
+            raise ValueError(f"modulus {m} must be at least 2")
+        try:
+            inverse = pow(modulus, -1, m)
+        except ValueError:
+            raise ValueError(
+                f"modulus {m} shares a factor with the moduli before it"
+            ) from None
+        n0 += modulus * ((r - n0 % m) * inverse % m)
+        modulus *= m  # 0 <= n0 < modulus throughout
+    return n0, modulus
 
 
 def _primes(n0: int, modulus: int, cap: int) -> Iterator[int]:
@@ -205,8 +193,8 @@ def default_avoid_primes(family: str, g: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def build_congruences(spec: GapPrimeSpec) -> CongruenceSystem:
-    """Congruence system whose solutions are the search candidates.
+def build_congruences(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
+    """Congruences (r, m), 0 <= r < m, whose solutions are the candidates.
 
     A candidate prime p has the witness value v = f*p, f the family's
     value factor.  For i = 1..g, v - i must be divisible by the i-th
@@ -219,9 +207,9 @@ def build_congruences(spec: GapPrimeSpec) -> CongruenceSystem:
     congruences = []
     for i in range(1, g + 1):
         for shift, q in ((i, avoid[i - 1]), (-i, avoid[g + i - 1])):
-            congruences.append((shift * pow(fam.value_factor, -1, q), q))
+            congruences.append((shift * pow(fam.value_factor, -1, q) % q, q))
     congruences.append(fam.base)
-    return CongruenceSystem(tuple(congruences))
+    return tuple(congruences)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volrigid import arith
-from volrigid.arith import euler_phi, factorize, is_prime, prime_powers
+from volrigid.arith import factorize, is_prime, prime_powers
 
 
 def eager_factorize(n: int) -> dict[int, int]:
@@ -196,10 +196,3 @@ def test_prime_powers_is_lazy(monkeypatch):
     with pytest.raises(ValueError):
         next(prime_powers(0))
 
-
-def test_euler_phi_small():
-    def naive_phi(n: int) -> int:
-        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-    for n in range(1, 200):
-        assert euler_phi(n) == naive_phi(n), n

@@ -220,6 +220,23 @@ def test_exit_code_domain_error(capsys):
     assert code == 1
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts ints of any length to str",
+)
+def test_unprintable_modulus_is_an_error_not_a_traceback(capsys):
+    # at g = 500 the progression modulus has 3739 digits, below the
+    # default limit of 4300 on int-to-str conversion; at g = 1000 it is
+    # past it, and rendering refuses after the search has run
+    code, out, err = invoke(capsys, "prime-seq", "--family", "m004", "-g", "500")
+    assert code == 0, err
+    assert len(str(json.loads(out)["modulus"])) == 3739
+    code, out, err = invoke(capsys, "prime-seq", "--family", "m004", "-g", "1000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_environment_does_not_set_the_cap(capsys, monkeypatch):
     monkeypatch.setenv("VOLRIGID_CAP", "100")
     payload = invoke_json(capsys, "prime-seq", "--family", "m004", "-g", "1")

@@ -1,4 +1,4 @@
-"""Congruence systems, progression scans, and witness verification."""
+"""Congruences and CRT, progression scans, and witness verification."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from volrigid import primeseq
 from volrigid.arith import factorize, is_prime
 from volrigid.primeseq import (
-    CongruenceSystem,
     EmptyProgressionError,
     FAMILY_M004,
     FAMILY_M125,
@@ -52,14 +51,13 @@ def test_default_avoid_primes_smallest_admissible():
 
 
 def test_crt_solve_pinned():
-    system = CongruenceSystem(((1, 12), (1, 5), (10, 11)))
-    assert crt_solve(system) == (241, 660)
-    assert crt_solve(CongruenceSystem(((0, 3),))) == (0, 3)
+    assert crt_solve(((1, 12), (1, 5), (10, 11))) == (241, 660)
+    assert crt_solve(((0, 3),)) == (0, 3)
+    assert crt_solve(((-1, 5), (13, 7))) == (34, 35)  # residues need not be reduced
 
 
 def test_crt_solve_brute_scan():
-    system = CongruenceSystem(((1, 12), (1, 5), (10, 11)))
-    n0, modulus = crt_solve(system)
+    n0, modulus = crt_solve(((1, 12), (1, 5), (10, 11)))
     brute = [
         n
         for n in range(660)
@@ -70,8 +68,17 @@ def test_crt_solve_brute_scan():
 
 
 def test_crt_rejects_non_coprime():
-    with pytest.raises(ValueError):
-        CongruenceSystem(((2, 4), (1, 2)))
+    with pytest.raises(ValueError, match="modulus 2 "):
+        crt_solve(((2, 4), (1, 2)))
+    # the shared factor 2 is between the first and the last modulus
+    with pytest.raises(ValueError, match="modulus 4 "):
+        crt_solve(((1, 6), (1, 5), (1, 4)))
+
+
+def test_crt_rejects_modulus_below_two():
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            crt_solve(((0, 5), (0, m)))
 
 
 def test_crt_random_systems():
@@ -80,7 +87,7 @@ def test_crt_random_systems():
     for _ in range(1000):
         chosen = rng.sample(moduli_pool, rng.randrange(1, 5))
         congruences = tuple((rng.randrange(m), m) for m in chosen)
-        n0, modulus = crt_solve(CongruenceSystem(congruences))
+        n0, modulus = crt_solve(congruences)
         assert 0 <= n0 < modulus
         for r, m in congruences:
             assert n0 % m == r, (congruences, n0)
@@ -88,9 +95,9 @@ def test_crt_random_systems():
 
 def test_build_congruences_m004():
     spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
-    system = build_congruences(spec)
-    assert set(system.congruences) == {(1, 5), (10, 11), (1, 12)}
-    assert crt_solve(system) == (241, 660)
+    congruences = build_congruences(spec)
+    assert set(congruences) == {(1, 5), (10, 11), (1, 12)}
+    assert crt_solve(congruences) == (241, 660)
 
 
 def test_build_congruences_m125_spec_example():
