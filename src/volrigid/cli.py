@@ -61,8 +61,6 @@ from .primeseq import (
     FAMILY_M004,
     FAMILY_M125,
     GapPrimeSpec,
-    build_congruences,
-    crt_solve,
     default_avoid_primes,
     gap_prime_sequence,
     verify_witness,
@@ -358,11 +356,11 @@ def _cmd_qf_reps(args: argparse.Namespace) -> Any:
     }
 
 
-def _witness_payload(witness: Any) -> dict[str, Any]:
+def _witness_payload(witness: Any, spec: GapPrimeSpec) -> dict[str, Any]:
     rep = witness.representation
     return {
         "value": witness.value,
-        "gap": witness.verified_gap,
+        "gap": spec.g,
         "representation": None if rep is None else [rep.x, rep.y],
         "verified": witness.verified,
         "conditions": dict(witness.conditions),
@@ -371,9 +369,10 @@ def _witness_payload(witness: Any) -> dict[str, Any]:
 
 @_command("prime-seq", "gap primes from congruence systems",
           _arg("--family", choices=sorted(_FAMILY_ALIASES), required=True),
-          _arg("-g", "--gap", type=int, required=True, dest="g"),
-          _arg("--count", type=int, default=1, help="witnesses wanted (default 1)"),
-          _arg("--cap", type=int, default=DEFAULT_SEARCH_CAP,
+          _arg("-g", "--gap", type=_int_at_least(1), required=True, dest="g"),
+          _arg("--count", type=_int_at_least(0), default=1,
+               help="witnesses wanted (default 1)"),
+          _arg("--cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP,
                help="search cap on the value (default 1e15, which reaches the "
                     "first witnesses up to g = 4 only; write a larger cap out "
                     "in digits for deeper searches)"),
@@ -387,7 +386,7 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
     if avoid is None:
         avoid = default_avoid_primes(family, args.g)
     spec = GapPrimeSpec(g=args.g, family=family, avoid_primes=avoid)
-    residue, modulus = crt_solve(build_congruences(spec))
+    residue, modulus = spec.progression
     payload: dict[str, Any] = {
         "family": family,
         "g": args.g,
@@ -396,12 +395,13 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
         "modulus": modulus,
     }
     if args.verify_only is not None:
-        payload["witnesses"] = [_witness_payload(verify_witness(args.verify_only, spec))]
+        witness = verify_witness(args.verify_only, spec)
+        payload["witnesses"] = [_witness_payload(witness, spec)]
         payload["truncated"] = False
         return payload
     search = gap_prime_sequence(spec, args.count, cap=args.cap)
     payload["cap"] = args.cap
-    payload["witnesses"] = [_witness_payload(w) for w in search.witnesses]
+    payload["witnesses"] = [_witness_payload(w, spec) for w in search.witnesses]
     payload["truncated"] = search.truncated
     return payload
 
@@ -498,7 +498,7 @@ def _cmd_nz_constants(args: argparse.Namespace) -> Any:
           _arg("--manifold", choices=builtin_names(), required=True),
           _arg("-a", type=int, required=True),
           _arg("-b", type=int, required=True),
-          _arg("--c2", type=_finite_float, default=DEFAULT_C2),
+          _arg("--c2", type=_positive_float, default=DEFAULT_C2),
           _arg("--scan-limit", type=int, default=10**4))
 def _cmd_certify(args: argparse.Namespace) -> Any:
     record = builtin_record(args.manifold)

@@ -33,6 +33,7 @@ the engine is checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -157,12 +158,16 @@ class GapPrimeSpec:
     g is the half-width of the wanted gap; avoid_primes lists 2*g
     distinct primes in the family's mandatory residue class (5 mod 6 for
     the m004 family, 3 mod 4 for the m125 family), one per shift
-    v - g .. v - 1, v + 1 .. v + g.
+    v - g .. v - 1, v + 1 .. v + g.  progression is the (residue,
+    modulus) of the arithmetic progression that holds the search's
+    candidate primes.
     """
 
     g: int
     family: str
     avoid_primes: tuple[int, ...]
+    # crt_solve(build_congruences(self)), taken once
+    progression: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.g < 1:
@@ -179,18 +184,13 @@ class GapPrimeSpec:
                 raise ValueError(f"avoid value {p} is not prime")
             if p % mod != res:
                 raise ValueError(f"avoid prime {p} is not {res} mod {mod}")
+        object.__setattr__(self, "progression", crt_solve(build_congruences(self)))
 
 
 def default_avoid_primes(family: str, g: int) -> tuple[int, ...]:
     """The 2*g smallest primes in the family's mandatory residue class."""
     res, mod = _FAMILIES[family].avoid_residue
-    out = []
-    p = 2
-    while len(out) < 2 * g:
-        if p % mod == res and is_prime(p):
-            out.append(p)
-        p += 1
-    return tuple(out)
+    return tuple(itertools.islice(filter(is_prime, itertools.count(res, mod)), 2 * g))
 
 
 def build_congruences(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
@@ -218,7 +218,6 @@ class GapPrimeWitness:
 
     value: int
     representation: Representation | None
-    verified_gap: int
     conditions: dict[str, bool] = field(compare=False)
 
     @property
@@ -271,7 +270,6 @@ def _verify(value: int, spec: GapPrimeSpec, fac: dict[int, int]) -> GapPrimeWitn
     return GapPrimeWitness(
         value=value,
         representation=representation,
-        verified_gap=spec.g,
         conditions={
             "unique_representation": unique,
             "neighbors_unrepresented": gap_clear,
@@ -295,20 +293,20 @@ def gap_prime_sequence(
 ) -> GapPrimeSearch:
     """First `count` fully verified witnesses from the congruence search.
 
-    The progression of candidate primes is scanned once, in ascending
-    order, and each candidate's witness value f*p is verified from
-    scratch, from the factorization (f's primes and {p: 1}) that the
-    scan's primality test decided; the scan stops at the count-th
+    The spec's progression of candidate primes is scanned once, in
+    ascending order, and each candidate's witness value f*p is verified
+    from scratch, from the factorization (f's primes and {p: 1}) that
+    the scan's primality test decided; the scan stops at the count-th
     witness, so count = 0 verifies nothing.  Only witness values up to
     `cap` are considered; running out before `count` witnesses are
-    found returns a truncated result rather than raising.  A progression that holds no prime raises
-    EmptyProgressionError up front.
+    found returns a truncated result rather than raising.  A
+    progression that holds no prime raises EmptyProgressionError up
+    front.
     """
     if count < 0 or cap < 0:
         raise ValueError("count and cap must be nonnegative")
     fam = _FAMILIES[spec.family]
-    n0, modulus = crt_solve(build_congruences(spec))
-    scan = _primes(n0, modulus, cap // fam.value_factor)
+    scan = _primes(*spec.progression, cap // fam.value_factor)
     if count == 0:
         return GapPrimeSearch((), truncated=False)
     found: list[GapPrimeWitness] = []

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volrigid import primeseq
 from volrigid.cli import _cell, _json_text, run
 from volrigid.mutant import MAX_CLASS_WORD_LENGTH
 
@@ -262,6 +263,27 @@ def test_prime_seq_m125_cap_bounds_the_value(capsys):
     assert at_cap["truncated"] is False
 
 
+@pytest.mark.parametrize("extra", [(), ("--verify-only", "241")])
+def test_prime_seq_solves_the_congruence_system_once(extra, capsys, monkeypatch):
+    # every volrigid binding of crt_solve counts, so a second solve
+    # through any module's import shows up
+    original = primeseq.crt_solve
+    calls = []
+
+    def counting(congruences):
+        calls.append(congruences)
+        return original(congruences)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("volrigid."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    payload = invoke_json(capsys, "prime-seq", "--family", "m004", "-g", "1", *extra)
+    assert (payload["residue"], payload["modulus"]) == (241, 660)
+    assert len(calls) == 1
+
+
 def test_prime_seq_prime_free_progression_exits_1(capsys):
     code, out, err = invoke(
         capsys, "prime-seq", "--family", "m125", "-g", "3",
@@ -308,11 +330,16 @@ def test_float_options_refuse_non_finite_values(argv, value, capsys):
     (("nz", "wl-coeffs", "--radius", "VALUE"), "-0.1", "a positive number"),
     (("nz", "check", "--points", "2", "--tolerance", "VALUE"), "-1", "a nonnegative number"),
     (("census", "hist", "no-such-file.csv", "--epsilon", "VALUE"), "-1", "a nonnegative number"),
+    (("certify", "--manifold", "m004", "-a", "7", "-b", "4", "--c2", "VALUE"), "0",
+     "a positive number"),
+    (("certify", "--manifold", "m004", "-a", "7", "-b", "4", "--c2", "VALUE"), "-1",
+     "a positive number"),
 ])
 def test_float_options_refuse_out_of_range_values(argv, value, expected, capsys):
     # a radius of 0 would divide by zero in the Cauchy integrals, a
-    # negative tolerance would fail every series, and a negative epsilon
-    # is refused before the table is read (the file does not exist)
+    # negative tolerance would fail every series, a non-positive C2
+    # certifies nothing, and a negative epsilon is refused before the
+    # table is read (the file does not exist)
     argv = tuple(value if arg == "VALUE" else arg for arg in argv)
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
@@ -325,6 +352,11 @@ def test_float_options_refuse_out_of_range_values(argv, value, expected, capsys)
     (("nz", "wl-coeffs", "--samples", "VALUE"), "2.5", "an integer"),
     (("nz", "check", "--points", "VALUE"), "0", "an integer of at least 1"),
     (("nz", "check", "--points", "VALUE"), "many", "an integer"),
+    (("prime-seq", "--family", "m004", "-g", "VALUE"), "0", "an integer of at least 1"),
+    (("prime-seq", "--family", "m004", "-g", "1", "--count", "VALUE"), "-1",
+     "an integer of at least 0"),
+    (("prime-seq", "--family", "m004", "-g", "1", "--cap", "VALUE"), "-5",
+     "an integer of at least 0"),
 ])
 def test_count_options_refuse_out_of_range_values(argv, value, expected, capsys):
     argv = tuple(value if arg == "VALUE" else arg for arg in argv)
@@ -622,6 +654,9 @@ def test_json_outputs_validate_against_shipped_schema(capsys):
         ("qf", "gap", "--form", "1,1,1", "--q0", "13", "--limit", "100"),
         ("qf", "reps", "--form", "1,0,1", "--value", "25"),
         ("prime-seq", "--family", "m004", "-g", "1", "--count", "1", "--cap", "1000"),
+        ("prime-seq", "--family", "m004", "-g", "1", "--cap", "0"),
+        ("prime-seq", "--family", "m004", "-g", "1", "--verify-only", "0"),
+        ("prime-seq", "--family", "m004", "-g", "1", "--verify-only", "1"),
         ("nz", "eval", "--series", "m129", "-a", "3", "-b", "1"),
         ("nz", "check", "--points", "20"),
         ("nz", "wl-coeffs"),

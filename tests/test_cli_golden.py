@@ -20,6 +20,11 @@ import pytest
 
 from volrigid.cli import _COMMANDS, run
 
+try:
+    import jsonschema
+except ImportError:  # pragma: no cover
+    jsonschema = None
+
 DATA = Path(__file__).parent / "data"
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "cli-schema.json"
 GOLDEN = DATA / "cli_golden.json"
@@ -105,6 +110,21 @@ def test_schema_and_golden_cover_every_declared_command():
 def test_cli_bytes_match_golden(argv, monkeypatch):
     monkeypatch.chdir(DATA)
     assert _capture(argv) == _golden()[argv]
+
+
+@pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+def test_golden_json_payloads_validate_against_schema():
+    schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+    validator = jsonschema.Draft202012Validator(schema)
+    payloads = [
+        (argv, json.loads(entry["stdout"]))
+        for argv, entry in _golden().items()
+        if argv[-1] == "json" and entry["code"] == 0
+    ]
+    assert payloads
+    for argv, payload in payloads:
+        errors = [e.message for e in validator.iter_errors(payload)]
+        assert errors == [], (argv, errors)
 
 
 if __name__ == "__main__":

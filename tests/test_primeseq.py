@@ -50,6 +50,22 @@ def test_default_avoid_primes_smallest_admissible():
     assert default_avoid_primes(FAMILY_M125, 2) == (3, 7, 11, 19)
 
 
+@pytest.mark.parametrize("family, res, mod", [
+    (FAMILY_M004, 5, 6),
+    (FAMILY_M125, 3, 4),
+])
+def test_default_avoid_primes_match_an_integer_scan(family, res, mod):
+    # oracle: every integer from 2 up, kept when it is in the class and prime
+    scan = []
+    p = 2
+    while len(scan) < 600:
+        if p % mod == res and is_prime(p):
+            scan.append(p)
+        p += 1
+    for g in range(1, 301):
+        assert default_avoid_primes(family, g) == tuple(scan[:2 * g])
+
+
 def test_crt_solve_pinned():
     assert crt_solve(((1, 12), (1, 5), (10, 11))) == (241, 660)
     assert crt_solve(((0, 3),)) == (0, 3)
@@ -125,6 +141,7 @@ def test_congruence_rule_puts_avoid_primes_on_shifted_values(data):
                                max_size=2 * g, unique=True))
     spec = GapPrimeSpec(g=g, family=family, avoid_primes=tuple(avoid))
     p, modulus = crt_solve(build_congruences(spec))
+    assert spec.progression == (p, modulus)
     assert modulus == math.prod(avoid) * base[1]
     assert p % base[1] == base[0]
     for i in range(1, g + 1):
