@@ -2,10 +2,28 @@
 
 Everything here works on plain Python ints, so there is no overflow to
 worry about; the only cost of large inputs is time.  Primality is a
-Miller-Rabin test to the twelve prime bases 2..37, which decides exactly
-below psi_12 = 318665857834031151167461 ~ 3.19e23 (Sorenson and
-Webster, Math. Comp. 86, 2017); above it, 64 more bases seeded from n
-bring the error probability below 2**-128.
+Miller-Rabin test to the leading prime bases 2, 3, 5, ..., 37.  Let
+psi_k be the least composite that is a strong probable prime to the
+first k of them (OEIS A014233); below psi_k those k bases decide
+exactly, so n is tested with the fewest bases that are proven exact
+for it:
+
+    n below                      bases
+    2047                         1       psi_1
+    1373653                      2       psi_2
+    25326001                     3       psi_3
+    3215031751                   4       psi_4
+    2152302898747                5       psi_5
+    3474749660383                6       psi_6
+    341550071728321              7       psi_7 = psi_8
+    3825123056546413051          9       psi_9
+    318665857834031151167461     12      psi_10 = psi_11 = psi_12
+
+psi_1..psi_8 are from Jaeschke, On strong pseudoprimes to several bases,
+Math. Comp. 61 (1993); psi_9..psi_12 (with psi_13) from Sorenson and
+Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 86
+(2017).  From psi_12 ~ 3.19e23 on, the twelve bases are followed by 64
+more seeded from n, which bring the error probability below 2**-128.
 
 Factorization is lazy: prime_powers(n) yields each prime of n with its
 full exponent the moment it is found, by trial division over the primes
@@ -26,16 +44,31 @@ from typing import Iterator
 
 __all__ = ["is_prime", "prime_powers", "factorize"]
 
-# The twelve prime bases up to 37 and the least composite that is a strong
-# probable prime to all of them (Sorenson and Webster, Math. Comp. 86,
-# 2017): below _PSI_12 they decide primality exactly.
+# The twelve prime bases up to 37, and (psi_k, k) for each k at which
+# psi_k grows (see the module docstring): below psi_k, the first k bases
+# decide primality exactly.  The last row is psi_12.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PSI_12 = 318665857834031151167461
+_EXACT_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
+_PSI_12 = _EXACT_TIERS[-1][0]
 _EXTRA_ROUNDS = 64  # error < 4**-64 = 2**-128 for inputs >= _PSI_12
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: exact below _PSI_12 ~ 3.19e23, Miller-Rabin above."""
+    """Primality test: exact below _PSI_12 ~ 3.19e23, Miller-Rabin above.
+
+    Below _PSI_12, n is tested to the fewest leading bases that decide
+    exactly below some psi_k > n.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -44,12 +77,17 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    witnesses = list(_MR_WITNESSES)
-    if n >= _PSI_12:
+    for bound, k in _EXACT_TIERS:
+        if n < bound:
+            witnesses = _MR_WITNESSES[:k]
+            break
+    else:
         # Bases seeded from n itself: deterministic output, random-base
         # error bound in practice.
         rng = random.Random(n)
-        witnesses += [rng.randrange(2, n - 1) for _ in range(_EXTRA_ROUNDS)]
+        witnesses = _MR_WITNESSES + tuple(
+            rng.randrange(2, n - 1) for _ in range(_EXTRA_ROUNDS)
+        )
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -63,6 +63,7 @@ from .primeseq import (
     GapPrimeSpec,
     default_avoid_primes,
     gap_prime_sequence,
+    progression_modulus,
     verify_witness,
 )
 from .quadform import (
@@ -356,6 +357,16 @@ def _cmd_qf_reps(args: argparse.Namespace) -> Any:
     }
 
 
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of n >= 1, without str(n)."""
+    # (bits - 1) * log10(2) <= log10(n), so k starts at most at the count,
+    # float rounding included, and the loop counts up to it
+    k = int((n.bit_length() - 1) * math.log10(2))
+    while 10**k <= n:
+        k += 1
+    return k
+
+
 def _witness_payload(witness: Any, spec: GapPrimeSpec) -> dict[str, Any]:
     rep = witness.representation
     return {
@@ -385,6 +396,18 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
     avoid = args.avoid
     if avoid is None:
         avoid = default_avoid_primes(family, args.g)
+    # The payload prints the progression modulus, and str() refuses an
+    # int of more digits than sys.get_int_max_str_digits() (0: no
+    # limit).  The modulus is the product of the moduli, so an
+    # unprintable one is refused here, before the system is solved.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    modulus = progression_modulus(family, avoid)
+    if limit and modulus >= 10**limit:
+        raise ValueError(
+            f"the progression modulus has {_digit_count(modulus)} digits, more "
+            f"than the {limit} that an integer may print with; lower -g, or "
+            f"raise the limit with PYTHONINTMAXSTRDIGITS"
+        )
     spec = GapPrimeSpec(g=args.g, family=family, avoid_primes=avoid)
     residue, modulus = spec.progression
     payload: dict[str, Any] = {

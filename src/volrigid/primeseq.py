@@ -38,14 +38,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .arith import factorize, is_prime
-from .quadform import (
-    IntQuadForm,
-    Representation,
-    _primitive_representations,
-    _representations,
-    primitive_representations,
-)
+from .arith import factorize, is_prime, prime_powers
+from .quadform import IntQuadForm, Representation, _all_pairs, _primitive_pairs
 
 __all__ = [
     "GapPrimeSpec",
@@ -57,6 +51,7 @@ __all__ = [
     "DEFAULT_SEARCH_CAP",
     "crt_solve",
     "default_avoid_primes",
+    "progression_modulus",
     "build_congruences",
     "verify_witness",
     "gap_prime_sequence",
@@ -193,6 +188,16 @@ def default_avoid_primes(family: str, g: int) -> tuple[int, ...]:
     return tuple(itertools.islice(filter(is_prime, itertools.count(res, mod)), 2 * g))
 
 
+def progression_modulus(family: str, avoid_primes: Iterable[int]) -> int:
+    """The modulus of the progression that a spec with these avoid primes scans.
+
+    It is the product of the moduli of build_congruences: the avoid
+    primes and the family's base modulus.  So it is known before the
+    congruence system is solved, or even validated.
+    """
+    return math.prod(avoid_primes, start=_FAMILIES[family].base[1])
+
+
 def build_congruences(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
     """Congruences (r, m), 0 <= r < m, whose solutions are the candidates.
 
@@ -252,21 +257,26 @@ def _verify(value: int, spec: GapPrimeSpec, fac: dict[int, int]) -> GapPrimeWitn
 
     The value's prime powers serve both the carrier and the excluded
     form; each neighbour is factored only until its first prime at
-    which the gap form's discriminant has no square root.
+    which the gap form's discriminant has no square root.  The
+    conditions are read off the engine's raw (x, y) pairs, in any
+    order; only the canonical representation is built.
     """
     fam = _FAMILIES[spec.family]
-    all_reps = _representations(fam.carrier_form, value, fac.items())
-    prim = [r.pair for r in all_reps if r.primitive]
+    pairs = _all_pairs(fam.carrier_form, value, fac.items())
+    prim = [(x, y) for x, y in pairs if math.gcd(x, y) == 1]
     representation = None
     unique = False
     if prim:
         canonical = min((abs(x), abs(y)) for x, y in prim)
         cls = _representation_class(canonical, fam.allow_swap)
-        unique = all(r.pair in cls for r in all_reps)
+        unique = all(pair in cls for pair in pairs)
         representation = Representation(*canonical)
-    neighbours = [value + k for k in range(-spec.g, spec.g + 1) if k and value + k >= 0]
-    gap_clear = not any(primitive_representations(fam.gap_form, n) for n in neighbours)
-    excluded = not _primitive_representations(fam.excluded_form, value, fac.items())
+    # 0 and below have no primitive representation
+    neighbours = [value + k for k in range(-spec.g, spec.g + 1) if k and value + k > 0]
+    gap_clear = not any(
+        _primitive_pairs(fam.gap_form, n, prime_powers(n)) for n in neighbours
+    )
+    excluded = value < 1 or not _primitive_pairs(fam.excluded_form, value, fac.items())
     return GapPrimeWitness(
         value=value,
         representation=representation,

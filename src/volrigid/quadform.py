@@ -322,14 +322,18 @@ def _in_order(pairs: list[tuple[int, int]]) -> list[Representation]:
     return [Representation(x, y) for x, y in sorted(pairs, key=lambda xy: (xy[1], xy[0]))]
 
 
-def _representations(
+def _all_pairs(
     form: IntQuadForm, m: int, fac: Iterable[tuple[int, int]]
-) -> list[Representation]:
-    """representations(form, m), read off the prime powers fac of m."""
+) -> list[tuple[int, int]]:
+    """The solutions of Q(x, y) = m, primitive or not, unordered.
+
+    fac is the factorization of m as (prime, exponent) pairs; see
+    representations.
+    """
     if m < 0:
         raise ValueError("a positive definite form only represents m >= 0")
     if m == 0:
-        return [Representation(0, 0)]
+        return [(0, 0)]
     square_divisors = [(1, {})]
     for p, e in fac:
         square_divisors = [
@@ -340,18 +344,7 @@ def _representations(
     pairs = []
     for k, sub in square_divisors:
         pairs += [(k * x, k * y) for x, y in _primitive_pairs(form, m // (k * k), sub.items())]
-    return _in_order(pairs)
-
-
-def _primitive_representations(
-    form: IntQuadForm, m: int, fac: Iterable[tuple[int, int]]
-) -> list[Representation]:
-    """primitive_representations(form, m), read off the prime powers fac of m."""
-    if m < 0:
-        raise ValueError("a positive definite form only represents m >= 0")
-    if m == 0:
-        return []
-    return _in_order(_primitive_pairs(form, m, fac))
+    return pairs
 
 
 def representations(form: IntQuadForm, m: int) -> list[Representation]:
@@ -363,7 +356,7 @@ def representations(form: IntQuadForm, m: int) -> list[Representation]:
     primitive solutions over the square divisors of m, all read off one
     factorization of m.
     """
-    return _representations(form, m, prime_powers(m))
+    return _in_order(_all_pairs(form, m, prime_powers(m)))
 
 
 def primitive_representations(form: IntQuadForm, m: int) -> list[Representation]:
@@ -372,7 +365,11 @@ def primitive_representations(form: IntQuadForm, m: int) -> list[Representation]
     m is factored lazily, and not past the first prime power of 4m
     modulo which D has no square root.
     """
-    return _primitive_representations(form, m, prime_powers(m))
+    if m < 0:
+        raise ValueError("a positive definite form only represents m >= 0")
+    if m == 0:
+        return []
+    return _in_order(_primitive_pairs(form, m, prime_powers(m)))
 
 
 def _primitive_values(form: IntQuadForm, lo: int, hi: int) -> set[int]:

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from volrigid import arith
@@ -99,6 +99,68 @@ def test_psi_12_is_the_first_composite_the_fixed_bases_miss():
     assert all(strong_probable_prime(psi_12, a) for a in arith._MR_WITNESSES)
     assert not strong_probable_prime(psi_12, 41)
     assert not is_prime(psi_12)
+
+
+# Each threshold psi_k of arith's tier table, written as the product of
+# its prime factors (OEIS A014233), with the number of leading bases
+# that decide exactly below it
+PSI_TIERS = (
+    ((23, 89), 1),
+    ((829, 1657), 2),
+    ((2251, 11251), 3),
+    ((151, 751, 28351), 4),
+    ((6763, 10627, 29947), 5),
+    ((1303, 16927, 157543), 6),
+    ((10670053, 32010157), 7),
+    ((149491, 747451, 34233211), 9),
+    ((399165290221, 798330580441), 12),
+)
+
+
+def test_exact_tiers_are_the_known_composites():
+    assert arith._EXACT_TIERS == tuple((math.prod(f), k) for f, k in PSI_TIERS)
+    assert arith._EXACT_TIERS[-1][0] == arith._PSI_12
+    for factors, _ in PSI_TIERS:
+        assert all(naive_is_prime(p) for p in factors)
+
+
+@pytest.mark.parametrize("factors, k", PSI_TIERS)
+def test_each_threshold_fools_its_bases_and_is_refused(factors, k):
+    # psi_k is a strong probable prime to the first k bases, so those
+    # bases alone cannot decide it; is_prime must take it to the next tier
+    psi = math.prod(factors)
+    assert all(strong_probable_prime(psi, a) for a in arith._MR_WITNESSES[:k])
+    assert not is_prime(psi)
+
+
+def twelve_base_is_prime(n: int) -> bool:
+    """The twelve-base test, exact below psi_12: the oracle for the tiers."""
+    if n < 2:
+        return False
+    for p in arith._MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in arith._MR_WITNESSES)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.one_of(
+    st.tuples(st.sampled_from([math.prod(f) for f, _ in PSI_TIERS]),
+              st.integers(-10**4, 10**4)).map(sum),
+    st.integers(1, 24).flatmap(lambda k: st.integers(0, 10**k)),
+))
+def test_tiered_bases_match_twelve_bases(n):
+    assume(n < arith._PSI_12)
+    assert is_prime(n) == twelve_base_is_prime(n), n
+
+
+def test_tiered_bases_match_twelve_bases_on_primes_near_thresholds():
+    # random draws are mostly composite: pin the primes around each
+    # threshold too, where the tier changes
+    for factors, _ in PSI_TIERS[:-1]:
+        psi = math.prod(factors)
+        for n in range(psi - 2000, psi + 2000):
+            assert is_prime(n) == twelve_base_is_prime(n), n
 
 
 def _next_prime(n: int) -> int:

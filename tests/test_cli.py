@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volrigid import primeseq
-from volrigid.cli import _cell, _json_text, run
+from volrigid.cli import _cell, _digit_count, _json_text, run
 from volrigid.mutant import MAX_CLASS_WORD_LENGTH
 
 try:
@@ -227,8 +227,8 @@ def test_exit_code_domain_error(capsys):
 )
 def test_unprintable_modulus_is_an_error_not_a_traceback(capsys):
     # at g = 500 the progression modulus has 3739 digits, below the
-    # default limit of 4300 on int-to-str conversion; at g = 1000 it is
-    # past it, and rendering refuses after the search has run
+    # default limit of 4300 on int-to-str conversion; at g = 1000 it has
+    # 8165 digits, past it
     code, out, err = invoke(capsys, "prime-seq", "--family", "m004", "-g", "500")
     assert code == 0, err
     assert len(str(json.loads(out)["modulus"])) == 3739
@@ -236,6 +236,54 @@ def test_unprintable_modulus_is_an_error_not_a_traceback(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "8165 digits" in err and "4300" in err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.one_of(
+    st.integers(1, 10**4000),
+    st.integers(1, 4000).flatmap(lambda k: st.sampled_from((10**k - 1, 10**k, 10**k + 1))),
+))
+def test_digit_count_is_the_length_of_str(n):
+    assert _digit_count(n) == len(str(n))
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts ints of any length to str",
+)
+@pytest.mark.parametrize("extra", [(), ("--verify-only", "1")])
+def test_unprintable_modulus_is_refused_before_solving(capsys, monkeypatch, extra):
+    def refuse(congruences):
+        raise AssertionError("crt_solve called")
+
+    monkeypatch.setattr(primeseq, "crt_solve", refuse)
+    for family, digits in (("m004", 8165), ("m125", 8161)):
+        code, out, err = invoke(capsys, "prime-seq", "--family", family, "-g", "1000", *extra)
+        assert (code, out) == (1, ""), err
+        assert err == (
+            f"error: the progression modulus has {digits} digits, more than the "
+            "4300 that an integer may print with; lower -g, or raise the limit "
+            "with PYTHONINTMAXSTRDIGITS\n"
+        )
+    # the patch is live: a printable modulus reaches the solver
+    with pytest.raises(AssertionError, match="crt_solve"):
+        run(["prime-seq", "--family", "m004", "-g", "1", *extra])
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this Python has no int-to-str limit",
+)
+def test_no_int_to_str_limit_prints_any_modulus(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = invoke_json(capsys, "prime-seq", "--family", "m004", "-g", "1000",
+                              "--count", "0")
+        assert len(str(payload["modulus"])) == 8165
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_environment_does_not_set_the_cap(capsys, monkeypatch):

@@ -24,7 +24,13 @@ from volrigid.primeseq import (
     gap_prime_sequence,
     verify_witness,
 )
-from volrigid.quadform import IntQuadForm, primitive_value_set
+from volrigid.quadform import (
+    IntQuadForm,
+    Representation,
+    primitive_representations,
+    primitive_value_set,
+    representations,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,6 +113,15 @@ def test_crt_random_systems():
         assert 0 <= n0 < modulus
         for r, m in congruences:
             assert n0 % m == r, (congruences, n0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=st.sampled_from((FAMILY_M004, FAMILY_M125)), g=st.integers(1, 40))
+def test_progression_modulus_is_the_solved_modulus(family, g):
+    avoid = default_avoid_primes(family, g)
+    spec = GapPrimeSpec(g=g, family=family, avoid_primes=avoid)
+    assert primeseq.progression_modulus(family, avoid) == spec.progression[1]
+    assert spec.progression[1] == math.prod(m for _, m in build_congruences(spec))
 
 
 def test_build_congruences_m004():
@@ -193,6 +208,56 @@ def test_verify_witness_m125_10():
     witness = verify_witness(10, spec)
     assert witness.verified
     assert witness.representation.pair == (1, 2)
+
+
+def representation_verify(value, spec):
+    """The Representation-based verification: every query sorted into
+    Representation objects.  The oracle for the pair-level _verify."""
+    fam = primeseq._FAMILIES[spec.family]
+    all_reps = representations(fam.carrier_form, value)
+    prim = [r.pair for r in all_reps if r.primitive]
+    representation = None
+    unique = False
+    if prim:
+        canonical = min((abs(x), abs(y)) for x, y in prim)
+        cls = primeseq._representation_class(canonical, fam.allow_swap)
+        unique = all(r.pair in cls for r in all_reps)
+        representation = Representation(*canonical)
+    neighbours = [value + k for k in range(-spec.g, spec.g + 1) if k and value + k >= 0]
+    gap_clear = not any(primitive_representations(fam.gap_form, n) for n in neighbours)
+    excluded = not primitive_representations(fam.excluded_form, value)
+    return primeseq.GapPrimeWitness(
+        value=value,
+        representation=representation,
+        conditions={
+            "unique_representation": unique,
+            "neighbors_unrepresented": gap_clear,
+            "excluded_form_missed": excluded,
+        },
+    )
+
+
+_VERIFY_VALUES = (
+    [0, 1, 2, 3, 4, 12, 13, 49, 50, 241]
+    + list(range(5, 400, 7))                        # mostly composite
+    + [2 * p for p in range(2, 600) if is_prime(p)]  # 2 * prime
+    + [4 * 13, 9 * 241, 10**6, 10**9 + 7, 2 * (10**9 + 7)]
+)
+
+
+@pytest.mark.parametrize("family", [FAMILY_M004, FAMILY_M125])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_pair_level_verify_matches_representation_verify(family, g):
+    spec = GapPrimeSpec(g=g, family=family, avoid_primes=default_avoid_primes(family, g))
+    found = [w.value for w in gap_prime_sequence(spec, 2).witnesses]
+    seen = set()
+    for value in _VERIFY_VALUES + found:
+        got = verify_witness(value, spec)
+        assert _same_witness(got, representation_verify(value, spec)), value
+        assert got.representation is None or type(got.representation) is Representation
+        seen |= set(got.conditions.items())
+    # every condition both holds and fails somewhere among the values
+    assert len(seen) == 6
 
 
 def test_gap_prime_sequence_m004_g1():

@@ -17,6 +17,7 @@ from volrigid.quadform import (
     MAX_GAP_ROWS,
     MAX_SQUARE_ROOTS,
     IntQuadForm,
+    _all_pairs,
     _primitive_pairs,
     _primitive_values,
     _sqrt_count,
@@ -160,6 +161,22 @@ def test_engine_matches_walk_up_to_1e5(data):
     assert [r.pair for r in primitive_representations(form, m)] == [
         r.pair for r in reps if r.primitive
     ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_all_pairs_are_the_representations_unordered(data):
+    # the pair level that witness verification reads: the same solutions
+    # as the ordered query, each once, and for small m the walk's
+    form = data.draw(forms(max_coeff=30))
+    m = data.draw(st.one_of(structured_values(form, 10**5), st.integers(0, 10**12)))
+    pairs = _all_pairs(form, m, prime_powers(m))
+    assert len(set(pairs)) == len(pairs)
+    assert sorted(pairs, key=lambda xy: (xy[1], xy[0])) == [
+        r.pair for r in representations(form, m)
+    ]
+    if m <= 10**5:
+        assert set(pairs) == walk_representations(form, m)
 
 
 def _divisor_character_sum(m: int, chi) -> int:
