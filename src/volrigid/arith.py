@@ -32,8 +32,9 @@ variant of Pollard's rho on the composite ones, smallest part first.  A
 caller that can decide its question from one prime, such as the
 representation engine in quadform meeting a prime at which D has no
 square root, stops there and never pays for the rest.  factorize(n)
-collects the whole stream into a dict.  This is plenty for the
-desk-scale inputs this package deals with.
+collects the whole stream into a dict.  Rho gives up with ValueError
+on a cofactor it cannot split within seconds, such as a product of two
+20-digit primes, which would take it hours.
 """
 
 from __future__ import annotations
@@ -101,17 +102,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Rho takes about sqrt(p) steps of about 0.7 us to split off a prime p;
+# it checks this budget between rounds of doubling length, so it may
+# take up to twice as many steps before it refuses.
+_RHO_STEPS = 2**20
+
+
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n (Brent's cycle variant)."""
+    """One nontrivial factor of composite n (Brent's cycle variant); raises
+    ValueError past _RHO_STEPS steps, counted across restarts."""
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         while g == 1:
+            if steps >= _RHO_STEPS:
+                raise ValueError(
+                    f"a {len(str(n))}-digit cofactor resisted {steps} steps of "
+                    f"Pollard's rho; factorizations are refused past {_RHO_STEPS}"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -123,6 +137,7 @@ def _pollard_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += r + min(k, r)
             r *= 2
         if g == n:
             g = 1

@@ -38,8 +38,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .arith import factorize, is_prime, prime_powers
-from .quadform import IntQuadForm, Representation, _all_pairs, _primitive_pairs
+from .arith import factorize, is_prime
+from .quadform import (
+    IntQuadForm,
+    Representation,
+    _all_pairs,
+    _primitive_pairs,
+    _primitively_represented,
+)
 
 __all__ = [
     "GapPrimeSpec",
@@ -271,10 +277,8 @@ def _verify(value: int, spec: GapPrimeSpec, fac: dict[int, int]) -> GapPrimeWitn
         cls = _representation_class(canonical, fam.allow_swap)
         unique = all(pair in cls for pair in pairs)
         representation = Representation(*canonical)
-    # 0 and below have no primitive representation
-    neighbours = [value + k for k in range(-spec.g, spec.g + 1) if k and value + k > 0]
     gap_clear = not any(
-        _primitive_pairs(fam.gap_form, n, prime_powers(n)) for n in neighbours
+        _primitively_represented(fam.gap_form, value + k) for k in range(-spec.g, spec.g + 1) if k
     )
     excluded = value < 1 or not _primitive_pairs(fam.excluded_form, value, fac.items())
     return GapPrimeWitness(

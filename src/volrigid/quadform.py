@@ -27,15 +27,15 @@ the oracle the engine is checked against.  The number of roots is known
 from the factorization before any is computed, and a query with more
 than MAX_SQUARE_ROOTS of them is refused once m is fully factored.
 
-Range queries walk the lattice points of an annulus lo <= Q <= hi: the
-admissible y satisfy |D|*y**2 <= 4*a*hi, and for each y the x values
-form an interval with the interval of Q <= lo - 1 cut out.  A value set
-up to a limit is the annulus 1 <= Q <= limit.  A two-sided gap around
-q0 walks annuli q0 - r <= Q <= q0 + r of doubling radius r until one
-holds another value, so its cost depends on q0 and the gap, not on the
-scan limit.  Both walks are refused up front when they would run too
-long: a value set above MAX_VALUE_SET_POINTS lattice points, a gap scan
-above MAX_GAP_ROWS rows.
+A value set up to a limit walks the lattice points of the ellipse
+Q <= limit: the admissible y satisfy |D|*y**2 <= 4*a*limit, and for each
+y the x values form one interval.  It is refused up front above
+MAX_VALUE_SET_POINTS points.  A two-sided gap around q0 is a run of
+point queries, q0 - k and q0 + k for k = c, 2c, ... where c is the
+form's content, up to the first one represented; its cost is that of
+factoring the neighbours of q0 as far as the engine reads them, so it
+depends on q0 and the gap, not on the scan limit.  A gap scan is refused
+for q0 above MAX_GAP_VALUE, and once it has taken MAX_GAP_STEPS steps.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ __all__ = [
     "primitive_value_set",
     "two_sided_gap",
     "MAX_VALUE_SET_POINTS",
-    "MAX_GAP_ROWS",
+    "MAX_GAP_STEPS",
+    "MAX_GAP_VALUE",
     "MAX_SQUARE_ROOTS",
 ]
 
@@ -66,11 +67,11 @@ __all__ = [
 # this many points is refused instead of running for hours.
 MAX_VALUE_SET_POINTS = 3 * 10**7
 
-# two_sided_gap walks one row per |y| <= sqrt(4a*(q0 + r)/|D|) for each
-# annulus, at about 2 us a row (x**2 + 12*y**2 around q0 = 10**12 + 12:
-# five annuli, 2.9e6 rows, 5.5 s); a scan that would walk more rows than
-# this in total is refused instead of running for hours.
-MAX_GAP_ROWS = 10**6
+# two_sided_gap factors two neighbours of q0 per step, as far as the
+# engine reads them; a scan is refused after this many steps, and for q0
+# above MAX_GAP_VALUE, where one factorization can take seconds.
+MAX_GAP_STEPS = 10**4
+MAX_GAP_VALUE = 10**19
 
 # A point query runs over every square root of D modulo 4m.  There are at
 # most a few per prime factor of m unless m and D share a high prime
@@ -372,42 +373,12 @@ def primitive_representations(form: IntQuadForm, m: int) -> list[Representation]
     return _in_order(_primitive_pairs(form, m, prime_powers(m)))
 
 
-def _primitive_values(form: IntQuadForm, lo: int, hi: int) -> set[int]:
-    """The values v with lo <= v <= hi that the form takes on coprime pairs.
+def _primitively_represented(form: IntQuadForm, m: int) -> bool:
+    """Whether Q(x, y) = m has a coprime solution; m <= 0 never has.
 
-    Visits only the lattice points of the annulus lo <= Q <= hi.  Since
-    4a*Q = (2ax + by)**2 - D*y**2, the points of row y with Q <= L are
-    the x with |2ax + by| <= isqrt(4aL + D*y**2), one interval; the walk
-    takes the interval of Q <= hi minus the interval of Q <= lo - 1.  The
-    cost is proportional to the annulus's area, (hi - lo) / sqrt(|D|),
-    plus one row per |y| <= sqrt(4a*hi / |D|).
+    m is factored only up to the engine's first obstruction.
     """
-    a, b, c = form.a, form.b, form.c
-    d = form.discriminant()
-    values: set[int] = set()
-    if hi < 1:
-        return values
-    ymax = math.isqrt(4 * a * hi // -d) + 1
-    for y in range(-ymax, ymax + 1):
-        disc = d * y * y + 4 * a * hi
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        xlo = -((b * y + s) // (2 * a))
-        xhi = (-b * y + s) // (2 * a)
-        # The hole Q <= lo - 1 of this row is ilo..ihi; when it holds no
-        # lattice point, ilo = ihi + 1 and the two ranges cover the row.
-        inner = d * y * y + 4 * a * (lo - 1)
-        if inner >= 0:
-            t = math.isqrt(inner)
-            ilo, ihi = -((b * y + t) // (2 * a)), (-b * y + t) // (2 * a)
-        else:
-            ilo, ihi = xhi + 1, xhi
-        for xs in (range(xlo, ilo), range(ihi + 1, xhi + 1)):
-            for x in xs:
-                if math.gcd(x, y) == 1:
-                    values.add(a * x * x + b * x * y + c * y * y)
-    return values
+    return m > 0 and bool(_primitive_pairs(form, m, prime_powers(m)))
 
 
 def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
@@ -416,7 +387,8 @@ def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
     Walks every lattice point inside the ellipse Q <= limit once, so the
     cost is proportional to limit / sqrt(|D|); a limit whose ellipse
     holds more than MAX_VALUE_SET_POINTS lattice points raises
-    ValueError up front.
+    ValueError up front.  As 4a*Q = (2ax + by)**2 - D*y**2, row y holds
+    the x with |2ax + by| <= isqrt(4a*limit + D*y**2).
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -427,7 +399,19 @@ def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
             f"ellipse of form {form}; value sets are refused above "
             f"{MAX_VALUE_SET_POINTS:.0e} points"
         )
-    return ValueSet(form, limit, tuple(sorted(_primitive_values(form, 1, limit))))
+    a, b, c = form.a, form.b, form.c
+    d = form.discriminant()
+    values: set[int] = set()
+    ymax = math.isqrt(4 * a * limit // -d) + 1
+    for y in range(-ymax, ymax + 1):
+        disc = d * y * y + 4 * a * limit
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        for x in range(-((b * y + s) // (2 * a)), (-b * y + s) // (2 * a) + 1):
+            if math.gcd(x, y) == 1:
+                values.add(a * x * x + b * x * y + c * y * y)
+    return ValueSet(form, limit, tuple(sorted(values)))
 
 
 def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
@@ -438,35 +422,31 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
     so the result is capped at limit - q0; q0 itself must be primitively
     represented.
 
-    The scan grows outward from q0: it walks the annuli q0 - r <= Q <=
-    q0 + r for r = 2, 4, 8, ... (at most limit - q0) and stops at the
-    first one that holds a value other than q0.  Its cost is set by q0
-    and the gap, not by limit, and stays within about twice that of one
-    walk over the final annulus.  Each annulus walks about
-    2*sqrt(4a*(q0 + r)/|D|) rows; a scan that would walk more than
-    MAX_GAP_ROWS rows in total raises ValueError before the annulus that
-    crosses the bound, so a large q0 is refused before any walk.
+    Every value of the form is a multiple of its content c, so the scan
+    asks the engine about q0 - k and q0 + k for k = c, 2c, ... and stops
+    at the first k where either is primitively represented, or at
+    limit - q0.  Its cost is set by q0 and the gap, not by limit.  A q0
+    above MAX_GAP_VALUE raises ValueError before any query, and so does
+    a scan that reaches its (MAX_GAP_STEPS + 1)-th step.
     """
     if limit <= q0:
         raise ValueError("scan limit must exceed q0")
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    cap = limit - q0
-    r = min(2, cap)
-    rows = 0
-    while True:
-        rows += 2 * math.isqrt(4 * form.a * max(q0 + r, 0) // -form.discriminant()) + 3
-        if rows > MAX_GAP_ROWS:
+    if q0 > MAX_GAP_VALUE:
+        raise ValueError(
+            f"gap scans are refused for q0 above {MAX_GAP_VALUE:.0e}, where "
+            f"factoring a neighbour of q0 can take seconds"
+        )
+    if not _primitively_represented(form, q0):
+        raise ValueError(f"{q0} has no primitive representation by {form}")
+    step = math.gcd(form.a, form.b, form.c)
+    for k in range(step, limit - q0, step):
+        if k > MAX_GAP_STEPS * step:
             raise ValueError(
-                f"a gap scan of form {form} around {q0} walks at least "
-                f"{rows:.2e} rows; gap scans are refused above {MAX_GAP_ROWS:.0e} rows"
+                f"form {form} has no primitive value within {k - step} of "
+                f"{q0}; gap scans are refused above {MAX_GAP_STEPS:.0e} steps"
             )
-        window = _primitive_values(form, q0 - r, q0 + r)
-        if q0 not in window:
-            raise ValueError(f"{q0} has no primitive representation by {form}")
-        window.discard(q0)
-        if window:
-            return min(abs(v - q0) for v in window)
-        if r == cap:
-            return cap
-        r = min(2 * r, cap)
+        if _primitively_represented(form, q0 - k) or _primitively_represented(form, q0 + k):
+            return k
+    return limit - q0

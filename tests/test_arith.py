@@ -242,6 +242,20 @@ def test_prime_powers_match_eager_factorization(n):
     assert primes[: len(small)] == sorted(small)
 
 
+def test_rho_refuses_past_its_step_budget():
+    # a product of two 20-digit primes would take about 10**10 steps
+    with pytest.raises(ValueError, match=(
+        r"^a 39-digit cofactor resisted \d+ steps of Pollard's rho; "
+        r"factorizations are refused past 1048576$"
+    )):
+        factorize(782283434853405216443915680618039931881)
+    # two primes near 3e9, the size a gap scan's neighbours below
+    # MAX_GAP_VALUE can leave to rho, split well within the budget
+    p, q = 2999999929, 3000000019
+    assert is_prime(p) and is_prime(q)
+    assert factorize(p * q) == {p: 1, q: 1}
+
+
 def test_prime_powers_is_lazy(monkeypatch):
     # 227 * 10007**2 * 1000003: the cofactor of 227 is never split
     # when the consumer stops at 227

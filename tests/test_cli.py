@@ -464,13 +464,28 @@ def test_nz_eval_tells_an_underflow_from_the_zero_class(route, capsys):
     assert err == "error: filling class (0, 0) has no meaning\n"
 
 
-def test_certify_refuses_a_gap_scan_beyond_the_row_budget(capsys):
-    code, out, err = invoke(
+def test_certify_scans_a_gap_past_the_old_row_budget(capsys):
+    # q0 = 10**18 + 12 is far past where an annulus walk was refused; the
+    # gap 3 is hit on the low side, at 10**18 + 9
+    payload = invoke_json(
         capsys, "certify", "--manifold", "m004", "-a", "1000000000", "-b", "1",
         "--scan-limit", "10000000000000000000",
     )
+    assert payload["gap_normalized"] == 0.866025403784  # 3 / (2 * sqrt(3))
+    assert payload["n_q0"] == 32
+    x, y = 977930203, 60313430
+    assert math.gcd(x, y) == 1 and x * x + 12 * y * y == 10**18 + 12 - 3
+
+
+def test_factorization_past_the_rho_budget_is_one_error_line(capsys):
+    # a product of two 20-digit primes: rho would need about 10**10 steps
+    code, out, err = invoke(
+        capsys, "prime-seq", "--family", "m004", "-g", "1",
+        "--verify-only", "5459815656611315842843935886422153079513",
+    )
     assert code == 1 and out == ""
-    assert "5.77e+08 rows" in err and "refused above 1e+06 rows" in err
+    assert err.count("\n") == 1
+    assert err.startswith("error: a 40-digit cofactor resisted ")
 
 
 def test_qf_values_refuses_an_infeasible_limit(capsys):

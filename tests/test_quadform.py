@@ -14,12 +14,12 @@ from test_arith import eager_factorize
 from volrigid import arith, quadform
 from volrigid.arith import factorize, prime_powers
 from volrigid.quadform import (
-    MAX_GAP_ROWS,
+    MAX_GAP_STEPS,
+    MAX_GAP_VALUE,
     MAX_SQUARE_ROOTS,
     IntQuadForm,
     _all_pairs,
     _primitive_pairs,
-    _primitive_values,
     _sqrt_count,
     _sqrt_mod_prime_power,
     primitive_representations,
@@ -330,17 +330,6 @@ def test_primitive_value_set_matches_brute_force(data):
     )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_annulus_walk_matches_brute_force(data):
-    # the range walker behind both the value set and the gap: every
-    # annulus lo <= Q <= hi, including empty, one-value and lo <= 0 ones
-    form = data.draw(forms())
-    lo = data.draw(st.integers(-5, 300))
-    hi = data.draw(st.integers(lo - 1, lo + 60))
-    assert _primitive_values(form, lo, hi) == brute_primitive_values(form, lo, hi)
-
-
 def test_two_sided_gap_pinned():
     assert two_sided_gap(HEX, 13, 100) == 6
     assert two_sided_gap(X2_12Y2, 1, 100) == 11
@@ -398,22 +387,91 @@ def test_two_sided_gap_cost_does_not_depend_on_limit():
     assert two_sided_gap(IntQuadForm(1, 0, 10**4), 1, 10**15) == 10**4 - 1
 
 
-def test_gap_scan_refuses_too_many_rows(monkeypatch):
-    # one annulus around 10**18 + 12 spans 5.77e8 rows of x^2 + 12y^2;
-    # the refusal comes before any annulus is walked
-    assert 5.77e8 > MAX_GAP_ROWS
+def window_primitive_values(form: IntQuadForm, lo: int, hi: int) -> set[int]:
+    """Values in lo..hi on coprime pairs, for 1 <= lo <= hi.
+
+    Walks every row y of the ellipse Q <= hi.  With u = 2ax + by,
+    4a*Q = u**2 - D*y**2, so the row's points with lo <= Q <= hi have
+    |u| between isqrt(4a*(lo - 1) + D*y**2) and isqrt(4a*hi + D*y**2);
+    the x of each side are taken with a margin of one and each value is
+    checked against lo..hi.
+    """
+    a, b, c = form.a, form.b, form.c
+    d = form.discriminant()
+    values: set[int] = set()
+    ymax = math.isqrt(4 * a * hi // -d) + 1
+    for y in range(-ymax, ymax + 1):
+        outer = 4 * a * hi + d * y * y
+        if outer < 0:
+            continue
+        s = math.isqrt(outer)
+        t = math.isqrt(max(4 * a * (lo - 1) + d * y * y, 0))
+        for ulo, uhi in ((-s, -t), (t, s)):
+            for x in range((ulo - b * y) // (2 * a) - 1, (uhi - b * y) // (2 * a) + 2):
+                v = a * x * x + b * x * y + c * y * y
+                if lo <= v <= hi and math.gcd(x, y) == 1:
+                    values.add(v)
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_two_sided_gap_matches_a_window_walk_up_to_1e10(data):
+    # q0 = Q(x, y) on a coprime pair, up to 10**10; the gap's window
+    # q0 - k..q0 + k is walked row by row, without the engine
+    form = data.draw(forms(max_coeff=30))
+    size = 10 ** data.draw(st.integers(0, 10))
+    bound = max(1, math.isqrt(size // (form.a + abs(form.b) + form.c)))
+    x, y = data.draw(st.tuples(st.integers(-bound, bound), st.integers(-bound, bound)))
+    assume(math.gcd(x, y) == 1)
+    q0 = form.evaluate(x, y)
+    assert q0 <= 10**10
+    limit = q0 + data.draw(st.one_of(st.integers(1, 40), st.integers(1, 10**6)))
+    k = two_sided_gap(form, q0, limit)
+    window = window_primitive_values(form, max(1, q0 - k), q0 + k)
+    assert q0 in window
+    assert not [v for v in window if 0 < abs(v - q0) < k]
+    assert k == limit - q0 or any(abs(v - q0) == k for v in window)
+
+
+def test_gap_scan_refuses_too_many_steps():
+    # Q(3*10**8 + 1, 1) = q0; the nearest other values of x^2 + 10^17 y^2
+    # are the neighbouring squares plus 10**17, about 6e8 away
+    form = IntQuadForm(1, 0, 10**17)
+    q0 = 19 * 10**16 + 6 * 10**8 + 1
+    assert form.evaluate(3 * 10**8 + 1, 1) == q0
+    message = (
+        f"form 1,0,{10**17} has no primitive value within 10000 of {q0}; "
+        "gap scans are refused above 1e+04 steps"
+    )
+    assert MAX_GAP_STEPS == 10**4
+    with pytest.raises(ValueError) as exc:
+        two_sided_gap(form, q0, 10**18)
+    assert str(exc.value) == message
+    # the sparse form x^2 + 10^12 y^2 has the gap 10**12 - 1 at q0 = 1;
+    # a cap the bound reaches first is no refusal
+    sparse = IntQuadForm(1, 0, 10**12)
+    with pytest.raises(ValueError, match="within 10000 of 1; gap scans are refused"):
+        two_sided_gap(sparse, 1, 10**13)
+    assert two_sided_gap(sparse, 1, 10**4 + 2) == 10**4 + 1
+    # a step is the form's content: 9999 steps of 4 on 4x^2 + 4*10^4 y^2
+    assert two_sided_gap(IntQuadForm(4, 0, 4 * 10**4), 4, 10**15) == 4 * (10**4 - 1)
+
+
+def test_gap_scan_refuses_a_large_q0(monkeypatch):
+    # the refusal comes before any query, so q0 need not be represented
     with monkeypatch.context() as patch:
-        patch.setattr(quadform, "_primitive_values", None)
-        with pytest.raises(ValueError, match=r"walks at least 5\.77e\+08 rows"):
-            two_sided_gap(X2_12Y2, 10**18 + 12, 10**19)
-    # the bound counts the rows of every annulus: the gap 4 at 241 takes
-    # the annuli r = 2 and r = 4, 11 rows each
-    with monkeypatch.context() as patch:
-        patch.setattr(quadform, "MAX_GAP_ROWS", 22)
-        assert two_sided_gap(X2_12Y2, 241, 10**4) == 4
-        patch.setattr(quadform, "MAX_GAP_ROWS", 21)
-        with pytest.raises(ValueError, match=r"walks at least 2\.20e\+01 rows"):
-            two_sided_gap(X2_12Y2, 241, 10**4)
+        patch.setattr(quadform, "_primitive_pairs", None)
+        with pytest.raises(ValueError) as exc:
+            two_sided_gap(X2_12Y2, MAX_GAP_VALUE + 1, 10 * MAX_GAP_VALUE)
+    assert str(exc.value) == (
+        "gap scans are refused for q0 above 1e+19, where factoring a "
+        "neighbour of q0 can take seconds"
+    )
+    # the first m004 filling past the old row budget: q0 = 10**18 + 12,
+    # and 10**18 + 9 = Q(977930203, 60313430)
+    assert two_sided_gap(X2_12Y2, 10**18 + 12, 10**19) == 3
+    assert X2_12Y2.evaluate(977930203, 60313430) == 10**18 + 9
 
 
 def test_gap_neighborhood_is_really_empty():
