@@ -103,27 +103,38 @@ def is_prime(n: int) -> bool:
 
 
 # Rho takes about sqrt(p) steps of about 0.7 us to split off a prime p;
-# it checks this budget between rounds of doubling length, so it may
+# it checks its budget between rounds of doubling length, so it may
 # take up to twice as many steps before it refuses.
 _RHO_STEPS = 2**20
 
 
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n (Brent's cycle variant); raises
-    ValueError past _RHO_STEPS steps, counted across restarts."""
+class _RhoRefusal(ValueError):
+    """Pollard's rho spent its step budget on a cofactor it did not split."""
+
+
+def _pollard_rho(n: int, budget: list[int] | None = None) -> int:
+    """One nontrivial factor of composite n (Brent's cycle variant).
+
+    Its steps, counted across restarts, are taken from budget, a
+    one-element list of the steps left, which every call given the same
+    list draws on; a call given none has _RHO_STEPS of its own.  Once
+    the budget is spent it raises _RhoRefusal.
+    """
+    if budget is None:
+        budget = [_RHO_STEPS]
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
-    steps = 0
+    left = budget[0]
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         while g == 1:
-            if steps >= _RHO_STEPS:
-                raise ValueError(
-                    f"a {len(str(n))}-digit cofactor resisted {steps} steps of "
+            if budget[0] <= 0:
+                raise _RhoRefusal(
+                    f"a {len(str(n))}-digit cofactor resisted {left - budget[0]} steps of "
                     f"Pollard's rho; factorizations are refused past {_RHO_STEPS}"
                 )
             x = y
@@ -137,7 +148,7 @@ def _pollard_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
-            steps += r + min(k, r)
+            budget[0] -= r + min(k, r)
             r *= 2
         if g == n:
             g = 1
@@ -155,13 +166,17 @@ def _pollard_rho(n: int) -> int:
 _TRIAL_BOUND = 200
 
 
-def prime_powers(n: int) -> Iterator[tuple[int, int]]:
+def prime_powers(
+    n: int, rho_budget: list[int] | None = None
+) -> Iterator[tuple[int, int]]:
     """The prime factorization of n >= 1 as a stream of (prime, exponent).
 
     Each prime comes once, with its full exponent, as soon as it is
     found: first the primes up to _TRIAL_BOUND in ascending order, then
     the rest in the order the primality test and rho reach them.  A
-    consumer that only needs one prime stops the work there.
+    consumer that only needs one prime stops the work there.  Every rho
+    call draws on rho_budget, as _pollard_rho's budget, when one is
+    given.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -205,7 +220,7 @@ def prime_powers(n: int) -> Iterator[tuple[int, int]]:
         elif math.isqrt(n) ** 2 == n:
             parts.append([math.isqrt(n), 2 * k])
         else:
-            d = _pollard_rho(n)
+            d = _pollard_rho(n, rho_budget)
             parts += [[d, k], [n // d, k]]
 
 

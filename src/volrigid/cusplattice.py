@@ -19,7 +19,7 @@ acting on column vectors (a, b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .quadform import IntQuadForm
 
@@ -47,23 +47,34 @@ def is_automorphism(form: IntQuadForm, mat: Mat) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CuspRecord:
-    """A named cusp with its carrier form and symmetry data."""
-
+class _Cusp(NamedTuple):
     name: str
     integer_form: IntQuadForm
     symmetry_group: tuple[Mat, ...]
 
-    def __post_init__(self) -> None:
-        mats = set(self.symmetry_group)
-        if len(mats) != len(self.symmetry_group):
+
+class CuspRecord(_Cusp):
+    """A named cusp with its carrier form and symmetry data."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, integer_form: IntQuadForm, symmetry_group: tuple[Mat, ...]
+    ) -> "CuspRecord":
+        mats = set(symmetry_group)
+        if len(mats) != len(symmetry_group):
             raise ValueError("symmetry group lists a matrix twice")
         if ((-1, 0), (0, -1)) not in mats:
             raise ValueError("symmetry group must contain -identity")
-        for mat in self.symmetry_group:
-            if not is_automorphism(self.integer_form, mat):
-                raise ValueError(f"{mat} does not preserve {self.integer_form}")
+        for mat in symmetry_group:
+            if not is_automorphism(integer_form, mat):
+                raise ValueError(f"{mat} does not preserve {integer_form}")
+        return tuple.__new__(cls, (name, integer_form, symmetry_group))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CuspRecord":
+        # namedtuple's own _make (which _replace calls) skips __new__
+        return cls(*iterable)
 
     @property
     def scale(self) -> float:

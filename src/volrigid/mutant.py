@@ -30,8 +30,8 @@ the classification reads them; they only feed the horoball area report
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from .nzvolume import V_OCT
 
@@ -75,17 +75,26 @@ MAX_CLASS_WORD_LENGTH = 24
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """A cyclic binary word of length at least 3."""
-
+class _Bits(NamedTuple):
     bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.bits) < 3:
+
+class CyclicWord(_Bits):
+    """A cyclic binary word of length at least 3."""
+
+    __slots__ = ()
+
+    def __new__(cls, bits: tuple[int, ...]) -> "CyclicWord":
+        if len(bits) < 3:
             raise ValueError("cyclic words must have length at least 3")
-        if not set(self.bits) <= {0, 1}:
+        if not set(bits) <= {0, 1}:
             raise ValueError("cyclic words are binary")
+        return tuple.__new__(cls, (bits,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CyclicWord":
+        # namedtuple's own _make (which _replace calls) skips __new__
+        return cls(*iterable)
 
     @classmethod
     def from_string(cls, text: str) -> "CyclicWord":
@@ -102,8 +111,7 @@ class CyclicWord:
         return bytes(self.bits).translate(_DIGITS).decode("ascii")
 
 
-@dataclass(frozen=True)
-class SubwordDecomposition:
+class SubwordDecomposition(NamedTuple):
     """Runs of ones between consecutive zeros, cyclically."""
 
     kind: str
@@ -133,21 +141,32 @@ def knot_cusp_moduli(word: CyclicWord) -> tuple[int, ...]:
     return tuple(sorted(cusp_graph(word).cycle_labels))
 
 
-@dataclass(frozen=True)
-class CuspGraph:
-    """Apex label, cyclically ordered knot labels, all-ones marker."""
-
+class _Graph(NamedTuple):
     apex_label: int
     cycle_labels: tuple[int, ...]
     special_triangle: bool
 
-    def __post_init__(self) -> None:
-        if self.apex_label < 3:
+
+class CuspGraph(_Graph):
+    """Apex label, cyclically ordered knot labels, all-ones marker."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, apex_label: int, cycle_labels: tuple[int, ...], special_triangle: bool
+    ) -> "CuspGraph":
+        if apex_label < 3:
             raise ValueError("apex label is the word length, at least 3")
-        if not self.special_triangle and any(
-            lbl < 3 or lbl % 4 != 0 for lbl in self.cycle_labels
+        if not special_triangle and any(
+            lbl < 3 or lbl % 4 != 0 for lbl in cycle_labels
         ):
             raise ValueError("knot labels must be multiples of 4")
+        return tuple.__new__(cls, (apex_label, cycle_labels, special_triangle))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CuspGraph":
+        # namedtuple's own _make (which _replace calls) skips __new__
+        return cls(*iterable)
 
 
 def cusp_graph(word: CyclicWord) -> CuspGraph:
@@ -327,8 +346,7 @@ def horoball_areas(
     return tuple(sorted(cusps))
 
 
-@dataclass(frozen=True)
-class MutantCensusReport:
+class MutantCensusReport(NamedTuple):
     """Counts and growth numbers for the length-n slice of the family."""
 
     n: int

@@ -30,8 +30,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from .cusplattice import CuspRecord
 from .quadform import primitive_representations, two_sided_gap
@@ -57,17 +57,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NZSeries:
-    """Degree-1 and degree-3 holonomy coefficients of one geometry."""
-
+class _Coefficients(NamedTuple):
     name: str
     c1: complex
     c3: complex
 
-    def __post_init__(self) -> None:
-        if self.c1.imag == 0:
+
+class NZSeries(_Coefficients):
+    """Degree-1 and degree-3 holonomy coefficients of one geometry."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, c1: complex, c3: complex) -> "NZSeries":
+        if c1.imag == 0:
             raise ValueError("c1 must have nonzero imaginary part")
+        return tuple.__new__(cls, (name, c1, c3))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "NZSeries":
+        # namedtuple's own _make (which _replace calls) skips __new__
+        return cls(*iterable)
 
     @property
     def tau(self) -> complex:
@@ -365,8 +374,7 @@ DEFAULT_C2 = 7.05
 REGIME_Q_MIN = 57.5041
 
 
-@dataclass(frozen=True)
-class UniquenessCertificate:
+class UniquenessCertificate(NamedTuple):
     """A two-sided value gap pinning a filled volume.
 
     bound counts volume-sharing fillings: the n_q0 primitive

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import factorize, is_prime
 from .quadform import (
@@ -113,8 +112,31 @@ def _primes(n0: int, modulus: int, cap: int) -> Iterator[int]:
     return filter(is_prime, range(n0, cap + 1, modulus))
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Derived:
+    """Base of a named tuple whose last field __new__ computes from the
+    others.  Copies, pickles, _make and _replace all build the value
+    through __new__ from the other fields; only _make may be given the
+    last field too, and then it must be the value __new__ computes."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)[:-1]
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        *given, derived = iterable
+        made = cls(*given)
+        if derived != made[-1]:
+            raise ValueError(f"{cls._fields[-1]} is computed from the other fields")
+        return made
+
+    def _replace(self, **changes):
+        # a change to the last field is an unexpected keyword to __new__
+        return type(self)(**{**dict(zip(self._fields[:-1], self)), **changes})
+
+
+class _FamilyFields(NamedTuple):
     gap_form: IntQuadForm        # Q0, must miss the shifted values
     carrier_form: IntQuadForm    # Q1, must hit the value essentially once
     excluded_form: IntQuadForm   # Q2, must miss the value
@@ -124,10 +146,26 @@ class _Family:
     base: tuple[int, int]        # base congruence (r, m) on the prime p
     # factorize(value_factor), taken once: a candidate's witness value
     # factors as this plus {p: 1}
-    value_factorization: dict[int, int] = field(init=False, compare=False)
+    value_factorization: dict[int, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value_factorization", factorize(self.value_factor))
+
+class _Family(_Derived, _FamilyFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        gap_form: IntQuadForm,
+        carrier_form: IntQuadForm,
+        excluded_form: IntQuadForm,
+        avoid_residue: tuple[int, int],
+        allow_swap: bool,
+        value_factor: int,
+        base: tuple[int, int],
+    ) -> "_Family":
+        return tuple.__new__(cls, (
+            gap_form, carrier_form, excluded_form, avoid_residue, allow_swap,
+            value_factor, base, factorize(value_factor),
+        ))
 
 
 _FAMILIES = {
@@ -152,8 +190,15 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class GapPrimeSpec:
+class _SpecFields(NamedTuple):
+    g: int
+    family: str
+    avoid_primes: tuple[int, ...]
+    # crt_solve(build_congruences(self)), taken once
+    progression: tuple[int, int]
+
+
+class GapPrimeSpec(_Derived, _SpecFields):
     """Parameters of a gap-prime search.
 
     g is the half-width of the wanted gap; avoid_primes lists 2*g
@@ -161,31 +206,37 @@ class GapPrimeSpec:
     the m004 family, 3 mod 4 for the m125 family), one per shift
     v - g .. v - 1, v + 1 .. v + g.  progression is the (residue,
     modulus) of the arithmetic progression that holds the search's
-    candidate primes.
+    candidate primes; it is solved from the other fields, and the repr
+    leaves it out, as its modulus has thousands of digits at g = 500.
     """
 
-    g: int
-    family: str
-    avoid_primes: tuple[int, ...]
-    # crt_solve(build_congruences(self)), taken once
-    progression: tuple[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.g < 1:
+    def __new__(cls, g: int, family: str, avoid_primes: tuple[int, ...]) -> "GapPrimeSpec":
+        if g < 1:
             raise ValueError("gap half-width g must be at least 1")
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if len(self.avoid_primes) != 2 * self.g:
-            raise ValueError(f"need exactly {2 * self.g} avoid primes")
-        if len(set(self.avoid_primes)) != len(self.avoid_primes):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if len(avoid_primes) != 2 * g:
+            raise ValueError(f"need exactly {2 * g} avoid primes")
+        if len(set(avoid_primes)) != len(avoid_primes):
             raise ValueError("avoid primes must be distinct")
-        res, mod = _FAMILIES[self.family].avoid_residue
-        for p in self.avoid_primes:
+        res, mod = _FAMILIES[family].avoid_residue
+        for p in avoid_primes:
             if not is_prime(p):
                 raise ValueError(f"avoid value {p} is not prime")
             if p % mod != res:
                 raise ValueError(f"avoid prime {p} is not {res} mod {mod}")
-        object.__setattr__(self, "progression", crt_solve(build_congruences(self)))
+        # build_congruences reads only the first three fields
+        unsolved = tuple.__new__(cls, (g, family, avoid_primes, None))
+        progression = crt_solve(build_congruences(unsolved))
+        return tuple.__new__(cls, (g, family, avoid_primes, progression))
+
+    def __repr__(self) -> str:
+        return (
+            f"GapPrimeSpec(g={self.g!r}, family={self.family!r}, "
+            f"avoid_primes={self.avoid_primes!r})"
+        )
 
 
 def default_avoid_primes(family: str, g: int) -> tuple[int, ...]:
@@ -223,13 +274,12 @@ def build_congruences(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
     return tuple(congruences)
 
 
-@dataclass(frozen=True)
-class GapPrimeWitness:
+class GapPrimeWitness(NamedTuple):
     """A verified (or failed) candidate with its condition report."""
 
     value: int
     representation: Representation | None
-    conditions: dict[str, bool] = field(compare=False)
+    conditions: dict[str, bool]
 
     @property
     def verified(self) -> bool:
@@ -292,8 +342,7 @@ def _verify(value: int, spec: GapPrimeSpec, fac: dict[int, int]) -> GapPrimeWitn
     )
 
 
-@dataclass(frozen=True)
-class GapPrimeSearch:
+class GapPrimeSearch(NamedTuple):
     """Verified witnesses plus a flag for a cap-exhausted search."""
 
     witnesses: tuple[GapPrimeWitness, ...]

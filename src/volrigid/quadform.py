@@ -35,18 +35,18 @@ point queries, q0 - k and q0 + k for k = c, 2c, ... where c is the
 form's content, up to the first one represented; its cost is that of
 factoring the neighbours of q0 as far as the engine reads them, so it
 depends on q0 and the gap, not on the scan limit.  A gap scan is refused
-for q0 above MAX_GAP_VALUE, and once it has taken MAX_GAP_STEPS steps.
+for q0 above MAX_GAP_VALUE, once it has taken MAX_GAP_STEPS steps, and
+once Pollard's rho has taken MAX_GAP_RHO_STEPS steps on its neighbours.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .arith import prime_powers
+from .arith import _RhoRefusal, prime_powers
 
 __all__ = [
     "IntQuadForm",
@@ -59,6 +59,7 @@ __all__ = [
     "MAX_VALUE_SET_POINTS",
     "MAX_GAP_STEPS",
     "MAX_GAP_VALUE",
+    "MAX_GAP_RHO_STEPS",
     "MAX_SQUARE_ROOTS",
 ]
 
@@ -69,9 +70,14 @@ MAX_VALUE_SET_POINTS = 3 * 10**7
 
 # two_sided_gap factors two neighbours of q0 per step, as far as the
 # engine reads them; a scan is refused after this many steps, and for q0
-# above MAX_GAP_VALUE, where one factorization can take seconds.
+# above MAX_GAP_VALUE, where one factorization can take seconds.  Rho
+# is most of a long scan's time, so its steps on all the neighbours
+# count against one budget, as large as one factorization's; it runs out
+# in about 0.6 s (2-core x86-64, Python 3.11).  The gaps in the tests
+# take rho a few hundred steps at most.
 MAX_GAP_STEPS = 10**4
 MAX_GAP_VALUE = 10**19
+MAX_GAP_RHO_STEPS = 2**20
 
 # A point query runs over every square root of D modulo 4m.  There are at
 # most a few per prime factor of m unless m and D share a high prime
@@ -81,19 +87,26 @@ MAX_GAP_VALUE = 10**19
 MAX_SQUARE_ROOTS = 10**6
 
 
-@dataclass(frozen=True)
-class IntQuadForm:
-    """Coefficients (a, b, c) of a positive definite integral form."""
-
+class _Coefficients(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.discriminant() >= 0:
-            raise ValueError(
-                f"form {(self.a, self.b, self.c)} is not positive definite"
-            )
+
+class IntQuadForm(_Coefficients):
+    """Coefficients (a, b, c) of a positive definite integral form."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> "IntQuadForm":
+        if a <= 0 or b * b - 4 * a * c >= 0:
+            raise ValueError(f"form {(a, b, c)} is not positive definite")
+        return tuple.__new__(cls, (a, b, c))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "IntQuadForm":
+        # namedtuple's own _make (which _replace calls) skips __new__
+        return cls(*iterable)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -105,8 +118,7 @@ class IntQuadForm:
         return f"{self.a},{self.b},{self.c}"
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """A solution Q(x, y) = m; primitive when gcd(x, y) = 1."""
 
     x: int
@@ -121,8 +133,7 @@ class Representation:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class ValueSet:
+class ValueSet(NamedTuple):
     """Primitively represented values of a form up to a limit."""
 
     form: IntQuadForm
@@ -373,12 +384,15 @@ def primitive_representations(form: IntQuadForm, m: int) -> list[Representation]
     return _in_order(_primitive_pairs(form, m, prime_powers(m)))
 
 
-def _primitively_represented(form: IntQuadForm, m: int) -> bool:
+def _primitively_represented(
+    form: IntQuadForm, m: int, rho_budget: list[int] | None = None
+) -> bool:
     """Whether Q(x, y) = m has a coprime solution; m <= 0 never has.
 
-    m is factored only up to the engine's first obstruction.
+    m is factored only up to the engine's first obstruction, with rho
+    drawing on rho_budget when one is given (see arith.prime_powers).
     """
-    return m > 0 and bool(_primitive_pairs(form, m, prime_powers(m)))
+    return m > 0 and bool(_primitive_pairs(form, m, prime_powers(m, rho_budget)))
 
 
 def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
@@ -427,7 +441,8 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
     at the first k where either is primitively represented, or at
     limit - q0.  Its cost is set by q0 and the gap, not by limit.  A q0
     above MAX_GAP_VALUE raises ValueError before any query, and so does
-    a scan that reaches its (MAX_GAP_STEPS + 1)-th step.
+    a scan that reaches its (MAX_GAP_STEPS + 1)-th step, or whose
+    neighbours take Pollard's rho past MAX_GAP_RHO_STEPS steps in all.
     """
     if limit <= q0:
         raise ValueError("scan limit must exceed q0")
@@ -441,12 +456,21 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
     if not _primitively_represented(form, q0):
         raise ValueError(f"{q0} has no primitive representation by {form}")
     step = math.gcd(form.a, form.b, form.c)
+    budget = [MAX_GAP_RHO_STEPS]  # rho steps left to the whole scan
     for k in range(step, limit - q0, step):
         if k > MAX_GAP_STEPS * step:
             raise ValueError(
                 f"form {form} has no primitive value within {k - step} of "
                 f"{q0}; gap scans are refused above {MAX_GAP_STEPS:.0e} steps"
             )
-        if _primitively_represented(form, q0 - k) or _primitively_represented(form, q0 + k):
-            return k
+        try:
+            if (_primitively_represented(form, q0 - k, budget)
+                    or _primitively_represented(form, q0 + k, budget)):
+                return k
+        except _RhoRefusal:
+            raise ValueError(
+                f"form {form} has no primitive value within {k - step} of "
+                f"{q0}; gap scans are refused past {MAX_GAP_RHO_STEPS} steps "
+                f"of Pollard's rho"
+            ) from None
     return limit - q0

@@ -261,7 +261,9 @@ def test_prime_powers_is_lazy(monkeypatch):
     # when the consumer stops at 227
     calls = []
     rho = arith._pollard_rho
-    monkeypatch.setattr(arith, "_pollard_rho", lambda n: calls.append(n) or rho(n))
+    monkeypatch.setattr(
+        arith, "_pollard_rho", lambda n, *budget: calls.append(n) or rho(n, *budget)
+    )
     n = 2**3 * 227 * 10007**2 * 1000003
     stream = prime_powers(n)
     assert next(stream) == (2, 3)

@@ -750,3 +750,22 @@ def test_module_entry_point_subprocess():
     assert completed.returncode == 0
     payload = json.loads(completed.stdout)
     assert set(payload) == {"v_omega", "V8"}
+
+
+def test_importing_the_cli_loads_every_layer_and_no_dataclasses():
+    # the bench tracer finds each layer in sys.modules after importing
+    # the cli, and dataclasses would bring inspect and tokenize into the
+    # start-up of every call.  A fresh interpreter: this one has already
+    # imported the test dependencies
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, volrigid.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    loaded = set(completed.stdout.split())
+    layers = "arith census cli cusplattice mutant nzvolume primeseq quadform".split()
+    assert {f"volrigid.{m}" for m in layers} <= loaded
+    assert not {"dataclasses", "inspect", "tokenize"} & loaded

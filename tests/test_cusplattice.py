@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -39,9 +38,7 @@ def test_builtin_forms_and_scales():
 
 
 def test_record_fields():
-    assert [f.name for f in dataclasses.fields(CuspRecord)] == [
-        "name", "integer_form", "symmetry_group",
-    ]
+    assert CuspRecord._fields == ("name", "integer_form", "symmetry_group")
 
 
 def test_builtin_record_unknown_name():

@@ -14,6 +14,7 @@ from test_arith import eager_factorize
 from volrigid import arith, quadform
 from volrigid.arith import factorize, prime_powers
 from volrigid.quadform import (
+    MAX_GAP_RHO_STEPS,
     MAX_GAP_STEPS,
     MAX_GAP_VALUE,
     MAX_SQUARE_ROOTS,
@@ -229,13 +230,15 @@ def _recorded_stream(monkeypatch):
     taken, rho_calls = [], []
     stream, rho = quadform.prime_powers, arith._pollard_rho
 
-    def recording(n):
-        for pe in stream(n):
+    def recording(n, *budget):
+        for pe in stream(n, *budget):
             taken.append(pe)
             yield pe
 
     monkeypatch.setattr(quadform, "prime_powers", recording)
-    monkeypatch.setattr(arith, "_pollard_rho", lambda n: rho_calls.append(n) or rho(n))
+    monkeypatch.setattr(
+        arith, "_pollard_rho", lambda n, *budget: rho_calls.append(n) or rho(n, *budget)
+    )
     return taken, rho_calls
 
 
@@ -436,15 +439,16 @@ def test_two_sided_gap_matches_a_window_walk_up_to_1e10(data):
 
 def test_gap_scan_refuses_too_many_steps():
     # Q(3*10**8 + 1, 1) = q0; the nearest other values of x^2 + 10^17 y^2
-    # are the neighbouring squares plus 10**17, about 6e8 away
+    # are the neighbouring squares plus 10**17, about 6e8 away.  Rho on
+    # the neighbours spends the scan's budget long before 10**4 steps
     form = IntQuadForm(1, 0, 10**17)
     q0 = 19 * 10**16 + 6 * 10**8 + 1
     assert form.evaluate(3 * 10**8 + 1, 1) == q0
     message = (
-        f"form 1,0,{10**17} has no primitive value within 10000 of {q0}; "
-        "gap scans are refused above 1e+04 steps"
+        f"form 1,0,{10**17} has no primitive value within 729 of {q0}; "
+        "gap scans are refused past 1048576 steps of Pollard's rho"
     )
-    assert MAX_GAP_STEPS == 10**4
+    assert MAX_GAP_STEPS == 10**4 and MAX_GAP_RHO_STEPS == 2**20
     with pytest.raises(ValueError) as exc:
         two_sided_gap(form, q0, 10**18)
     assert str(exc.value) == message
