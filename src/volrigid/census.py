@@ -2,7 +2,8 @@
 
 Input is CSV-ish text: one record per line as ``name,volume``, blank
 lines and ``#`` comments ignored, an optional leading ``name,volume``
-header skipped.  Bad lines are collected into a report instead of
+header skipped, and one UTF-8 byte-order mark (U+FEFF) at the start of
+the first line dropped.  Bad lines are collected into a report instead of
 aborting the parse, so one typo does not lose a whole census file.
 
 Clustering is greedy chaining on the sorted volumes: a record joins the
@@ -16,6 +17,7 @@ order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -28,7 +30,6 @@ __all__ = [
     "DEFAULT_EPSILON",
     "parse_census",
     "cluster_volumes",
-    "clusters_as_dicts",
 ]
 
 DEFAULT_EPSILON = 1e-6
@@ -66,43 +67,47 @@ class ParseReport(NamedTuple):
     errors: tuple[ParseError, ...]
 
 
-class _VolumeNotANumber(ValueError):
-    """The volume field of a line does not parse as a float."""
-
-
-def _parse_line(text: str) -> VolumeRecord:
-    name, comma, raw = text.partition(",")
-    if not comma or "," in raw:
-        raise ValueError("expected exactly one comma: name,volume")
-    name = name.strip()
-    if not name:
-        raise ValueError("empty name")
-    raw = raw.strip()
-    try:
-        volume = float(raw)
-    except ValueError:
-        raise _VolumeNotANumber(f"volume {raw!r} is not a number") from None
-    return VolumeRecord(name, volume)
-
-
 def parse_census(lines: Iterable[str]) -> ParseReport:
     """Parse name,volume lines; malformed lines go to the error report.
 
     A first line with one comma, a name and a volume field that float()
     refuses is taken to be the optional header and skipped silently.
+    One U+FEFF (a UTF-8 byte-order mark) at the start of the first line
+    is dropped, so it never becomes part of the first name.
     """
     records: list[VolumeRecord] = []
     errors: list[ParseError] = []
+    lines = iter(lines)
+    first = next(lines, "").removeprefix("\ufeff")
     first_data_line = True
-    for line_number, raw in enumerate(lines, start=1):
+    for line_number, raw in enumerate(itertools.chain((first,), lines), start=1):
         text = raw.strip()
-        if not text or text.startswith("#"):
+        if not text or text[0] == "#":
             continue
-        try:
-            records.append(_parse_line(text))
-        except ValueError as exc:
-            if not (first_data_line and isinstance(exc, _VolumeNotANumber)):
-                errors.append(ParseError(line_number, text, str(exc)))
+        name, comma, volume_text = text.partition(",")
+        # text is stripped: nothing to strip left of the name or right of
+        # the volume
+        name = name.rstrip()
+        volume_text = volume_text.lstrip()
+        reason = None
+        if not comma or "," in volume_text:
+            reason = "expected exactly one comma: name,volume"
+        elif not name:
+            reason = "empty name"
+        else:
+            try:
+                volume = float(volume_text)
+            except ValueError:
+                if not first_data_line:  # there, the optional header
+                    reason = f"volume {volume_text!r} is not a number"
+            else:
+                if 0 < volume < math.inf:
+                    # the range test of VolumeRecord.__new__, made here
+                    records.append(tuple.__new__(VolumeRecord, (name, volume)))
+                else:
+                    reason = f"volume of {name!r} must be finite and positive"
+        if reason is not None:
+            errors.append(ParseError(line_number, text, reason))
         first_data_line = False
     return ParseReport(tuple(records), tuple(errors))
 
@@ -121,7 +126,10 @@ def cluster_volumes(
     """Greedy chain clustering of records sorted by (volume, name)."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be a nonnegative number")
-    ordered = sorted(records, key=itemgetter(1, 0))
+    # two stable sorts, each on one key of a single type: by name, then
+    # by volume, is the order by (volume, name)
+    ordered = sorted(records, key=itemgetter(0))
+    ordered.sort(key=itemgetter(1))
     if not ordered:
         return []
     clusters: list[VolumeCluster] = []
@@ -135,11 +143,3 @@ def cluster_volumes(
         previous = volume
     clusters.append(VolumeCluster(start, len(names), tuple(names)))
     return clusters
-
-
-def clusters_as_dicts(clusters: Iterable[VolumeCluster]) -> list[dict]:
-    """JSON-ready form: {"volume", "count", "names"} per cluster."""
-    return [
-        {"volume": volume, "count": count, "names": list(names)}
-        for volume, count, names in clusters
-    ]

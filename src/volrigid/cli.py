@@ -25,13 +25,14 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import random
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .census import DEFAULT_EPSILON, cluster_volumes, clusters_as_dicts, parse_census
+from .census import DEFAULT_EPSILON, cluster_volumes, parse_census
 from .cusplattice import builtin_names, builtin_record
 from .mutant import (
     CyclicWord,
@@ -100,6 +101,13 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
+def _one_encoder(values: Iterable[Any]) -> Callable[[Any], str] | None:
+    """The encoder of the values' one scalar type, or None when they are
+    of no type or several, or of a type that is not a scalar."""
+    types = set(map(type, values))
+    return _SCALARS.get(types.pop()) if len(types) == 1 else None
+
+
 @functools.cache
 def _layout(indent: int | None) -> tuple[str, str, str, int | None]:
     """Text before the first item of a container at nesting level
@@ -122,31 +130,79 @@ def _json_text(obj: Any, indent: int | None = 0) -> str:
     encode = _SCALARS.get(kind)
     if encode is not None:
         return encode(obj)
-    if kind is dict:
-        brackets = "{}"
-    elif kind is list:
-        brackets = "[]"
-    else:
+    if kind is list:
+        return _json_array(obj, indent)
+    if kind is not dict:
         raise TypeError(f"cannot serialize {kind.__name__}")
     if not obj:
-        return brackets
+        return "{}"
     opening, sep, closing, deeper = _layout(indent)
-    if kind is dict:
-        colon = ":" if indent is None else ": "
-        parts = []
-        for key, value in obj.items():
-            encode = _SCALARS.get(type(value))
-            text = encode(value) if encode is not None else _json_text(value, deeper)
-            parts.append(_encode_str(key) + colon + text)
+    colon = ":" if indent is None else ": "
+    parts = []
+    for key, value in obj.items():
+        encode = _SCALARS.get(type(value))
+        text = encode(value) if encode is not None else _json_text(value, deeper)
+        parts.append(_encode_str(key) + colon + text)
+    return "{" + opening + sep.join(parts) + closing + "}"
+
+
+def _json_array(items: Sequence[Any], indent: int | None) -> str:
+    """``_json_text`` of a list, or of a tuple read as a list."""
+    if not items:
+        return "[]"
+    opening, sep, closing, deeper = _layout(indent)
+    # a sequence of one scalar type is printed in one join
+    encode = _one_encoder(items)
+    if encode is not None:
+        parts = map(encode, items)
     else:
-        # a list of one scalar type is printed in one join
-        types = set(map(type, obj))
-        encode = _SCALARS.get(types.pop()) if len(types) == 1 else None
-        if encode is not None:
-            parts = map(encode, obj)
-        else:
-            parts = [_json_text(value, deeper) for value in obj]
-    return brackets[0] + opening + sep.join(parts) + closing + brackets[1]
+        parts = [_json_text(value, deeper) for value in items]
+    return "[" + opening + sep.join(parts) + closing + "]"
+
+
+class _Table(NamedTuple):
+    """A list of rows with the same keys, rendered row by row.
+
+    It means exactly ``[dict(zip(keys, row)) for row in rows]``, with
+    every tuple cell read as a list.  The keys are distinct and there is
+    at least one; each row has one cell per key, and each cell is a
+    scalar or a list or tuple of scalars.
+    """
+
+    keys: tuple[str, ...]
+    rows: Sequence[Sequence[Any]]
+
+
+def _table_cell(value: Any, indent: int | None) -> str:
+    """``_json_text`` of a table cell, which reads a tuple as a list."""
+    if type(value) is tuple:
+        return _json_array(value, indent)
+    return _json_text(value, indent)
+
+
+def _json_column(cells: tuple) -> Iterable[str]:
+    """The JSON texts of one table column's cells, in one map."""
+    encode = _one_encoder(cells)
+    if encode is not None:
+        return map(encode, cells)
+    # a row is a dict at nesting level 1, so its cells are at level 2
+    return map(_table_cell, cells, itertools.repeat(2))
+
+
+def _json_table(table: _Table) -> str:
+    """``_json_text`` of the list of dicts that the table means."""
+    if not table.rows:
+        return "[]"
+    # one template, built once, lays out every row
+    opening, sep, closing, _ = _layout(1)
+    template = (
+        "{" + opening
+        + sep.join(_encode_str(k).replace("%", "%%") + ": %s" for k in table.keys)
+        + closing + "}"
+    )
+    columns = [_json_column(cells) for cells in zip(*table.rows)]
+    opening, sep, closing, _ = _layout(0)
+    return "[" + opening + sep.join(map(template.__mod__, zip(*columns))) + closing + "]"
 
 
 def _cell(value: Any) -> str:
@@ -154,11 +210,13 @@ def _cell(value: Any) -> str:
 
 
 def _rows(payload: Any) -> tuple[list[str], list[list[str]]]:
-    if isinstance(payload, list):
-        if not payload:
+    if type(payload) is _Table:
+        if not payload.rows:
             return [], []
-        header = list(payload[0].keys())
-        return header, [[_cell(row.get(k)) for k in header] for row in payload]
+        return list(payload.keys), [
+            [c if isinstance(c, str) else _table_cell(c, None) for c in row]
+            for row in payload.rows
+        ]
     header = ["key", "value"]
     return header, [[k, _cell(v)] for k, v in payload.items()]
 
@@ -167,9 +225,12 @@ def render(payload: Any, fmt: str) -> str:
     """Payload text in the given format.
 
     Payloads are JSON-ready: dicts with str keys, lists, str, int,
-    float, bool and None, nothing else.
+    float, bool and None, nothing else; or a _Table, which csv and
+    table print one row per line under a header of its keys.
     """
     if fmt == "json":
+        if type(payload) is _Table:
+            return _json_table(payload) + "\n"
         return _json_text(payload) + "\n"
     header, rows = _rows(payload)
     if fmt == "csv":
@@ -313,6 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # subcommands: one declaration each; handlers return JSON-ready payloads
+# or a _Table
 
 _FORM = _arg("--form", type=_int_triple, required=True, metavar="a,b,c")
 _LIMIT = _arg("--limit", type=int, required=True)
@@ -603,7 +665,7 @@ def _cmd_census_hist(args: argparse.Namespace) -> Any:
             file=sys.stderr,
         )
     clusters = cluster_volumes(report.records, epsilon=args.epsilon)
-    return clusters_as_dicts(clusters)
+    return _Table(("volume", "count", "names"), clusters)
 
 
 # ---------------------------------------------------------------------------

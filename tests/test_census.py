@@ -19,7 +19,6 @@ from volrigid.census import (
     VolumeCluster,
     VolumeRecord,
     cluster_volumes,
-    clusters_as_dicts,
     parse_census,
 )
 
@@ -107,6 +106,20 @@ def test_header_is_a_volume_float_refuses_not_an_error_message():
     assert [r.name for r in report.records] == ["b"] and not report.errors
 
 
+def test_one_byte_order_mark_is_dropped_from_the_first_line():
+    report = parse_census(["\ufeffm004,2.0298832128", "m003,2.0298832128"])
+    assert [r.name for r in report.records] == ["m004", "m003"]
+    # before the header, which is then skipped as usual
+    report = parse_census(["\ufeffname,volume", "m003,2.0298832128"])
+    assert [r.name for r in report.records] == ["m003"] and not report.errors
+    report = parse_census(iter(["\ufeff# comment", "a,1"]))
+    assert [(r.name, r.volume) for r in report.records] == [("a", 1.0)]
+    # only one mark, and only on the first line
+    report = parse_census(["\ufeff\ufeffa,1", "\ufeffb,2"])
+    assert [r.name for r in report.records] == ["\ufeffa", "\ufeffb"]
+    assert parse_census([]) == parse_census(["\ufeff"]) == ParseReport((), ())
+
+
 def test_cluster_examples():
     recs = [VolumeRecord("a", 2.029883), VolumeRecord("b", 2.029883),
             VolumeRecord("c", 2.568970)]
@@ -170,12 +183,6 @@ def test_fixture_parses_clean():
     # adjacent gaps of 9e-7
     chain = clusters[5]
     assert chain.names == ("s10", "s11", "s12")
-
-
-def test_clusters_as_dicts_shape():
-    recs = [VolumeRecord("a", 2.0), VolumeRecord("b", 2.0)]
-    payload = clusters_as_dicts(cluster_volumes(recs))
-    assert payload == [{"volume": 2.0, "count": 2, "names": ["a", "b"]}]
 
 
 # ---------------------------------------------------------------------------
@@ -246,35 +253,49 @@ def oracle_cluster_volumes(records, epsilon):
     return [(c[0].volume, len(c), tuple(r.name for r in c)) for c in clusters]
 
 
+# whitespace that str.strip() removes; float() strips all but \x1c-\x1f
+_PAD = st.sampled_from(["", " ", "\t", "\u2003", "\xa0", "\x1c", "\x1f"])
 _VOLUME_TEXT = (
     st.sampled_from([
         "1", "2.5", "2.5000001", "2.5000002", "1e-7", "nan", "NaN", "inf",
         "-inf", "1e999", "-1e999", "-2.5", "0", "-0.0", "abc", "", "1,5",
-        "0x10", "1_000", " 3.25 ", "\t4\t",
+        "0x10", "1_000", " 3.25 ", "\t4\t", "1e400", "1_0", "Infinity",
+        "\x1c5\x1c",
     ])
     | st.floats().map(repr)
     | st.floats(0.5, 0.5000003).map(repr)
+    # many equal volumes, under different names
+    | st.sampled_from(["2.0298832128", "2.0298832128", "2.0298833"])
 )
-_NAME = st.sampled_from(["a", "b", "m004", "name", "#x", " pad ", ""]) | st.text(max_size=5)
+_NAME = st.sampled_from(["a", "b", "m004", "name", "#x", " pad ", "", "é"]) | st.text(max_size=5)
 _LINE = (
-    st.builds(lambda n, sep, v, end: f"{n}{sep}{v}{end}",
-              _NAME, st.sampled_from([",", ",,", ", ", "", " , "]), _VOLUME_TEXT,
-              st.sampled_from(["", "\n", "  ", ",extra"]))
+    st.builds(lambda lead, n, sep, v, end: f"{lead}{n}{sep}{v}{end}",
+              _PAD | st.just("\ufeff"), _NAME,
+              st.sampled_from([",", ",,", ", ", "", " , ", "\x1c,\x1c"]), _VOLUME_TEXT,
+              _PAD | st.sampled_from(["\n", ",extra"]))
     | st.sampled_from(["", "\n", "   ", "# comment", "  # indented", "name,volume"])
     | st.text(max_size=8)
 )
+_HEADER = st.sampled_from([
+    [], ["name,volume"], [" name , volume "], ["\ufeffname,volume"], ["name,volume,unit"],
+])
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(lines=st.lists(_LINE, max_size=25),
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(header=_HEADER, lines=st.lists(_LINE, max_size=25),
        epsilon=st.sampled_from([0.0, 1e-7, 1e-6, 0.5]))
-def test_census_matches_the_dataclass_census(lines, epsilon):
+def test_census_matches_the_dataclass_census(header, lines, epsilon):
+    lines = header + lines
     report = parse_census(lines)
-    records, errors = oracle_parse_census(lines)
+    # parse_census drops one byte-order mark from the first line
+    records, errors = oracle_parse_census(
+        [line.removeprefix("\ufeff") for line in lines[:1]] + lines[1:]
+    )
     assert [(r.name, r.volume) for r in report.records] == [
         (r.name, r.volume) for r in records
     ]
+    assert [type(r) for r in report.records] == [VolumeRecord] * len(records)
     assert [(e.line_number, e.text, e.reason) for e in report.errors] == errors
-    assert [tuple(c) for c in cluster_volumes(report.records, epsilon)] == (
-        oracle_cluster_volumes(records, epsilon)
-    )
+    clusters = cluster_volumes(report.records, epsilon)
+    assert [tuple(c) for c in clusters] == oracle_cluster_volumes(records, epsilon)
+    assert [type(c) for c in clusters] == [VolumeCluster] * len(clusters)

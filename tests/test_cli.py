@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,13 +11,14 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volrigid import primeseq
-from volrigid.cli import _cell, _digit_count, _json_text, run
+from volrigid import cli, primeseq
+from volrigid.cli import _cell, _digit_count, _json_text, _Table, render, run
 from volrigid.mutant import MAX_CLASS_WORD_LENGTH
 
 try:
@@ -156,6 +158,51 @@ def test_census_hist_reports_bad_lines_on_stderr(tmp_path, capsys):
     assert code == 0
     assert "line 2" in err
     assert json.loads(out)[0]["names"] == ["A"]
+
+
+def test_census_hist_shape(tmp_path, capsys):
+    # one {volume, count, names} object per cluster, names in a list; csv
+    # and table print a header of those keys and one line per cluster
+    table = tmp_path / "two.csv"
+    table.write_text("b,2.0\na,2.0\nc,3.5\n", encoding="utf-8")
+    assert invoke(capsys, "census", "hist", str(table)) == (
+        0,
+        '[\n  {\n    "volume": 2,\n    "count": 2,\n    "names": [\n      "a",\n      "b"\n    ]\n  },'
+        '\n  {\n    "volume": 3.5,\n    "count": 1,\n    "names": [\n      "c"\n    ]\n  }\n]\n',
+        "",
+    )
+    assert invoke(capsys, "census", "hist", str(table), "--format", "csv") == (
+        0, 'volume,count,names\n2,2,"[""a"",""b""]"\n3.5,1,"[""c""]"\n', ""
+    )
+    assert invoke(capsys, "census", "hist", str(table), "--format", "table") == (
+        0,
+        "volume  count  names\n"
+        "------  -----  ---------\n"
+        '2       2      ["a","b"]\n'
+        '3.5     1      ["c"]\n',
+        "",
+    )
+
+
+@pytest.mark.parametrize("fmt, expected", [("json", "[]\n"), ("csv", ""), ("table", "\n")])
+def test_census_hist_without_records_prints_no_header(tmp_path, capsys, fmt, expected):
+    table = tmp_path / "comments.csv"
+    table.write_text("# no records\n\n  # none here either\n", encoding="utf-8")
+    assert invoke(capsys, "census", "hist", str(table), "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize("header", ["", "name,volume\n"])
+def test_census_hist_drops_a_byte_order_mark(tmp_path, capsys, monkeypatch, header):
+    data = ("\ufeff" + header + "m004,2.0298832128\nm003,2.0298832128\n").encode("utf-8")
+    path = tmp_path / "marked.csv"
+    path.write_bytes(data)
+    from_file = invoke(capsys, "census", "hist", str(path))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    from_stdin = invoke(capsys, "census", "hist", "-")
+    assert from_file == from_stdin
+    code, out, err = from_file
+    assert code == 0 and err == ""
+    assert json.loads(out) == [{"volume": 2.0298832128, "count": 2, "names": ["m003", "m004"]}]
 
 
 def test_output_determinism(capsys):
@@ -706,6 +753,58 @@ def test_writer_refuses_other_types(value):
     for payload in (value, [value], [1, value], {"k": value}):
         with pytest.raises(TypeError, match="cannot serialize"):
             _json_text(payload)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_every_format_refuses_a_tuple_outside_a_table(fmt):
+    # only a _Table reads a tuple cell as a list
+    with pytest.raises(TypeError, match="cannot serialize tuple"):
+        render({"k": (1, 2)}, fmt)
+
+
+def list_rows(payload):
+    """csv and table rows of a list of dicts, as read before the row
+    table: the header is the first dict's keys.  Oracle for _rows."""
+    if isinstance(payload, list):
+        if not payload:
+            return [], []
+        header = list(payload[0].keys())
+        return header, [[list_cell(row.get(k)) for k in header] for row in payload]
+    return cli._rows(payload)
+
+
+def list_cell(value):
+    return value if isinstance(value, str) else recursive_json_text(value, None)
+
+
+def table_meaning(keys, rows):
+    return [dict(zip(keys, [list(c) if type(c) is tuple else c for c in row])) for row in rows]
+
+
+_KEY = (
+    st.sampled_from(["volume", "count", "names", "%", "%s", "%%", "%(k)s", '"', "é", "Ω", ""])
+    | _TEXT
+)
+# a column may mix types, and a sequence cell is a list or a tuple
+_TABLE_CELL = _SCALAR | _FLAT_LISTS | _FLAT_LISTS.map(tuple)
+_TABLES = st.lists(_KEY, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.tuples(
+        st.just(tuple(keys)),
+        st.lists(st.tuples(*[_TABLE_CELL] * len(keys)), max_size=5),
+    )
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(table=_TABLES)
+def test_table_renders_as_the_list_of_dicts_it_means(table):
+    keys, rows = table
+    meaning = table_meaning(keys, rows)
+    assert render(_Table(keys, rows), "json") == recursive_json_text(meaning) + "\n"
+    for fmt in ("csv", "table"):
+        with mock.patch.object(cli, "_rows", list_rows):
+            expected = render(meaning, fmt)
+        assert render(_Table(keys, rows), fmt) == expected
 
 
 @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
