@@ -17,6 +17,12 @@ Exit codes: 0 success, 1 domain error (bad mathematics, missing file),
 format, inside nested csv and table cells too, and all orderings are
 fixed, so identical invocations are byte-identical.  Each subcommand is
 declared once, by @_command on its handler.
+
+The writer prints a list whose items share one shape column by column,
+with no Python call per item: scalars of one type, dicts with one key
+list in one order (each key's values a column, each row filled into one
+template), and non-empty lists whose elements share one scalar type.
+A list of other items is printed item by item.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .mutant import (
     decompose,
     enumerate_classes,
     horoball_areas,
-    knot_cusp_moduli,
 )
 from .nzvolume import (
     DEFAULT_C2,
@@ -101,11 +106,10 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _one_encoder(values: Iterable[Any]) -> Callable[[Any], str] | None:
-    """The encoder of the values' one scalar type, or None when they are
-    of no type or several, or of a type that is not a scalar."""
+def _one_type(values: Iterable[Any]) -> type | None:
+    """The values' one type, or None when they are of no type or several."""
     types = set(map(type, values))
-    return _SCALARS.get(types.pop()) if len(types) == 1 else None
+    return types.pop() if len(types) == 1 else None
 
 
 @functools.cache
@@ -151,17 +155,68 @@ def _json_array(items: Sequence[Any], indent: int | None) -> str:
     if not items:
         return "[]"
     opening, sep, closing, deeper = _layout(indent)
-    # a sequence of one scalar type is printed in one join
-    encode = _one_encoder(items)
+    return "[" + opening + sep.join(_json_items(items, deeper)) + closing + "]"
+
+
+def _json_items(
+    items: Sequence[Any], indent: int | None, tuples: bool = False
+) -> Iterable[str]:
+    """The JSON text of each item of a non-empty list, at level ``indent``.
+
+    Items of one shape are printed column by column, with no call per
+    item: scalars of one type in one map; dicts with one non-empty key
+    list through one template, each key's values a column; non-empty
+    lists whose elements share one scalar type in one map.  Items of
+    other shapes, and a single container, are printed one by one.
+    ``tuples`` reads a tuple item as a list, as a _Table's cells are read.
+    """
+    kind = _one_type(items)
+    encode = _SCALARS.get(kind)
     if encode is not None:
-        parts = map(encode, items)
-    else:
-        parts = [_json_text(value, deeper) for value in items]
-    return "[" + opening + sep.join(parts) + closing + "]"
+        return map(encode, items)
+    # one container prints faster on its own than as a column
+    many = len(items) > 1
+    if kind is dict and many:
+        keys = set(map(tuple, items))
+        if len(keys) == 1 and () not in keys:
+            return _json_records(keys.pop(), zip(*map(dict.values, items)), indent)
+    elif many and (kind is list or tuples and kind is tuple) and all(items):
+        encode = _SCALARS.get(_one_type(itertools.chain.from_iterable(items)))
+        if encode is not None:
+            opening, sep, closing, _ = _layout(indent)
+            frame = "[" + opening + "%s" + closing + "]"
+            return map(
+                frame.__mod__, map(sep.join, map(functools.partial(map, encode), items))
+            )
+    if tuples:
+        return [
+            _json_array(v, indent) if type(v) is tuple else _json_text(v, indent)
+            for v in items
+        ]
+    return [_json_text(v, indent) for v in items]
+
+
+def _json_records(
+    keys: Sequence[str],
+    columns: Iterable[Sequence[Any]],
+    indent: int | None,
+    tuples: bool = False,
+) -> Iterable[str]:
+    """The JSON text of ``dict(zip(keys, row))`` at level ``indent`` for
+    each row that the columns hold, all through one template."""
+    opening, sep, closing, deeper = _layout(indent)
+    texts = [_json_items(cells, deeper, tuples) for cells in columns]
+    colon = ":" if indent is None else ": "
+    template = (
+        "{" + opening
+        + sep.join(_encode_str(k).replace("%", "%%") + colon + "%s" for k in keys)
+        + closing + "}"
+    )
+    return map(template.__mod__, zip(*texts))
 
 
 class _Table(NamedTuple):
-    """A list of rows with the same keys, rendered row by row.
+    """A list of rows with the same keys, rendered column by column.
 
     It means exactly ``[dict(zip(keys, row)) for row in rows]``, with
     every tuple cell read as a list.  The keys are distinct and there is
@@ -173,50 +228,33 @@ class _Table(NamedTuple):
     rows: Sequence[Sequence[Any]]
 
 
-def _table_cell(value: Any, indent: int | None) -> str:
-    """``_json_text`` of a table cell, which reads a tuple as a list."""
-    if type(value) is tuple:
-        return _json_array(value, indent)
-    return _json_text(value, indent)
-
-
-def _json_column(cells: tuple) -> Iterable[str]:
-    """The JSON texts of one table column's cells, in one map."""
-    encode = _one_encoder(cells)
-    if encode is not None:
-        return map(encode, cells)
-    # a row is a dict at nesting level 1, so its cells are at level 2
-    return map(_table_cell, cells, itertools.repeat(2))
-
-
 def _json_table(table: _Table) -> str:
     """``_json_text`` of the list of dicts that the table means."""
     if not table.rows:
         return "[]"
-    # one template, built once, lays out every row
-    opening, sep, closing, _ = _layout(1)
-    template = (
-        "{" + opening
-        + sep.join(_encode_str(k).replace("%", "%%") + ": %s" for k in table.keys)
-        + closing + "}"
-    )
-    columns = [_json_column(cells) for cells in zip(*table.rows)]
     opening, sep, closing, _ = _layout(0)
-    return "[" + opening + sep.join(map(template.__mod__, zip(*columns))) + closing + "]"
+    rows = _json_records(table.keys, zip(*table.rows), 1, tuples=True)
+    return "[" + opening + sep.join(rows) + closing + "]"
+
+
+def _text_cells(cells: Sequence[Any]) -> Iterable[str]:
+    """csv and table texts of one _Table column: a str cell as it is,
+    any other cell as compact JSON."""
+    texts = _json_items(cells, None, tuples=True)
+    if str in set(map(type, cells)):
+        return [c if type(c) is str else t for c, t in zip(cells, texts)]
+    return texts
 
 
 def _cell(value: Any) -> str:
     return value if isinstance(value, str) else _json_text(value, None)
 
 
-def _rows(payload: Any) -> tuple[list[str], list[list[str]]]:
+def _rows(payload: Any) -> tuple[list[str], list[Sequence[str]]]:
     if type(payload) is _Table:
         if not payload.rows:
             return [], []
-        return list(payload.keys), [
-            [c if isinstance(c, str) else _table_cell(c, None) for c in row]
-            for row in payload.rows
-        ]
+        return list(payload.keys), list(zip(*map(_text_cells, zip(*payload.rows))))
     header = ["key", "value"]
     return header, [[k, _cell(v)] for k, v in payload.items()]
 
@@ -632,7 +670,7 @@ def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
         "canonical": str(canonical_form(word)),
         "kind": dec.kind,
         "i_sequence": list(dec.i_sequence),
-        "knot_moduli": list(knot_cusp_moduli(word)),
+        "knot_moduli": sorted(graph.cycle_labels),
         "apex_label": graph.apex_label,
         "cycle_labels": list(graph.cycle_labels),
         "special_triangle": graph.special_triangle,

@@ -632,6 +632,42 @@ def test_census_hist_bytes_are_pinned(capsys, planted_table, fmt):
     assert hashlib.sha256(err.encode()).hexdigest() == HIST_STDERR_SHA256
 
 
+# a 300-letter word: its horoball_areas are about 900 [modulus, area] pairs
+GRAPH_WORD = "".join(random.Random(300).choice("01") for _ in range(300))
+# sha256 of the stdout of each payload, as printed by the writer that made
+# one call per list item and per dict
+PAYLOAD_STDOUT_SHA256 = {
+    ("mutant", "graph", "--word", GRAPH_WORD): {
+        "json": "17a66de21f500e61d47a7345360ce5178723d3ca7924fe68667ee88f4bf4cf17",
+        "csv": "21ae4d77888f92867ab1b899c2af761cfa5e3b1b7cae5605c3b593487c876919",
+        "table": "d29720ee9003be54c200214274d84d1cbdb77e9d45b57c05efb757ef517abbe3",
+    },
+    ("prime-seq", "--family", "m125", "-g", "1", "--count", "20"): {
+        "json": "8fd7c091542950f5add0a4bca3740fe7f1c3b590bf109b6a532262958b79314e",
+        "csv": "c307864f48be928fb6246304a7e0c69c3c6e354be3832d5851da89528fbccb1d",
+        "table": "0784ab9ff900afa812e2e33ab1c64c81a3deec5ec74f04349c14f4a09f083e1b",
+    },
+    ("qf", "reps", "--form", "1,0,1", "--value", "5525"): {
+        "json": "94cc3e192936a25e13776c719a92a94ecc2b8f7c23ff5d501e66a2fadf0b6fc8",
+        "csv": "ae066ba4e0104202a9db01294243915898c892169a097cb07431cd6ac0fb86fe",
+        "table": "c2967ec333bff2fba750aafc1beb9477dc7a7cd8c1a6b0801b73213337f968b3",
+    },
+    ("nz", "check", "--points", "20"): {
+        "json": "d50519b3fd39098d783ffb512d300477ee4a5e16f4d2c79803feb2e3cd0bfb59",
+        "csv": "d06cb877fac2044d9837a1058fb62f2afffaa55f2a519fc9a93d6dcfc23d7f2c",
+        "table": "f5f003515143a2eb3bc2a4f09281752e803a16637db48d8611d82213091468e1",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("argv", list(PAYLOAD_STDOUT_SHA256), ids=lambda a: " ".join(a[:2]))
+def test_payload_bytes_are_pinned(capsys, argv, fmt):
+    code, out, err = invoke(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PAYLOAD_STDOUT_SHA256[argv][fmt]
+
+
 def test_qf_reps_refuses_too_many_square_roots(capsys):
     code, out, err = invoke(
         capsys, "qf", "reps", "--form", "1,0,1099511627776",
@@ -732,8 +768,56 @@ _FLAT_LISTS = (
 )
 
 
+_KEY = (
+    st.sampled_from(["volume", "count", "names", "%", "%s", "%%", "%(k)s", '"', "é", "Ω", ""])
+    | _TEXT
+)
+# cell strategies that each give one shape to every cell of a column: the
+# writer prints such a column in one map, and any other column item by item
+_ONE_TYPE_CELLS = [st.none(), st.booleans(), st.integers(), _ANY_FLOAT, _TEXT]
+_ARRAY_CELLS = [st.lists(cell, min_size=1, max_size=3) for cell in _ONE_TYPE_CELLS]
+_RECORD_CELL = st.tuples(st.integers(), _TEXT | st.none()).map(
+    lambda row: dict(zip(("%s", "é"), row))
+)
+_COLUMN_CELLS = [*_ONE_TYPE_CELLS, *_ARRAY_CELLS, _RECORD_CELL, _SCALAR | _FLAT_LISTS]
+
+
+def _record_lists(min_keys=1, min_rows=1):
+    """Lists of dicts with one key list in one order, each key's values
+    drawn from one of _COLUMN_CELLS."""
+    return st.lists(_KEY, min_size=min_keys, max_size=3, unique=True).flatmap(
+        lambda keys: st.tuples(*[st.sampled_from(_COLUMN_CELLS)] * len(keys)).flatmap(
+            lambda cells: st.lists(
+                st.tuples(*cells).map(lambda row: dict(zip(keys, row))),
+                min_size=min_rows, max_size=5,
+            )
+        )
+    )
+
+
+def _reorder_last(records):
+    return records[:-1] + [dict(reversed(records[-1].items()))]
+
+
+# lists of non-empty lists of one scalar type
+_ARRAYS = st.sampled_from(_ARRAY_CELLS).flatmap(
+    lambda cell: st.lists(cell, min_size=1, max_size=5)
+)
+# shapes one step from a column path, which must be printed item by item:
+# a record with its keys in another order, {} records, and inner lists
+# that may be empty, None, or hold True beside 1
+_NEAR_MISSES = (
+    _record_lists(2, 2).map(_reorder_last)
+    | st.lists(st.just({}), min_size=1, max_size=3)
+    | st.lists(
+        st.lists(st.booleans() | st.integers(), max_size=3) | st.none(),
+        min_size=1, max_size=5,
+    )
+)
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(payload=_payloads(_SCALAR | _FLAT_LISTS))
+@given(payload=_payloads(_SCALAR | _FLAT_LISTS | _record_lists() | _ARRAYS | _NEAR_MISSES))
 def test_writer_matches_the_recursive_writer(payload):
     assert _json_text(payload) == recursive_json_text(payload)
     assert _json_text(payload, None) == recursive_json_text(payload, None)
@@ -750,16 +834,34 @@ def test_writer_keeps_bool_and_int_apart():
 
 @pytest.mark.parametrize("value", [(1, 2), {1, 2}, b"x", 1j, object()])
 def test_writer_refuses_other_types(value):
-    for payload in (value, [value], [1, value], {"k": value}):
+    # the last three take the column paths but for the value
+    for payload in (
+        value, [value], [1, value], {"k": value},
+        [value, value], [{"k": value}, {"k": value}], [[1], [value]],
+    ):
         with pytest.raises(TypeError, match="cannot serialize"):
             _json_text(payload)
 
 
+def test_records_with_a_non_str_key_are_refused_as_one_dict_is():
+    with pytest.raises(TypeError) as one:
+        _json_text({1: 2})
+    for payload in ([{1: 2}, {1: 3}], {"k": [{1: 2}, {1: 3}]}):
+        with pytest.raises(TypeError) as records:
+            _json_text(payload)
+        assert str(records.value) == str(one.value)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_every_format_refuses_a_tuple_outside_a_table(fmt):
-    # only a _Table reads a tuple cell as a list
-    with pytest.raises(TypeError, match="cannot serialize tuple"):
-        render({"k": (1, 2)}, fmt)
+    # only a _Table reads a tuple cell as a list, also where the items
+    # would otherwise take a column path
+    for value in ((1, 2), [(1, 2), (3, 4)], [{"k": (1, 2)}, {"k": (3, 4)}], [[1], (2,)]):
+        with pytest.raises(TypeError, match="cannot serialize tuple"):
+            render({"k": value}, fmt)
+        if fmt == "json":
+            with pytest.raises(TypeError, match="cannot serialize tuple"):
+                render(value, fmt)
 
 
 def list_rows(payload):
@@ -781,16 +883,15 @@ def table_meaning(keys, rows):
     return [dict(zip(keys, [list(c) if type(c) is tuple else c for c in row])) for row in rows]
 
 
-_KEY = (
-    st.sampled_from(["volume", "count", "names", "%", "%s", "%%", "%(k)s", '"', "é", "Ω", ""])
-    | _TEXT
-)
 # a column may mix types, and a sequence cell is a list or a tuple
-_TABLE_CELL = _SCALAR | _FLAT_LISTS | _FLAT_LISTS.map(tuple)
+_TABLE_CELLS = [
+    *_COLUMN_CELLS,
+    *[cell.map(tuple) for cell in _ARRAY_CELLS],
+    _SCALAR | _FLAT_LISTS | _FLAT_LISTS.map(tuple),
+]
 _TABLES = st.lists(_KEY, min_size=1, max_size=4, unique=True).flatmap(
-    lambda keys: st.tuples(
-        st.just(tuple(keys)),
-        st.lists(st.tuples(*[_TABLE_CELL] * len(keys)), max_size=5),
+    lambda keys: st.tuples(*[st.sampled_from(_TABLE_CELLS)] * len(keys)).flatmap(
+        lambda cells: st.tuples(st.just(tuple(keys)), st.lists(st.tuples(*cells), max_size=5))
     )
 )
 
