@@ -42,12 +42,12 @@ from .census import DEFAULT_EPSILON, cluster_volumes, parse_census
 from .cusplattice import builtin_names, builtin_record
 from .mutant import (
     CyclicWord,
+    _cusp_graph,
+    _horoball_areas,
     canonical_form,
     census_report,
-    cusp_graph,
     decompose,
     enumerate_classes,
-    horoball_areas,
 )
 from .nzvolume import (
     DEFAULT_C2,
@@ -663,8 +663,8 @@ def _cmd_mutant_census(args: argparse.Namespace) -> Any:
 def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
     word = CyclicWord.from_string(args.word)
     dec = decompose(word)
-    graph = cusp_graph(word)
-    areas = horoball_areas(word, first_stage_modulus=args.first_stage_modulus)
+    graph = _cusp_graph(word, dec)
+    areas = _horoball_areas(word, graph, args.first_stage_modulus)
     return {
         "word": str(word),
         "canonical": str(canonical_form(word)),

@@ -171,7 +171,11 @@ class CuspGraph(_Graph):
 
 def cusp_graph(word: CyclicWord) -> CuspGraph:
     """Invariant graph: apex joined to the cycle of knot labels."""
-    dec = decompose(word)
+    return _cusp_graph(word, decompose(word))
+
+
+def _cusp_graph(word: CyclicWord, dec: SubwordDecomposition) -> CuspGraph:
+    """cusp_graph(word), given decompose(word)."""
     if dec.kind == ALL_ONES:
         return CuspGraph(word.n, (2 * word.n, 2 * word.n), True)
     return CuspGraph(
@@ -337,10 +341,17 @@ def horoball_areas(
     modulus 1 over a one and 2 over a zero; the n first-stage circles
     take the configured modulus.
     """
+    return _horoball_areas(word, cusp_graph(word), first_stage_modulus)
+
+
+def _horoball_areas(
+    word: CyclicWord, graph: CuspGraph, first_stage_modulus: int
+) -> tuple[tuple[int, int], ...]:
+    """horoball_areas(word, first_stage_modulus), given cusp_graph(word)."""
     if first_stage_modulus not in (1, 2):
         raise ValueError("first-stage circle modulus is 1 or 2")
     n = word.n
-    cusps = [(m, 4 * m) for m in (n, *cusp_graph(word).cycle_labels)]
+    cusps = [(m, 4 * m) for m in (n, *graph.cycle_labels)]
     cusps += [(1 if b else 2, 2) for b in word.bits]
     cusps += [(first_stage_modulus, 2)] * n
     return tuple(sorted(cusps))

@@ -1,7 +1,7 @@
 """Primes whose quadratic-form representations sit in a two-sided gap.
 
 The searches here produce values v (a prime p, or twice a prime) such
-that, verified from scratch by the exact engine in quadform:
+that, verified from scratch in exact arithmetic:
 
   (i)   v is represented by the family's carrier form Q1, the
         representation is primitive, and every integer representation
@@ -25,10 +25,13 @@ completeness but never soundness.
 The scan's primality test is the only primality decision made per
 candidate.  It also decides v's factorization: f's primes and p once,
 as p = 1 mod 4 is odd and f is 1 or 2.  The search verifies conditions
-(i)-(iii) from that factorization with the same exact engine, instead
-of factoring v again and re-running the same test on p.  The
-brute-force ellipse walk over Q = v lives on in the tests as the oracle
-the engine is checked against.
+(i) and (iii) from that factorization with the same exact engine,
+instead of factoring v again and re-running the same test on p.  For
+condition (ii), each avoid prime is checked once, by Euler's criterion,
+to be inert for Q0; a neighbour that its inert avoid prime divides is
+then unrepresented by that one division, and any other neighbour goes
+to the engine.  The brute-force ellipse walk over Q = v lives on in the
+tests as the oracle the engine is checked against.
 """
 
 from __future__ import annotations
@@ -203,11 +206,12 @@ class GapPrimeSpec(_Derived, _SpecFields):
 
     g is the half-width of the wanted gap; avoid_primes lists 2*g
     distinct primes in the family's mandatory residue class (5 mod 6 for
-    the m004 family, 3 mod 4 for the m125 family), one per shift
-    v - g .. v - 1, v + 1 .. v + g.  progression is the (residue,
-    modulus) of the arithmetic progression that holds the search's
-    candidate primes; it is solved from the other fields, and the repr
-    leaves it out, as its modulus has thousands of digits at g = 500.
+    the m004 family, 3 mod 4 for the m125 family), one per shift: for
+    i = 1..g, the i-th is to divide v - i and the (g + i)-th v + i (see
+    build_congruences).  progression is the (residue, modulus) of the
+    arithmetic progression that holds the search's candidate primes; it
+    is solved from the other fields, and the repr leaves it out, as its
+    modulus has thousands of digits at g = 500.
     """
 
     __slots__ = ()
@@ -305,17 +309,47 @@ def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
     Failed conditions are reported in the result, never raised.
     """
     # 0 has no factorization, and the queries answer 0 and below without one
-    return _verify(value, spec, factorize(value) if value > 0 else {})
+    fac = factorize(value) if value > 0 else {}
+    return _verify(value, spec, fac, _inert_avoid_primes(spec))
 
 
-def _verify(value: int, spec: GapPrimeSpec, fac: dict[int, int]) -> GapPrimeWitness:
+def _inert_avoid_primes(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
+    """(k, q) for each shift k = -g..g but 0, in order, with q the avoid
+    prime that build_congruences puts on v + k if q is inert for the
+    gap form, and 0 otherwise.
+
+    Inert means that q is odd, does not divide the gap form's
+    discriminant D0, and (D0 | q) = -1, decided here by Euler's
+    criterion rather than read off the family's residue class.  Then D0
+    has no square root mod 4n for any n that q divides, so no such n is
+    primitively represented by the gap form.
+    """
+    d0 = _FAMILIES[spec.family].gap_form.discriminant()
+    g, avoid = spec.g, spec.avoid_primes
+    # the i-th avoid prime divides v - i, the (g + i)-th divides v + i
+    designated = [(-i, avoid[i - 1]) for i in range(g, 0, -1)]
+    designated += [(i, avoid[g + i - 1]) for i in range(1, g + 1)]
+    return tuple(
+        (k, q if q % 2 and pow(d0, (q - 1) // 2, q) == q - 1 else 0)
+        for k, q in designated
+    )
+
+
+def _verify(
+    value: int,
+    spec: GapPrimeSpec,
+    fac: dict[int, int],
+    inert: tuple[tuple[int, int], ...],
+) -> GapPrimeWitness:
     """verify_witness(value, spec), read off the factorization fac of value.
 
     The value's prime powers serve both the carrier and the excluded
-    form; each neighbour is factored only until its first prime at
-    which the gap form's discriminant has no square root.  The
-    conditions are read off the engine's raw (x, y) pairs, in any
-    order; only the canonical representation is built.
+    form.  inert is _inert_avoid_primes(spec): a neighbour v + k that
+    its inert avoid prime q divides is not primitively represented by
+    the gap form, which needs one division to see.  Any other neighbour
+    goes to the engine, which factors it only until its first local
+    obstruction.  The conditions are read off the engine's raw (x, y)
+    pairs, in any order; only the canonical representation is built.
     """
     fam = _FAMILIES[spec.family]
     pairs = _all_pairs(fam.carrier_form, value, fac.items())
@@ -328,7 +362,8 @@ def _verify(value: int, spec: GapPrimeSpec, fac: dict[int, int]) -> GapPrimeWitn
         unique = all(pair in cls for pair in pairs)
         representation = Representation(*canonical)
     gap_clear = not any(
-        _primitively_represented(fam.gap_form, value + k) for k in range(-spec.g, spec.g + 1) if k
+        (not q or (value + k) % q) and _primitively_represented(fam.gap_form, value + k)
+        for k, q in inert
     )
     excluded = value < 1 or not _primitive_pairs(fam.excluded_form, value, fac.items())
     return GapPrimeWitness(
@@ -372,9 +407,10 @@ def gap_prime_sequence(
     scan = _primes(*spec.progression, cap // fam.value_factor)
     if count == 0:
         return GapPrimeSearch((), truncated=False)
+    inert = _inert_avoid_primes(spec)
     found: list[GapPrimeWitness] = []
     for p in scan:
-        witness = _verify(fam.value_factor * p, spec, {**fam.value_factorization, p: 1})
+        witness = _verify(fam.value_factor * p, spec, {**fam.value_factorization, p: 1}, inert)
         if witness.verified:
             found.append(witness)
             if len(found) == count:

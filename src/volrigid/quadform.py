@@ -14,18 +14,24 @@ Gauss-reduced and compared with the reduced Q (Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, sections 1.5 and 5.3;
 Buell, Binary Quadratic Forms, 1989).  The engine reads the prime
 powers of m from the lazy stream arith.prime_powers and counts the
-roots of D at each one as it arrives.  A prime power with no root
-means D is not a square mod 4m, so m has no primitive representation;
-the engine returns at once, and the rest of m is never factored.  This
-is the common case in a gap-prime search, where each neighbour of a
-witness carries a small prime q with (D|q) = -1.  A query for all
-representations, primitive or not, needs the square divisors of m and
-so reads the whole factorization.  The cost is one factorization, or
-a prefix of one, plus a few reductions per root, not a walk over the
-O(sqrt m) rows of the ellipse Q = m; that walk lives on in the tests as
-the oracle the engine is checked against.  The number of roots is known
-from the factorization before any is computed, and a query with more
-than MAX_SQUARE_ROOTS of them is refused once m is fully factored.
+roots of D at each one as it arrives.  It returns [] at once, and
+never factors the rest of m, at the first of two local obstructions:
+  - a prime power with no root: D is not a square mod 4m.  This is the
+    common case among the neighbours of a gap-prime witness, each of
+    which carries a small prime q with (D|q) = -1;
+  - a prime l of both m and D, with l**e exactly dividing 4m, such that
+    D has l times as many roots mod l**(e + 1) as mod l**e.  Then every
+    root lifts, so l divides m, B and (B**2 - D)/4m for every root B,
+    and no candidate form is primitive.  The m125 family's excluded
+    query x**2 + 4y**2 at 2p ends this way at l = 2, before p is read.
+A query for all representations, primitive or not, needs the square
+divisors of m and so reads the whole factorization.  The cost is one
+factorization, or a prefix of one, plus a few reductions per root, not
+a walk over the O(sqrt m) rows of the ellipse Q = m; that walk lives on
+in the tests as the oracle the engine is checked against.  The number
+of roots is known from the factorization before any is computed, and a
+query with more than MAX_SQUARE_ROOTS of them is refused once m is
+fully factored.
 
 A value set up to a limit walks the lattice points of the ellipse
 Q <= limit: the admissible y satisfy |D|*y**2 <= 4*a*limit, and for each
@@ -267,8 +273,10 @@ def _primitive_pairs(
     square roots B of D mod 4m, keeping those whose form
     (m, B, (B**2 - D)/4m) reduces to the reduced Q, and taking each
     one's images under the proper automorphisms of Q.  A prime power of
-    4m modulo which D has no square root leaves no B at all, so the
-    answer is [] as soon as the stream reaches one.
+    4m modulo which D has no square root leaves no B at all, and a prime
+    of m and D at which every B is forced to make the form imprimitive
+    leaves no B that can match Q; either way the answer is [] as soon as
+    the stream reaches that prime.
     """
     content = math.gcd(form.a, form.b, form.c)
     if m % content:
@@ -298,6 +306,13 @@ def _primitive_pairs(
             count = len(roots[p])
         else:
             count = _sqrt_count(d, p, e)
+            # When p | m and every lift of every root mod p**e is a root
+            # mod p**(e + 1), p divides B, m and C = (B**2 - D)/4m for
+            # each B: every candidate form is imprimitive, so none is
+            # equivalent to the primitive Q.  (p | B as p | D: for odd D
+            # and even m both counts at 2 are 4, and the test fails.)
+            if m % p == 0 and _sqrt_count(d, p, e + 1) == p * count:
+                return []
         if not count:
             return []
         total *= count

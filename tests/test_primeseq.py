@@ -260,6 +260,57 @@ def test_pair_level_verify_matches_representation_verify(family, g):
     assert len(seen) == 6
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_witness_matches_the_engine_on_and_off_the_progression(data):
+    # the neighbours that an inert avoid prime divides are decided by
+    # that division, the others by the engine; the oracle asks the engine
+    # about every neighbour.  Values f*t for t in the progression have
+    # every neighbour on its avoid prime, values a few units off it have
+    # some neighbours on theirs and some not, and values up to g have
+    # neighbours at or below 0
+    family = data.draw(st.sampled_from((FAMILY_M004, FAMILY_M125)))
+    fam = primeseq._FAMILIES[family]
+    factor, (res, mod) = fam.value_factor, fam.avoid_residue
+    g = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        avoid = default_avoid_primes(family, g)
+    else:
+        pool = [q for q in range(2, 100) if q % mod == res and is_prime(q)]
+        avoid = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=2 * g,
+                                         max_size=2 * g, unique=True)))
+    spec = GapPrimeSpec(g=g, family=family, avoid_primes=avoid)
+    n0, modulus = spec.progression
+    on = factor * (n0 + modulus * data.draw(st.integers(0, 30)))
+    value = data.draw(st.one_of(
+        st.just(on),
+        st.integers(-g - 1, g + 1).map(lambda delta: max(0, on + delta)),
+        st.integers(0, g),
+        st.integers(0, 10**12),
+    ))
+    assert _same_witness(verify_witness(value, spec), representation_verify(value, spec))
+
+
+@pytest.mark.parametrize("family", [FAMILY_M004, FAMILY_M125])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_neighbours_on_their_avoid_primes_need_no_engine_query(monkeypatch, family, g):
+    factor = primeseq._FAMILIES[family].value_factor
+    spec = GapPrimeSpec(g=g, family=family, avoid_primes=default_avoid_primes(family, g))
+    n0, modulus = spec.progression
+    queried = []
+    real = primeseq._primitively_represented
+    monkeypatch.setattr(primeseq, "_primitively_represented",
+                        lambda form, n: queried.append(n) or real(form, n))
+    for t in range(n0, n0 + 20 * modulus, modulus):
+        assert verify_witness(factor * t, spec).conditions["neighbors_unrepresented"]
+    assert queried == []
+    # one unit off the progression every neighbour misses its avoid
+    # prime (each exceeds 2), so the engine decides the first of them
+    off = factor * n0 + 1
+    verify_witness(off, spec)
+    assert queried[0] == off - g
+
+
 def test_gap_prime_sequence_m004_g1():
     spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
     search = gap_prime_sequence(spec, 3, cap=10**4)
@@ -292,7 +343,7 @@ def test_gap_prime_sequence_count_zero_verifies_nothing(monkeypatch):
     calls = []
     real = primeseq._verify
     monkeypatch.setattr(
-        primeseq, "_verify", lambda v, spec, fac: calls.append(v) or real(v, spec, fac)
+        primeseq, "_verify", lambda v, *rest: calls.append(v) or real(v, *rest)
     )
     spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
     search = gap_prime_sequence(spec, 0, cap=10**7)

@@ -224,6 +224,68 @@ def test_primitive_pairs_same_on_stream_and_eager_factorization(data):
     assert all(form.evaluate(x, y) == m and math.gcd(x, y) == 1 for x, y in lazy)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_imprimitivity_exit_matches_walk(data):
+    # m shares a prime l with D: the values at which the engine may
+    # return [] because every root B makes the form (m, B, C) divisible
+    # by l.  Half of them are values Q(x, y) at coprime points, where the
+    # exit must not fire; the others are l**j times a cofactor, with j
+    # near the power of l in D, where the root counts change.  Forms with
+    # content 2, 3 and 4 are drawn too, with m a multiple of it or not
+    base = data.draw(forms(max_coeff=30))
+    k = data.draw(st.sampled_from((1, 1, 2, 3, 4)))
+    form = IntQuadForm(k * base.a, k * base.b, k * base.c)
+    d_primes = factorize(-base.discriminant())
+    ell = data.draw(st.sampled_from(sorted(d_primes)))
+    if data.draw(st.booleans()):
+        x, y = data.draw(st.tuples(st.integers(-300, 300), st.integers(-300, 300)))
+        assume(math.gcd(x, y) == 1)
+        m = form.evaluate(x, y)
+        assume(m % ell == 0)
+    else:
+        j = data.draw(st.integers(max(1, d_primes[ell] - 3), d_primes[ell] + 3))
+        m = data.draw(st.sampled_from((1, k))) * ell**j * data.draw(st.integers(1, 200))
+    assume(m <= 10**8)
+    pairs = _primitive_pairs(form, m, prime_powers(m))
+    walk = {(x, y) for x, y in walk_representations(form, m) if math.gcd(x, y) == 1}
+    assert len(pairs) == len(walk) and set(pairs) == walk
+
+
+def test_imprimitivity_exit_matches_walk_on_every_small_form():
+    # every reduced primitive form with |D| < 400, at every m < 300 that
+    # shares a prime with D.  An exit taken at twice as many roots mod
+    # l**(e + 1), not l times as many, answers 90 of these queries with
+    # [] wrongly, among them x^2 + 18y^2 = 99 = 9^2 + 18
+    for dd in range(3, 400):
+        for a in range(1, math.isqrt(dd // 3) + 1):
+            for b in range(-a + 1, a + 1):
+                c, rest = divmod(b * b + dd, 4 * a)
+                if rest or c < a or (a == c and b < 0) or math.gcd(a, b, c) > 1:
+                    continue
+                form = IntQuadForm(a, b, c)
+                for m in range(1, 300):
+                    if math.gcd(m, dd) > 1:
+                        walk = {(x, y) for x, y in walk_representations(form, m)
+                                if math.gcd(x, y) == 1}
+                        assert set(_primitive_pairs(form, m, prime_powers(m))) == walk
+
+
+def test_excluded_form_query_ends_at_the_prime_two():
+    # x^2 + 4y^2 at 2p, p odd: 4m = 8p and D = -16 has 2 roots mod 8 and
+    # 4 mod 16, so every B makes (2p, B, (B^2 + 16)/8p) even.  The query
+    # is [] from the prime 2 alone, and the stream is not read past it
+    p = 10**30 + 57
+    assert arith.is_prime(p)
+
+    def stream():
+        yield 2, 1
+        raise AssertionError("the query read past the prime 2")
+
+    assert _primitive_pairs(IntQuadForm(1, 0, 4), 2 * p, stream()) == []
+    assert primitive_representations(IntQuadForm(1, 0, 4), 2 * p) == []
+
+
 def _recorded_stream(monkeypatch):
     """Patch the engine's factorization stream and rho to record what
     one query reads: the prime powers taken and the rho calls made."""
@@ -445,7 +507,7 @@ def test_gap_scan_refuses_too_many_steps():
     q0 = 19 * 10**16 + 6 * 10**8 + 1
     assert form.evaluate(3 * 10**8 + 1, 1) == q0
     message = (
-        f"form 1,0,{10**17} has no primitive value within 729 of {q0}; "
+        f"form 1,0,{10**17} has no primitive value within 1227 of {q0}; "
         "gap scans are refused past 1048576 steps of Pollard's rho"
     )
     assert MAX_GAP_STEPS == 10**4 and MAX_GAP_RHO_STEPS == 2**20
