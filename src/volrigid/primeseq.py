@@ -357,9 +357,8 @@ def _verify(
     representation = None
     unique = False
     if prim:
-        canonical = min((abs(x), abs(y)) for x, y in prim)
-        cls = _representation_class(canonical, fam.allow_swap)
-        unique = all(pair in cls for pair in pairs)
+        canonical = min([(abs(x), abs(y)) for x, y in prim])
+        unique = _representation_class(canonical, fam.allow_swap).issuperset(pairs)
         representation = Representation(*canonical)
     gap_clear = not any(
         (not q or (value + k) % q) and _primitively_represented(fam.gap_form, value + k)

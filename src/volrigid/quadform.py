@@ -26,12 +26,12 @@ never factors the rest of m, at the first of two local obstructions:
     query x**2 + 4y**2 at 2p ends this way at l = 2, before p is read.
 A query for all representations, primitive or not, needs the square
 divisors of m and so reads the whole factorization.  The cost is one
-factorization, or a prefix of one, plus a few reductions per root, not
-a walk over the O(sqrt m) rows of the ellipse Q = m; that walk lives on
-in the tests as the oracle the engine is checked against.  The number
-of roots is known from the factorization before any is computed, and a
-query with more than MAX_SQUARE_ROOTS of them is refused once m is
-fully factored.
+factorization, or a prefix of one, plus one reduction per pair of roots
+B and -B, not a walk over the O(sqrt m) rows of the ellipse Q = m; that
+walk lives on in the tests as the oracle the engine is checked against.
+The number of roots is known from the factorization before any is
+computed, and a query with more than MAX_SQUARE_ROOTS of them is refused
+once m is fully factored.
 
 A value set up to a limit walks the lattice points of the ellipse
 Q <= limit: the admissible y satisfy |D|*y**2 <= 4*a*limit, and for each
@@ -47,6 +47,7 @@ once Pollard's rho has taken MAX_GAP_RHO_STEPS steps on its neighbours.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from decimal import Decimal
@@ -87,8 +88,9 @@ MAX_GAP_RHO_STEPS = 2**20
 
 # A point query runs over every square root of D modulo 4m.  There are at
 # most a few per prime factor of m unless m and D share a high prime
-# power p**e, which leaves about p**(e/2) of them, at about 10 us each:
-# representations((1, 0, 2**37), 2**37) runs over 524288 roots in 5.7 s.
+# power p**e, which leaves about p**(e/2) of them, at about 3 us each:
+# representations((1, 0, 2**37), 2**37) runs over 524288 roots in about
+# 1.6 s (2-core x86-64, Python 3.11).
 # A query with more roots than this is refused before any is computed.
 MAX_SQUARE_ROOTS = 10**6
 
@@ -148,33 +150,53 @@ class ValueSet(NamedTuple):
 
 
 def _sqrt_mod_prime(d: int, p: int) -> list[int]:
-    """Square roots of d modulo an odd prime p not dividing d (Tonelli-Shanks).
+    """Square roots of d modulo an odd prime p not dividing d.
 
-    Empty when d is a non-residue.
+    Empty when d is a non-residue.  One exponentiation finds the root
+    for p = 3 (mod 4), r = d**((p + 1)/4), and for p = 5 (mod 8) by
+    Atkin's formula: with v = (2d)**((p - 5)/8) and i = 2d*v**2, r =
+    d*v*(i - 1).  Either r squares to d or d is a non-residue.  For
+    p = 1 (mod 8), Tonelli-Shanks starts from x = d**((q - 1)/2), where
+    p - 1 = q * 2**s with q odd: then r = x*d and t = x*r = d**q, and
+    Euler's criterion is t**(2**(s - 1)) = 1, read off by squaring t
+    (Cohen, GTM 138, 1.5.1; Mueller, Des. Codes Cryptogr. 31, 2004).
     """
     d %= p
-    if pow(d, (p - 1) // 2, p) != 1:
-        return []
     if p % 4 == 3:
         r = pow(d, (p + 1) // 4, p)
-        return [r, p - r]
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(d, q, p), pow(d, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
+    elif p % 8 == 5:
+        d2 = 2 * d
+        v = pow(d2, (p - 5) // 8, p)
+        r = d * v * (d2 * v * v - 1) % p
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        x = pow(d, (q - 1) // 2, p)
+        r = x * d % p
+        t = x * r % p
+        t2 = t
+        for _ in range(s - 1):
             t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return [r, p - r]
+        if t2 != 1:
+            return []
+        # The least non-residue z is prime, and 2 is a residue mod
+        # p = 1 (mod 8), so z is odd
+        z = 3
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 2
+        c = pow(z, q, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return [r, p - r]
+    return [r, p - r] if r * r % p == d else []
 
 
 def _sqrt_mod_prime_power(d: int, p: int, e: int) -> list[int]:
@@ -231,33 +253,73 @@ def _sqrt_count(d: int, p: int, e: int) -> int:
     return units * p ** (j // 2)
 
 
-def _reduce(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
-    """Gauss reduction of a positive definite form, with its transform.
+def _reduce(
+    a: int, b: int, c: int, r: int = 0, s: int = 1
+) -> tuple[tuple[int, int, int], int, int]:
+    """Gauss reduction of a positive definite form, with one row of its transform.
 
     Returns the reduced form (|b| <= a <= c, and b >= 0 when |b| = a or
-    a = c) and the entries (p, q, r, s) of the matrix M = [[p, q], [r, s]]
-    in SL2(Z) with f(M (x, y)) = reduced(x, y).
+    a = c) and the row (r, s) * M, where M in SL2(Z) has
+    f(M (x, y)) = reduced(x, y): M's second row by default, and its
+    first row from (r, s) = (1, 0).
     """
-    p, q, r, s = 1, 0, 0, 1
     while True:
         if not -a < b <= a:
             # f(x + t*y, y): b -> b + 2at, c -> c + (at + b)t
             t = (a - b) // (2 * a)
             c += (a * t + b) * t
             b += 2 * a * t
-            q += p * t
             s += r * t
         if a > c or (a == c and b < 0):
             # f(-y, x) = (c, -b, a)
             a, b, c = c, -b, a
-            p, q, r, s = q, -p, s, -r
+            r, s = s, -r
             continue
-        return (a, b, c), (p, q, r, s)
+        return (a, b, c), r, s
 
 
 # Generators (p, q, r, s) of the proper automorphism groups of the two
 # reduced primitive forms whose group is larger than {I, -I}.
 _ROTATIONS = {(1, 0, 1): (0, -1, 1, 0), (1, 1, 1): (0, -1, 1, 1)}
+
+
+@functools.lru_cache(maxsize=64)
+def _form_constants(form: IntQuadForm) -> tuple:
+    """What a point query needs of Q, worked out once per form.
+
+    (content, D, reduced, mirrored, M, rotation): D and the reduced
+    form of Q / content, the reduced form at (x, -y), the matrix
+    M = (p, q, r, s) with Q(M (x, y)) = content * reduced(x, y), and the
+    generator of the reduced form's proper automorphisms.
+    """
+    content = math.gcd(form.a, form.b, form.c)
+    a, b, c = form.a // content, form.b // content, form.c // content
+    reduced, p0, q0 = _reduce(a, b, c, 1, 0)
+    _, r0, s0 = _reduce(a, b, c)
+    ra, rb, rc = reduced
+    return (
+        content, b * b - 4 * a * c, reduced, (ra, -rb, rc), (p0, q0, r0, s0),
+        _ROTATIONS.get(reduced, (-1, 0, 0, -1)),
+    )
+
+
+# Root lists of D modulo a power of a prime of 2D are kept only up to
+# this length; longer ones are rebuilt per query.
+_SHORT_ROOT_LIST = 64
+
+
+@functools.lru_cache(maxsize=256)
+def _local_roots(d: int, p: int, e: int) -> tuple[int, bool, tuple[int, ...] | None]:
+    """(count, all_lift, roots) for the square roots of d mod p**e, p | 2d.
+
+    all_lift: each root mod p**e lifts to p roots mod p**(e + 1).  roots
+    is None above _SHORT_ROOT_LIST of them, so a count that a query
+    refuses builds none.
+    """
+    count = _sqrt_count(d, p, e)
+    all_lift = _sqrt_count(d, p, e + 1) == p * count
+    short = count <= _SHORT_ROOT_LIST
+    return count, all_lift, tuple(_sqrt_mod_prime_power(d, p, e)) if short else None
 
 
 def _primitive_pairs(
@@ -277,18 +339,26 @@ def _primitive_pairs(
     of m and D at which every B is forced to make the form imprimitive
     leaves no B that can match Q; either way the answer is [] as soon as
     the stream reaches that prime.
+
+    The roots come in pairs B, 2m - B, and one reduction serves both.
+    The form of 2m - B is (m, -B, C) at (x + y, y), which fixes the
+    solution e1, and (m, -B, C) is f(x, -y) for f = (m, B, C).  So if f
+    reduces by [[p, q], [r, s]] to (g0, g1, g2), then (m, -B, C) reduces
+    by [[p, -q], [-r, s]] to (g0, -g1, g2), with the solution (s, r) in
+    place of (s, -r).  That form is reduced unless g1 > 0 and g1 = g0
+    or g0 = g2; it is then equivalent to g, and 2m - B is reduced on its
+    own when g is the reduced Q.
     """
-    content = math.gcd(form.a, form.b, form.c)
+    content, d, reduced, mirrored, (p0, q0, r0, s0), (u, v, w, z) = _form_constants(form)
     if m % content:
         return []
-    a, b, c = form.a // content, form.b // content, form.c // content
     m //= content
-    d = b * b - 4 * a * c
     # The factorization of 4m: m's with the content divided out and two
     # more 2s, the latter added at the end when m's stream holds no 2.
     # A prime that does not divide 2D has at most two roots, found
-    # directly; the others are counted before their roots are built.
-    fac4, roots, total = {}, {}, 1
+    # directly; the others are counted before their roots are built, and
+    # both depend on D, p and e alone, so _local_roots keeps them.
+    fac4, total = {}, 1
     for p, e in itertools.chain(fac, [(2, 0)]):
         if p in fac4:
             continue
@@ -300,21 +370,21 @@ def _primitive_pairs(
             e += 2
         if not e:
             continue
-        fac4[p] = e
         if 2 * d % p:
-            roots[p] = _sqrt_mod_prime_power(d, p, e)
-            count = len(roots[p])
+            roots = _sqrt_mod_prime_power(d, p, e)
+            count = len(roots)
         else:
-            count = _sqrt_count(d, p, e)
+            count, all_lift, roots = _local_roots(d, p, e)
             # When p | m and every lift of every root mod p**e is a root
             # mod p**(e + 1), p divides B, m and C = (B**2 - D)/4m for
             # each B: every candidate form is imprimitive, so none is
             # equivalent to the primitive Q.  (p | B as p | D: for odd D
             # and even m both counts at 2 are 4, and the test fails.)
-            if m % p == 0 and _sqrt_count(d, p, e + 1) == p * count:
+            if all_lift and m % p == 0:
                 return []
         if not count:
             return []
+        fac4[p] = e, roots
         total *= count
     if total > MAX_SQUARE_ROOTS:
         raise ValueError(
@@ -322,25 +392,38 @@ def _primitive_pairs(
             f"queries on form {form} are refused above {MAX_SQUARE_ROOTS:.0e} roots"
         )
     residues, modulus = [0], 1
-    for p, e in fac4.items():
+    for p, (e, roots) in fac4.items():
         pe = p**e
         inv = pow(modulus, -1, pe)
-        rs = roots[p] if p in roots else _sqrt_mod_prime_power(d, p, e)
-        residues = [x + modulus * ((r - x) * inv % pe) for x in residues for r in rs]
+        if roots is None:
+            roots = _sqrt_mod_prime_power(d, p, e)
+        residues = [x + modulus * ((r - x) * inv % pe) for x in residues for r in roots]
         modulus *= pe
-    reduced, (p0, q0, r0, s0) = _reduce(a, b, c)
-    u, v, w, z = _ROTATIONS.get(reduced, (-1, 0, 0, -1))
-    out = []
-    for big_b in {x % (2 * m) for x in residues}:
-        g, (_, _, r, s) = _reduce(m, big_b, (big_b * big_b - d) // (4 * m))
-        if g != reduced:
+    m2, m4 = 2 * m, 4 * m
+    # reduced(M^-1 e1) = m, and M^-1 = [[s, -q], [-r, p]]
+    starts = []
+    for big_b in {x % m2 for x in residues}:
+        if big_b > m:
             continue
-        # reduced(M^-1 e1) = m; M^-1 = [[s, -q], [-r, p]]
-        x, y = s, -r
+        g, r, s = _reduce(m, big_b, (big_b * big_b - d) // m4)
+        if g == reduced:
+            starts.append((s, -r))
+        if 0 < big_b < m:
+            g0, g1, g2 = g
+            if g1 > 0 and (g1 == g0 or g0 == g2):
+                if g == reduced:
+                    b2 = m2 - big_b
+                    _, r, s = _reduce(m, b2, (b2 * b2 - d) // m4)
+                    starts.append((s, -r))
+            elif g == mirrored:
+                starts.append((s, r))
+    out = []
+    for start in starts:
+        x, y = start
         while True:
             out.append((p0 * x + q0 * y, r0 * x + s0 * y))
             x, y = u * x + v * y, w * x + z * y
-            if (x, y) == (s, -r):
+            if (x, y) == start:
                 break
     return out
 

@@ -22,6 +22,7 @@ from volrigid.quadform import (
     _all_pairs,
     _primitive_pairs,
     _sqrt_count,
+    _sqrt_mod_prime,
     _sqrt_mod_prime_power,
     primitive_representations,
     primitive_value_set,
@@ -252,23 +253,41 @@ def test_imprimitivity_exit_matches_walk(data):
     assert len(pairs) == len(walk) and set(pairs) == walk
 
 
-def test_imprimitivity_exit_matches_walk_on_every_small_form():
-    # every reduced primitive form with |D| < 400, at every m < 300 that
-    # shares a prime with D.  An exit taken at twice as many roots mod
-    # l**(e + 1), not l times as many, answers 90 of these queries with
-    # [] wrongly, among them x^2 + 18y^2 = 99 = 9^2 + 18
-    for dd in range(3, 400):
+def reduced_primitive_forms(max_disc: int):
+    """Every reduced primitive form with |D| < max_disc, with |D|."""
+    for dd in range(3, max_disc):
         for a in range(1, math.isqrt(dd // 3) + 1):
             for b in range(-a + 1, a + 1):
                 c, rest = divmod(b * b + dd, 4 * a)
                 if rest or c < a or (a == c and b < 0) or math.gcd(a, b, c) > 1:
                     continue
-                form = IntQuadForm(a, b, c)
-                for m in range(1, 300):
-                    if math.gcd(m, dd) > 1:
-                        walk = {(x, y) for x, y in walk_representations(form, m)
-                                if math.gcd(x, y) == 1}
-                        assert set(_primitive_pairs(form, m, prime_powers(m))) == walk
+                yield IntQuadForm(a, b, c), dd
+
+
+def test_imprimitivity_exit_matches_walk_on_every_small_form():
+    # every reduced primitive form with |D| < 400, at every m < 300 that
+    # shares a prime with D.  An exit taken at twice as many roots mod
+    # l**(e + 1), not l times as many, answers 90 of these queries with
+    # [] wrongly, among them x^2 + 18y^2 = 99 = 9^2 + 18
+    for form, dd in reduced_primitive_forms(400):
+        for m in range(1, 300):
+            if math.gcd(m, dd) > 1:
+                walk = {(x, y) for x, y in walk_representations(form, m)
+                        if math.gcd(x, y) == 1}
+                assert set(_primitive_pairs(form, m, prime_powers(m))) == walk
+
+
+def test_mirrored_roots_match_walk_on_every_small_form():
+    # one reduction serves the roots B and 2m - B; every reduced
+    # primitive form with |D| < 200 at every m < 200.  The mirror of a
+    # form reduced to (g0, g1, g2) with g1 = g0 or g0 = g2, as for
+    # (1,1,1), (2,1,2) and (2,2,3), is not reduced, and its root is
+    # reduced on its own
+    for form, _ in reduced_primitive_forms(200):
+        for m in range(1, 200):
+            pairs = _primitive_pairs(form, m, prime_powers(m))
+            walk = {(x, y) for x, y in walk_representations(form, m) if math.gcd(x, y) == 1}
+            assert len(pairs) == len(walk) and set(pairs) == walk, (str(form), m)
 
 
 def test_excluded_form_query_ends_at_the_prime_two():
@@ -582,6 +601,35 @@ def test_sqrt_count_matches_residue_scan():
                 assert _sqrt_count(d, p, e) == count, (d, p, e)
                 assert len({r % q for r in _sqrt_mod_prime_power(d, p, e)}) == count
             q, e = q * p, e + 1
+
+
+def test_sqrt_mod_prime_matches_residue_scan():
+    # every nonzero d, as a negative and a positive integer, modulo every
+    # odd prime below 2000: each of the three branches (p = 3 mod 4,
+    # p = 5 mod 8, p = 1 mod 8) must find both roots of a residue and
+    # none of a non-residue
+    for p in filter(arith.is_prime, range(3, 2000, 2)):
+        roots = {}
+        for x in range(1, p):
+            roots.setdefault(x * x % p, []).append(x)
+        for d in range(1, p):
+            expected = roots.get(d, [])
+            assert sorted(_sqrt_mod_prime(d, p)) == expected, (d, p)
+            assert sorted(_sqrt_mod_prime(d - p, p)) == expected, (d - p, p)
+
+
+def test_sqrt_mod_prime_on_deep_tonelli_shanks_loops():
+    # p - 1 = 2**s * q with s = 8, 9 and 16, where the loop runs longest
+    rng = random.Random(22)
+    for p in (257, 7681, 65537):
+        squares = {x * x % p for x in range(1, p)}
+        for d in rng.sample(range(1, p), 256):
+            got = _sqrt_mod_prime(d, p)
+            if d in squares:
+                assert len(got) == 2 and all(r * r % p == d for r in got), (d, p)
+                assert got[0] + got[1] == p
+            else:
+                assert got == [], (d, p)
 
 
 def test_point_query_refuses_too_many_square_roots(monkeypatch):
