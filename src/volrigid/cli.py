@@ -21,7 +21,8 @@ declared once, by @_command on its handler.
 The writer prints a list whose items share one shape column by column,
 with no Python call per item: scalars of one type, dicts with one key
 list in one order (each key's values a column, each row filled into one
-template), and non-empty lists whose elements share one scalar type.
+template), and non-empty lists whose elements share one scalar type
+(int lists of one length through one template, once per run of equal lists).
 A list of other items is printed item by item.
 """
 
@@ -34,6 +35,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -42,9 +44,9 @@ from .census import DEFAULT_EPSILON, cluster_volumes, parse_census
 from .cusplattice import builtin_names, builtin_record
 from .mutant import (
     CyclicWord,
+    _canonical_form,
     _cusp_graph,
     _horoball_areas,
-    canonical_form,
     census_report,
     decompose,
     enumerate_classes,
@@ -166,8 +168,10 @@ def _json_items(
     Items of one shape are printed column by column, with no call per
     item: scalars of one type in one map; dicts with one non-empty key
     list through one template, each key's values a column; non-empty
-    lists whose elements share one scalar type in one map.  Items of
-    other shapes, and a single container, are printed one by one.
+    lists whose elements share one scalar type in one map, and if that
+    type is int and the lists have one length, each run of equal lists
+    once through one template.  Items of other shapes, and a single
+    container, are printed one by one.
     ``tuples`` reads a tuple item as a list, as a _Table's cells are read.
     """
     kind = _one_type(items)
@@ -181,9 +185,20 @@ def _json_items(
         if len(keys) == 1 and () not in keys:
             return _json_records(keys.pop(), zip(*map(dict.values, items)), indent)
     elif many and (kind is list or tuples and kind is tuple) and all(items):
-        encode = _SCALARS.get(_one_type(itertools.chain.from_iterable(items)))
+        element = _one_type(itertools.chain.from_iterable(items))
+        encode = _SCALARS.get(element)
         if encode is not None:
             opening, sep, closing, _ = _layout(indent)
+            if element is int and len(set(map(len, items))) == 1:
+                # int lists of one length repeat, as the sorted [modulus,
+                # area] pairs of a cusp list do: each run of equal lists
+                # is printed once, through one template
+                template = "[" + opening + sep.join(["%d"] * len(items[0])) + closing + "]"
+                texts, counts = [], []
+                for row, run in itertools.groupby(items):
+                    texts.append(template % tuple(row))
+                    counts.append(len(list(run)))
+                return itertools.chain.from_iterable(map(itertools.repeat, texts, counts))
             frame = "[" + opening + "%s" + closing + "]"
             return map(
                 frame.__mod__, map(sep.join, map(functools.partial(map, encode), items))
@@ -278,15 +293,19 @@ def render(payload: Any, fmt: str) -> str:
             writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
+    if not header:
+        return "\n"
     widths = [
-        max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(header)
+        max(len(h), max(map(len, map(operator.itemgetter(i), rows)), default=0))
+        for i, h in enumerate(header)
     ]
-    lines = []
-    if header:
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-        lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    # one template pads every cell of a row to its column's width
+    template = "  ".join(f"%-{w}s" for w in widths)
+    lines = [
+        (template % tuple(header)).rstrip(),
+        "  ".join("-" * w for w in widths),
+        *map(str.rstrip, map(template.__mod__, map(tuple, rows))),
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -667,14 +686,14 @@ def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
     areas = _horoball_areas(word, graph, args.first_stage_modulus)
     return {
         "word": str(word),
-        "canonical": str(canonical_form(word)),
+        "canonical": str(_canonical_form(word, dec)),
         "kind": dec.kind,
         "i_sequence": list(dec.i_sequence),
         "knot_moduli": sorted(graph.cycle_labels),
         "apex_label": graph.apex_label,
         "cycle_labels": list(graph.cycle_labels),
         "special_triangle": graph.special_triangle,
-        "horoball_areas": [[m, area] for m, area in areas],
+        "horoball_areas": list(map(list, areas)),
     }
 
 

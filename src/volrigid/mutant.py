@@ -71,8 +71,10 @@ MAX_WORD_LENGTH = 30
 # census_report counts by Burnside and keeps MAX_WORD_LENGTH.
 MAX_CLASS_WORD_LENGTH = 24
 
-# letter value -> its digit, for printing words through bytes.translate
+# letter value -> its digit, for printing words through bytes.translate,
+# and back, for parsing them
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_LETTERS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _Bits(NamedTuple):
@@ -98,9 +100,9 @@ class CyclicWord(_Bits):
 
     @classmethod
     def from_string(cls, text: str) -> "CyclicWord":
-        if not all(ch in "01" for ch in text):
+        if not set(text) <= {"0", "1"}:
             raise ValueError(f"{text!r} is not a binary word")
-        return cls(tuple(int(ch) for ch in text))
+        return cls(tuple(text.encode().translate(_LETTERS)))
 
     @property
     def n(self) -> int:
@@ -123,16 +125,14 @@ def decompose(word: CyclicWord) -> SubwordDecomposition:
 
     Each of the k zeros starts a (cyclic) subword 0 1^i 0 sharing its
     closing zero with the next subword; the all-ones word has no zeros
-    and is its own special case.
+    and is its own special case.  Split at its zeros, the word's pieces
+    between two zeros are the runs in order; the piece after the last
+    zero and the one before the first make up the last run.
     """
-    zeros = [i for i, b in enumerate(word.bits) if b == 0]
-    if not zeros:
+    pieces = bytes(word.bits).split(b"\x00")
+    if len(pieces) == 1:
         return SubwordDecomposition(ALL_ONES, ())
-    n = word.n
-    runs = tuple(
-        (zeros[(j + 1) % len(zeros)] - zeros[j] - 1) % n
-        for j in range(len(zeros))
-    )
+    runs = (*map(len, pieces[1:-1]), len(pieces[-1]) + len(pieces[0]))
     return SubwordDecomposition(CYCLE, runs)
 
 
@@ -233,8 +233,28 @@ def graphs_isomorphic(g1: CuspGraph, g2: CuspGraph) -> bool:
 
 
 def canonical_form(word: CyclicWord) -> CyclicWord:
-    """Lexicographically smallest rotation or reflected rotation."""
-    return CyclicWord(_dihedral_min(word.bits))
+    """Lexicographically smallest rotation or reflected rotation.
+
+    It is found from the runs, not the letters.  A word with k >= 1
+    zeros is 0 1^i_1 0 1^i_2 .. 0 1^i_k read from one of its zeros, and
+    its least rotation starts with a zero.  Two rotations that start with
+    a zero first differ where one run ends and the other goes on, and the
+    shorter run puts the smaller letter there: such rotations are in the
+    order of their run sequences, rotated alike.  The reversed word is,
+    read from a zero, the reversed run sequence.  So the canonical form
+    is the word whose runs are the least rotation of i_1..i_k or of its
+    reversal, and Booth's algorithm runs over k runs instead of n
+    letters.  The all-ones word is its own canonical form.
+    """
+    return _canonical_form(word, decompose(word))
+
+
+def _canonical_form(word: CyclicWord, dec: SubwordDecomposition) -> CyclicWord:
+    """canonical_form(word), given decompose(word)."""
+    if dec.kind == ALL_ONES:
+        return word
+    runs = map(b"\x01".__mul__, _dihedral_min(dec.i_sequence))
+    return CyclicWord(tuple(b"\x00" + b"\x00".join(runs)))
 
 
 def _check_word_length(n: int) -> None:
@@ -350,11 +370,15 @@ def _horoball_areas(
     """horoball_areas(word, first_stage_modulus), given cusp_graph(word)."""
     if first_stage_modulus not in (1, 2):
         raise ValueError("first-stage circle modulus is 1 or 2")
+    # the 2n small cusps, all of area 2, sort before the apex and knot
+    # cusps, whose moduli are at least 3: they are counted, not sorted
     n = word.n
-    cusps = [(m, 4 * m) for m in (n, *graph.cycle_labels)]
-    cusps += [(1 if b else 2, 2) for b in word.bits]
-    cusps += [(first_stage_modulus, 2)] * n
-    return tuple(sorted(cusps))
+    ones = word.bits.count(1)
+    if first_stage_modulus == 1:
+        ones += n
+    small = ((1, 2),) * ones + ((2, 2),) * (2 * n - ones)
+    moduli = sorted((n, *graph.cycle_labels))
+    return small + tuple(zip(moduli, map((4).__mul__, moduli)))
 
 
 class MutantCensusReport(NamedTuple):

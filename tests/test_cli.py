@@ -668,6 +668,50 @@ def test_payload_bytes_are_pinned(capsys, argv, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == PAYLOAD_STDOUT_SHA256[argv][fmt]
 
 
+# a 3000-letter word with about seven ones in ten: about 9000 cusps, of
+# four (modulus, area) pairs at --first-stage-modulus 2
+LONG_GRAPH_RNG = random.Random(3000)
+LONG_GRAPH_WORD = "".join("1" if LONG_GRAPH_RNG.random() < 0.7 else "0" for _ in range(3000))
+# sha256 of its stdout, as printed when the canonical form came from the
+# letters, the areas from sorting every cusp, and the writer printed
+# every [modulus, area] pair
+LONG_GRAPH_STDOUT_SHA256 = {
+    "json": "3ea4381dd51b9c11a5cce19c10308eaf2b2e1978ac18874b3db73a6bb4dc209d",
+    "csv": "ec4c41d7c1ae7291468a333f5c94e55f1f26a54aee31cbed3a37f6c168372808",
+    "table": "bdae0026d7c7387a63a5a0b85afda04a8d06c8634c46db43bf71ac0ad43e8e66",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LONG_GRAPH_STDOUT_SHA256))
+def test_long_word_graph_bytes_are_pinned(capsys, fmt):
+    code, out, err = invoke(
+        capsys, "mutant", "graph", "--word", LONG_GRAPH_WORD,
+        "--first-stage-modulus", "2", "--format", fmt,
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_GRAPH_STDOUT_SHA256[fmt]
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts ints of any length to str",
+)
+def test_unprintable_int_in_repeated_int_lists_is_an_error(capsys, monkeypatch):
+    big = 10**5000
+    with pytest.raises(ValueError) as expected:
+        json.dumps([[big, 2], [big, 2]])
+    for payload in ([[big, 2], [big, 2]], [[1, 2], [1, 2], [big, 2]]):
+        with pytest.raises(ValueError) as got:
+            _json_text(payload)
+        assert str(got.value) == str(expected.value)
+    # the same refusal from a command: one error line, exit 1
+    monkeypatch.setattr(cli, "_horoball_areas", lambda *args: ((1, 2), (big, 2), (big, 2)))
+    for fmt in ("json", "csv", "table"):
+        code, out, err = invoke(capsys, "mutant", "graph", "--word", "0101", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: {expected.value}\n"
+
+
 def test_qf_reps_refuses_too_many_square_roots(capsys):
     code, out, err = invoke(
         capsys, "qf", "reps", "--form", "1,0,1099511627776",
@@ -822,6 +866,42 @@ def test_writer_matches_the_recursive_writer(payload):
     assert _json_text(payload) == recursive_json_text(payload)
     assert _json_text(payload, None) == recursive_json_text(payload, None)
     assert _json_text(payload, 3) == recursive_json_text(payload, 3)
+
+
+# lists drawn from a few int lists, so that equal lists repeat, in runs
+# when sorted: of one length or mixed lengths, some with True or False
+# beside ints, which must not print as 1 or 0
+_INT_LIST_POOLS = st.lists(
+    st.lists(st.integers(-3, 3) | st.integers(), max_size=3)
+    | st.lists(st.integers(0, 2) | st.booleans(), min_size=1, max_size=3),
+    min_size=1, max_size=4,
+)
+_REPEATED_INT_LISTS = _INT_LIST_POOLS.flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=30)
+).flatmap(lambda items: st.sampled_from([items, sorted(items)]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(items=_REPEATED_INT_LISTS)
+def test_writer_prints_repeated_int_lists_as_json_does(items):
+    for payload in (items, {"k": items}, [{"k": items}, {"k": items[::-1]}]):
+        assert _json_text(payload) == json.dumps(payload, indent=2)
+        assert _json_text(payload, None) == json.dumps(payload, separators=(",", ":"))
+    # as a _Table column of tuple cells, each cell read as a list
+    if all(items):
+        rows = [(tuple(item), i) for i, item in enumerate(items)]
+        meaning = table_meaning(("k", "i"), rows)
+        assert render(_Table(("k", "i"), rows), "json") == json.dumps(meaning, indent=2) + "\n"
+
+
+def test_writer_prints_repeated_int_lists_of_each_length():
+    for length in (1, 2, 3, 5):
+        item = list(range(7, 7 + length))
+        payload = [item, item, [1] * length, item]
+        assert _json_text(payload) == json.dumps(payload, indent=2)
+        assert _json_text(payload, None) == json.dumps(payload, separators=(",", ":"))
+    assert _json_text([[1, 2], [1, 2], [True, 2]], None) == "[[1,2],[1,2],[true,2]]"
+    assert _json_text([[1, 2], [1, 2, 3], [1, 2]], None) == "[[1,2],[1,2,3],[1,2]]"
 
 
 def test_writer_keeps_bool_and_int_apart():

@@ -18,6 +18,8 @@ from volrigid.mutant import (
     MAX_WORD_LENGTH,
     CuspGraph,
     CyclicWord,
+    SubwordDecomposition,
+    _dihedral_min,
     bracelet_count,
     canonical_form,
     census_report,
@@ -158,6 +160,82 @@ _WORDS = st.one_of(
 def test_canonical_form_is_dihedral_minimum(bits):
     word = CyclicWord(tuple(bits))
     assert canonical_form(word).bits == min(dihedral_images(word.bits))
+
+
+def canonical_by_letters(word: CyclicWord) -> CyclicWord:
+    """canonical_form as it was: Booth over the letters.  Oracle."""
+    return CyclicWord(_dihedral_min(word.bits))
+
+
+def decompose_by_zeros(word: CyclicWord) -> SubwordDecomposition:
+    """decompose as it was: the gaps between the zeros' positions.  Oracle."""
+    zeros = [i for i, b in enumerate(word.bits) if b == 0]
+    if not zeros:
+        return SubwordDecomposition(ALL_ONES, ())
+    n = word.n
+    return SubwordDecomposition(CYCLE, tuple(
+        (zeros[(j + 1) % len(zeros)] - zeros[j] - 1) % n for j in range(len(zeros))
+    ))
+
+
+def areas_by_sorting(word: CyclicWord, first_stage_modulus: int) -> tuple:
+    """horoball_areas as it was: all 2n + k + 1 pairs, sorted.  Oracle."""
+    cusps = [(m, 4 * m) for m in (word.n, *cusp_graph(word).cycle_labels)]
+    cusps += [(1 if b else 2, 2) for b in word.bits]
+    cusps += [(first_stage_modulus, 2)] * word.n
+    return tuple(sorted(cusps))
+
+
+def assert_run_paths_match_oracles(word: CyclicWord) -> None:
+    assert canonical_form(word) == canonical_by_letters(word), word
+    assert decompose(word) == decompose_by_zeros(word), word
+    for modulus in (1, 2):
+        assert horoball_areas(word, modulus) == areas_by_sorting(word, modulus), word
+    assert W(str(word)) == word
+
+
+def test_run_paths_match_oracles_on_every_short_word():
+    for n in range(3, 15):
+        for w in range(1 << n):
+            assert_run_paths_match_oracles(CyclicWord(tuple((w >> i) & 1 for i in range(n))))
+
+
+def _seeded_word(n: int, seed: int, density: float) -> list[int]:
+    rng = random.Random(seed)
+    return [int(rng.random() < density) for _ in range(n)]
+
+
+# long words of any density, long periodic words, the all-ones word and
+# words with a single zero
+_LONG_WORDS = st.one_of(
+    st.builds(_seeded_word, st.integers(3, 3000), st.integers(0, 2**32), st.floats(0, 1)),
+    st.builds(
+        lambda block, reps: block * reps,
+        st.lists(_BITS, min_size=1, max_size=12),
+        st.integers(1, 300),
+    ).filter(lambda bits: len(bits) >= 3),
+    st.integers(3, 3000).map(lambda n: [1] * n),
+    st.tuples(st.integers(3, 3000), st.integers(0, 2999)).map(
+        lambda nk: [int(i != nk[1] % nk[0]) for i in range(nk[0])]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bits=_LONG_WORDS)
+def test_run_paths_match_oracles_on_long_words(bits):
+    assert_run_paths_match_oracles(CyclicWord(tuple(bits)))
+
+
+def test_canonical_form_orders_by_runs():
+    # read from its first zero, 0110111010 has runs (2, 3, 1, 0); the
+    # least rotation of those and of their reversal (0, 1, 3, 2) is
+    # (0, 1, 3, 2), the word 0 0 1 0 111 0 11
+    assert decompose(W("0110111010")).i_sequence == (2, 3, 1, 0)
+    assert str(canonical_form(W("0110111010"))) == "0010111011"
+    # one zero: the word is 0 1^(n-1) read from its zero
+    assert str(canonical_form(W("11011"))) == "01111"
+    assert str(canonical_form(W("11111"))) == "11111"
 
 
 def test_enumerate_classes_small():

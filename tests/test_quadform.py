@@ -632,6 +632,39 @@ def test_sqrt_mod_prime_on_deep_tonelli_shanks_loops():
                 assert got == [], (d, p)
 
 
+def test_sqrt_mod_prime_where_the_least_non_residue_is_large():
+    # the least primes p = 1 (mod 8) whose least non-residue is each of
+    # 29 .. 89: Tonelli-Shanks must step over every residue below it
+    rng = random.Random(23)
+    for z, p in ((29, 87481), (47, 3818929), (53, 9257329), (67, 48473881),
+                 (79, 427733329), (83, 898716289), (89, 8114538721)):
+        assert arith.is_prime(p) and p % 8 == 1
+        assert next(y for y in range(2, p) if pow(y, (p - 1) // 2, p) == p - 1) == z
+        for x in rng.sample(range(1, p), 32):
+            d = x * x % p
+            assert sorted(_sqrt_mod_prime(d, p)) == sorted((x, p - x)), (d, p)
+            assert _sqrt_mod_prime(d * z, p) == [], (d * z, p)
+
+
+def test_sqrt_mod_prime_power_is_every_root():
+    # the root list is exactly the residue scan's, also where p divides d
+    for p in (2, 3, 5, 7):
+        q, e = p, 1
+        while q <= 3**7:
+            roots = {}
+            for x in range(q):
+                roots.setdefault(x * x % q, []).append(x)
+            for d in range(-q, q):
+                assert sorted(_sqrt_mod_prime_power(d, p, e)) == roots.get(d % q, []), (d, p, e)
+            q, e = q * p, e + 1
+    # the 2**20 roots of 0 mod 2**39 are the multiples of 2**20, and the
+    # 2 * 3**6 roots of 3**12 * 7 mod 3**20 are 3**6 * (y + t * 3**8)
+    assert _sqrt_mod_prime_power(0, 2, 39) == list(range(0, 2**39, 2**20))
+    roots = _sqrt_mod_prime_power(3**12 * 7, 3, 20)
+    assert len(set(roots)) == 2 * 3**6 == _sqrt_count(3**12 * 7, 3, 20)
+    assert all(x * x % 3**20 == 3**12 * 7 for x in roots)
+
+
 def test_point_query_refuses_too_many_square_roots(monkeypatch):
     # 2**40 and D = -2**42 share 2**42, which leaves 2**21 roots mod 4m;
     # the refusal comes from the count, before any root is built
