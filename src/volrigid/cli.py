@@ -13,32 +13,19 @@ Subcommands map one-to-one onto the library modules:
     census hist             cluster a name,volume table into a frequency histogram
 
 Exit codes: 0 success, 1 domain error (bad mathematics, missing file),
-2 usage error.  Every float is printed at 12 significant digits in every
-format, inside nested csv and table cells too, and all orderings are
-fixed, so identical invocations are byte-identical.  Each subcommand is
-declared once, by @_command on its handler.
-
-The writer prints a list whose items share one shape column by column,
-with no Python call per item: scalars of one type, dicts with one key
-list in one order (each key's values a column, each row filled into one
-template), and non-empty lists whose elements share one scalar type
-(int lists of one length through one template, once per run of equal lists).
-A list of other items is printed item by item.
+2 usage error.  The render module prints each payload, and all orderings
+are fixed, so identical invocations are byte-identical.  Each subcommand
+is declared once, by @_command on its handler.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import itertools
-import json
 import math
-import operator
 import random
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 from .census import DEFAULT_EPSILON, cluster_volumes, parse_census
 from .cusplattice import builtin_names, builtin_record
@@ -80,6 +67,7 @@ from .quadform import (
     representations,
     two_sided_gap,
 )
+from .render import Table, render
 
 __all__ = ["run", "main"]
 
@@ -89,224 +77,6 @@ _FAMILY_ALIASES = {
     "m125": FAMILY_M125,
     FAMILY_M125: FAMILY_M125,
 }
-
-
-# ---------------------------------------------------------------------------
-# deterministic rendering
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-# exact type -> JSON text of a value of that type.  Lookups use the exact
-# type, so a bool is never printed as an int.
-_SCALARS: dict[type, Callable[[Any], str]] = {
-    str: _encode_str,
-    float: "{:.12g}".format,
-    int: int.__repr__,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _one_type(values: Iterable[Any]) -> type | None:
-    """The values' one type, or None when they are of no type or several."""
-    types = set(map(type, values))
-    return types.pop() if len(types) == 1 else None
-
-
-@functools.cache
-def _layout(indent: int | None) -> tuple[str, str, str, int | None]:
-    """Text before the first item of a container at nesting level
-    ``indent``, between items and after the last, and the items' level."""
-    if indent is None:
-        return "", ",", "", None
-    pad = "\n" + "  " * indent
-    return pad + "  ", "," + pad + "  ", pad, indent + 1
-
-
-def _json_text(obj: Any, indent: int | None = 0) -> str:
-    """JSON text of a payload, every float at 12 significant digits.
-
-    At nesting level ``indent`` containers are laid out as by
-    ``json.dumps(obj, indent=2)``; ``indent=None`` gives the compact
-    form of ``json.dumps(obj, separators=(",", ":"))``, which csv and
-    table cells use.
-    """
-    kind = type(obj)
-    encode = _SCALARS.get(kind)
-    if encode is not None:
-        return encode(obj)
-    if kind is list:
-        return _json_array(obj, indent)
-    if kind is not dict:
-        raise TypeError(f"cannot serialize {kind.__name__}")
-    if not obj:
-        return "{}"
-    opening, sep, closing, deeper = _layout(indent)
-    colon = ":" if indent is None else ": "
-    parts = []
-    for key, value in obj.items():
-        encode = _SCALARS.get(type(value))
-        text = encode(value) if encode is not None else _json_text(value, deeper)
-        parts.append(_encode_str(key) + colon + text)
-    return "{" + opening + sep.join(parts) + closing + "}"
-
-
-def _json_array(items: Sequence[Any], indent: int | None) -> str:
-    """``_json_text`` of a list, or of a tuple read as a list."""
-    if not items:
-        return "[]"
-    opening, sep, closing, deeper = _layout(indent)
-    return "[" + opening + sep.join(_json_items(items, deeper)) + closing + "]"
-
-
-def _json_items(
-    items: Sequence[Any], indent: int | None, tuples: bool = False
-) -> Iterable[str]:
-    """The JSON text of each item of a non-empty list, at level ``indent``.
-
-    Items of one shape are printed column by column, with no call per
-    item: scalars of one type in one map; dicts with one non-empty key
-    list through one template, each key's values a column; non-empty
-    lists whose elements share one scalar type in one map, and if that
-    type is int and the lists have one length, each run of equal lists
-    once through one template.  Items of other shapes, and a single
-    container, are printed one by one.
-    ``tuples`` reads a tuple item as a list, as a _Table's cells are read.
-    """
-    kind = _one_type(items)
-    encode = _SCALARS.get(kind)
-    if encode is not None:
-        return map(encode, items)
-    # one container prints faster on its own than as a column
-    many = len(items) > 1
-    if kind is dict and many:
-        keys = set(map(tuple, items))
-        if len(keys) == 1 and () not in keys:
-            return _json_records(keys.pop(), zip(*map(dict.values, items)), indent)
-    elif many and (kind is list or tuples and kind is tuple) and all(items):
-        element = _one_type(itertools.chain.from_iterable(items))
-        encode = _SCALARS.get(element)
-        if encode is not None:
-            opening, sep, closing, _ = _layout(indent)
-            if element is int and len(set(map(len, items))) == 1:
-                # int lists of one length repeat, as the sorted [modulus,
-                # area] pairs of a cusp list do: each run of equal lists
-                # is printed once, through one template
-                template = "[" + opening + sep.join(["%d"] * len(items[0])) + closing + "]"
-                texts, counts = [], []
-                for row, run in itertools.groupby(items):
-                    texts.append(template % tuple(row))
-                    counts.append(len(list(run)))
-                return itertools.chain.from_iterable(map(itertools.repeat, texts, counts))
-            frame = "[" + opening + "%s" + closing + "]"
-            return map(
-                frame.__mod__, map(sep.join, map(functools.partial(map, encode), items))
-            )
-    if tuples:
-        return [
-            _json_array(v, indent) if type(v) is tuple else _json_text(v, indent)
-            for v in items
-        ]
-    return [_json_text(v, indent) for v in items]
-
-
-def _json_records(
-    keys: Sequence[str],
-    columns: Iterable[Sequence[Any]],
-    indent: int | None,
-    tuples: bool = False,
-) -> Iterable[str]:
-    """The JSON text of ``dict(zip(keys, row))`` at level ``indent`` for
-    each row that the columns hold, all through one template."""
-    opening, sep, closing, deeper = _layout(indent)
-    texts = [_json_items(cells, deeper, tuples) for cells in columns]
-    colon = ":" if indent is None else ": "
-    template = (
-        "{" + opening
-        + sep.join(_encode_str(k).replace("%", "%%") + colon + "%s" for k in keys)
-        + closing + "}"
-    )
-    return map(template.__mod__, zip(*texts))
-
-
-class _Table(NamedTuple):
-    """A list of rows with the same keys, rendered column by column.
-
-    It means exactly ``[dict(zip(keys, row)) for row in rows]``, with
-    every tuple cell read as a list.  The keys are distinct and there is
-    at least one; each row has one cell per key, and each cell is a
-    scalar or a list or tuple of scalars.
-    """
-
-    keys: tuple[str, ...]
-    rows: Sequence[Sequence[Any]]
-
-
-def _json_table(table: _Table) -> str:
-    """``_json_text`` of the list of dicts that the table means."""
-    if not table.rows:
-        return "[]"
-    opening, sep, closing, _ = _layout(0)
-    rows = _json_records(table.keys, zip(*table.rows), 1, tuples=True)
-    return "[" + opening + sep.join(rows) + closing + "]"
-
-
-def _text_cells(cells: Sequence[Any]) -> Iterable[str]:
-    """csv and table texts of one _Table column: a str cell as it is,
-    any other cell as compact JSON."""
-    texts = _json_items(cells, None, tuples=True)
-    if str in set(map(type, cells)):
-        return [c if type(c) is str else t for c, t in zip(cells, texts)]
-    return texts
-
-
-def _cell(value: Any) -> str:
-    return value if isinstance(value, str) else _json_text(value, None)
-
-
-def _rows(payload: Any) -> tuple[list[str], list[Sequence[str]]]:
-    if type(payload) is _Table:
-        if not payload.rows:
-            return [], []
-        return list(payload.keys), list(zip(*map(_text_cells, zip(*payload.rows))))
-    header = ["key", "value"]
-    return header, [[k, _cell(v)] for k, v in payload.items()]
-
-
-def render(payload: Any, fmt: str) -> str:
-    """Payload text in the given format.
-
-    Payloads are JSON-ready: dicts with str keys, lists, str, int,
-    float, bool and None, nothing else; or a _Table, which csv and
-    table print one row per line under a header of its keys.
-    """
-    if fmt == "json":
-        if type(payload) is _Table:
-            return _json_table(payload) + "\n"
-        return _json_text(payload) + "\n"
-    header, rows = _rows(payload)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if header:
-            writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    if not header:
-        return "\n"
-    widths = [
-        max(len(h), max(map(len, map(operator.itemgetter(i), rows)), default=0))
-        for i, h in enumerate(header)
-    ]
-    # one template pads every cell of a row to its column's width
-    template = "  ".join(f"%-{w}s" for w in widths)
-    lines = [
-        (template % tuple(header)).rstrip(),
-        "  ".join("-" * w for w in widths),
-        *map(str.rstrip, map(template.__mod__, map(tuple, rows))),
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # subcommands: one declaration each; handlers return JSON-ready payloads
-# or a _Table
+# or a Table
 
 _FORM = _arg("--form", type=_int_triple, required=True, metavar="a,b,c")
 _LIMIT = _arg("--limit", type=int, required=True)
@@ -722,7 +492,7 @@ def _cmd_census_hist(args: argparse.Namespace) -> Any:
             file=sys.stderr,
         )
     clusters = cluster_volumes(report.records, epsilon=args.epsilon)
-    return _Table(("volume", "count", "names"), clusters)
+    return Table(("volume", "count", "names"), clusters)
 
 
 # ---------------------------------------------------------------------------

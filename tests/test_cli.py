@@ -11,15 +11,15 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volrigid import cli, primeseq
-from volrigid.cli import _cell, _digit_count, _json_text, _Table, render, run
+from volrigid.cli import _digit_count, run
 from volrigid.mutant import MAX_CLASS_WORD_LENGTH
+from volrigid.render import _json_text
 
 try:
     import jsonschema
@@ -719,273 +719,6 @@ def test_qf_reps_refuses_too_many_square_roots(capsys):
     )
     assert code == 1 and out == ""
     assert "has 2097152 square roots" in err
-
-
-def recursive_json_text(obj, indent=0):
-    """The writer as it was before exact-type dispatch: one recursive
-    call per value and one json.dumps per string.  Oracle for _json_text."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format(obj, ".12g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    deeper = None if indent is None else indent + 1
-    if isinstance(obj, dict):
-        colon = ":" if indent is None else ": "
-        brackets = "{}"
-        parts = [
-            f"{json.dumps(str(k))}{colon}{recursive_json_text(v, deeper)}"
-            for k, v in obj.items()
-        ]
-    elif isinstance(obj, list):
-        brackets = "[]"
-        parts = [recursive_json_text(v, deeper) for v in obj]
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if not parts:
-        return brackets
-    if indent is None:
-        return brackets[0] + ",".join(parts) + brackets[1]
-    pad = "\n" + "  " * indent
-    return brackets[0] + pad + "  " + f",{pad}  ".join(parts) + pad + brackets[1]
-
-
-def _payloads(leaves):
-    return st.recursive(
-        leaves,
-        lambda kids: st.lists(kids, max_size=4)
-        | st.dictionaries(st.text(max_size=5), kids, max_size=4),
-        max_leaves=12,
-    )
-
-
-_FLOAT_FREE = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(payload=_payloads(_FLOAT_FREE))
-def test_writer_matches_stdlib_json_without_floats(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2)
-    assert _json_text(payload, None) == json.dumps(payload, separators=(",", ":"))
-    if not isinstance(payload, str):
-        assert _cell(payload) == _json_text(payload, None)
-
-
-def _at_12_digits(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".12g"))
-    if isinstance(obj, list):
-        return [_at_12_digits(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _at_12_digits(v) for k, v in obj.items()}
-    return obj
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(payload=_payloads(_FLOAT_FREE | _FLOATS))
-def test_writer_prints_every_float_at_12_digits(payload):
-    expected = _at_12_digits(payload)
-    assert json.loads(_json_text(payload)) == expected
-    assert json.loads(_json_text(payload, None)) == expected
-
-
-_ODD_FLOATS = st.sampled_from([
-    math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 5e-324,
-    2.2250738585072014e-308, 1.7976931348623157e308, 123456789012.5,
-])
-_ANY_FLOAT = st.floats() | _ODD_FLOATS
-_TEXT = st.text(max_size=8) | st.text(st.characters(max_codepoint=0x1F), max_size=4)
-_SCALAR = st.none() | st.booleans() | st.integers() | _ANY_FLOAT | _TEXT
-# lists of one scalar type take the writer's join path; bool and int mixed
-# must not, or True would print as an int
-_FLAT_LISTS = (
-    st.lists(st.booleans() | st.integers(), max_size=6)
-    | st.lists(_ANY_FLOAT, max_size=6)
-    | st.lists(_TEXT, max_size=6)
-    | st.lists(st.none(), max_size=3)
-)
-
-
-_KEY = (
-    st.sampled_from(["volume", "count", "names", "%", "%s", "%%", "%(k)s", '"', "é", "Ω", ""])
-    | _TEXT
-)
-# cell strategies that each give one shape to every cell of a column: the
-# writer prints such a column in one map, and any other column item by item
-_ONE_TYPE_CELLS = [st.none(), st.booleans(), st.integers(), _ANY_FLOAT, _TEXT]
-_ARRAY_CELLS = [st.lists(cell, min_size=1, max_size=3) for cell in _ONE_TYPE_CELLS]
-_RECORD_CELL = st.tuples(st.integers(), _TEXT | st.none()).map(
-    lambda row: dict(zip(("%s", "é"), row))
-)
-_COLUMN_CELLS = [*_ONE_TYPE_CELLS, *_ARRAY_CELLS, _RECORD_CELL, _SCALAR | _FLAT_LISTS]
-
-
-def _record_lists(min_keys=1, min_rows=1):
-    """Lists of dicts with one key list in one order, each key's values
-    drawn from one of _COLUMN_CELLS."""
-    return st.lists(_KEY, min_size=min_keys, max_size=3, unique=True).flatmap(
-        lambda keys: st.tuples(*[st.sampled_from(_COLUMN_CELLS)] * len(keys)).flatmap(
-            lambda cells: st.lists(
-                st.tuples(*cells).map(lambda row: dict(zip(keys, row))),
-                min_size=min_rows, max_size=5,
-            )
-        )
-    )
-
-
-def _reorder_last(records):
-    return records[:-1] + [dict(reversed(records[-1].items()))]
-
-
-# lists of non-empty lists of one scalar type
-_ARRAYS = st.sampled_from(_ARRAY_CELLS).flatmap(
-    lambda cell: st.lists(cell, min_size=1, max_size=5)
-)
-# shapes one step from a column path, which must be printed item by item:
-# a record with its keys in another order, {} records, and inner lists
-# that may be empty, None, or hold True beside 1
-_NEAR_MISSES = (
-    _record_lists(2, 2).map(_reorder_last)
-    | st.lists(st.just({}), min_size=1, max_size=3)
-    | st.lists(
-        st.lists(st.booleans() | st.integers(), max_size=3) | st.none(),
-        min_size=1, max_size=5,
-    )
-)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(payload=_payloads(_SCALAR | _FLAT_LISTS | _record_lists() | _ARRAYS | _NEAR_MISSES))
-def test_writer_matches_the_recursive_writer(payload):
-    assert _json_text(payload) == recursive_json_text(payload)
-    assert _json_text(payload, None) == recursive_json_text(payload, None)
-    assert _json_text(payload, 3) == recursive_json_text(payload, 3)
-
-
-# lists drawn from a few int lists, so that equal lists repeat, in runs
-# when sorted: of one length or mixed lengths, some with True or False
-# beside ints, which must not print as 1 or 0
-_INT_LIST_POOLS = st.lists(
-    st.lists(st.integers(-3, 3) | st.integers(), max_size=3)
-    | st.lists(st.integers(0, 2) | st.booleans(), min_size=1, max_size=3),
-    min_size=1, max_size=4,
-)
-_REPEATED_INT_LISTS = _INT_LIST_POOLS.flatmap(
-    lambda pool: st.lists(st.sampled_from(pool), max_size=30)
-).flatmap(lambda items: st.sampled_from([items, sorted(items)]))
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(items=_REPEATED_INT_LISTS)
-def test_writer_prints_repeated_int_lists_as_json_does(items):
-    for payload in (items, {"k": items}, [{"k": items}, {"k": items[::-1]}]):
-        assert _json_text(payload) == json.dumps(payload, indent=2)
-        assert _json_text(payload, None) == json.dumps(payload, separators=(",", ":"))
-    # as a _Table column of tuple cells, each cell read as a list
-    if all(items):
-        rows = [(tuple(item), i) for i, item in enumerate(items)]
-        meaning = table_meaning(("k", "i"), rows)
-        assert render(_Table(("k", "i"), rows), "json") == json.dumps(meaning, indent=2) + "\n"
-
-
-def test_writer_prints_repeated_int_lists_of_each_length():
-    for length in (1, 2, 3, 5):
-        item = list(range(7, 7 + length))
-        payload = [item, item, [1] * length, item]
-        assert _json_text(payload) == json.dumps(payload, indent=2)
-        assert _json_text(payload, None) == json.dumps(payload, separators=(",", ":"))
-    assert _json_text([[1, 2], [1, 2], [True, 2]], None) == "[[1,2],[1,2],[true,2]]"
-    assert _json_text([[1, 2], [1, 2, 3], [1, 2]], None) == "[[1,2],[1,2,3],[1,2]]"
-
-
-def test_writer_keeps_bool_and_int_apart():
-    assert _json_text([True, 1, False, 0], None) == "[true,1,false,0]"
-    assert _json_text([1, True], None) == "[1,true]"
-    assert _json_text({"a": [True, True], "b": [0, 1]}, None) == (
-        '{"a":[true,true],"b":[0,1]}'
-    )
-
-
-@pytest.mark.parametrize("value", [(1, 2), {1, 2}, b"x", 1j, object()])
-def test_writer_refuses_other_types(value):
-    # the last three take the column paths but for the value
-    for payload in (
-        value, [value], [1, value], {"k": value},
-        [value, value], [{"k": value}, {"k": value}], [[1], [value]],
-    ):
-        with pytest.raises(TypeError, match="cannot serialize"):
-            _json_text(payload)
-
-
-def test_records_with_a_non_str_key_are_refused_as_one_dict_is():
-    with pytest.raises(TypeError) as one:
-        _json_text({1: 2})
-    for payload in ([{1: 2}, {1: 3}], {"k": [{1: 2}, {1: 3}]}):
-        with pytest.raises(TypeError) as records:
-            _json_text(payload)
-        assert str(records.value) == str(one.value)
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-def test_every_format_refuses_a_tuple_outside_a_table(fmt):
-    # only a _Table reads a tuple cell as a list, also where the items
-    # would otherwise take a column path
-    for value in ((1, 2), [(1, 2), (3, 4)], [{"k": (1, 2)}, {"k": (3, 4)}], [[1], (2,)]):
-        with pytest.raises(TypeError, match="cannot serialize tuple"):
-            render({"k": value}, fmt)
-        if fmt == "json":
-            with pytest.raises(TypeError, match="cannot serialize tuple"):
-                render(value, fmt)
-
-
-def list_rows(payload):
-    """csv and table rows of a list of dicts, as read before the row
-    table: the header is the first dict's keys.  Oracle for _rows."""
-    if isinstance(payload, list):
-        if not payload:
-            return [], []
-        header = list(payload[0].keys())
-        return header, [[list_cell(row.get(k)) for k in header] for row in payload]
-    return cli._rows(payload)
-
-
-def list_cell(value):
-    return value if isinstance(value, str) else recursive_json_text(value, None)
-
-
-def table_meaning(keys, rows):
-    return [dict(zip(keys, [list(c) if type(c) is tuple else c for c in row])) for row in rows]
-
-
-# a column may mix types, and a sequence cell is a list or a tuple
-_TABLE_CELLS = [
-    *_COLUMN_CELLS,
-    *[cell.map(tuple) for cell in _ARRAY_CELLS],
-    _SCALAR | _FLAT_LISTS | _FLAT_LISTS.map(tuple),
-]
-_TABLES = st.lists(_KEY, min_size=1, max_size=4, unique=True).flatmap(
-    lambda keys: st.tuples(*[st.sampled_from(_TABLE_CELLS)] * len(keys)).flatmap(
-        lambda cells: st.tuples(st.just(tuple(keys)), st.lists(st.tuples(*cells), max_size=5))
-    )
-)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(table=_TABLES)
-def test_table_renders_as_the_list_of_dicts_it_means(table):
-    keys, rows = table
-    meaning = table_meaning(keys, rows)
-    assert render(_Table(keys, rows), "json") == recursive_json_text(meaning) + "\n"
-    for fmt in ("csv", "table"):
-        with mock.patch.object(cli, "_rows", list_rows):
-            expected = render(meaning, fmt)
-        assert render(_Table(keys, rows), fmt) == expected
 
 
 @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")

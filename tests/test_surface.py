@@ -19,7 +19,9 @@ import pytest
 ROOT = Path(__file__).parent.parent
 README = ROOT / "README.md"
 SRC = ROOT / "src"
-MODULES = ["arith", "census", "cli", "cusplattice", "mutant", "nzvolume", "primeseq", "quadform"]
+MODULES = [
+    "arith", "census", "cli", "cusplattice", "mutant", "nzvolume", "primeseq", "quadform", "render",
+]
 
 
 @pytest.mark.parametrize("module", [f"volrigid.{m}" for m in MODULES])
@@ -34,6 +36,7 @@ def test_every_exported_name_resolves(module):
 @pytest.mark.parametrize("module, loaded", [
     ("arith", ["volrigid", "volrigid.arith"]),
     ("quadform", ["volrigid", "volrigid.arith", "volrigid.quadform"]),
+    ("render", ["volrigid", "volrigid.render"]),
 ])
 def test_a_module_loads_only_what_it_imports(module, loaded):
     # a fresh interpreter: this one has already imported every module
