@@ -58,6 +58,7 @@ from .primeseq import (
     GapPrimeSpec,
     default_avoid_primes,
     gap_prime_sequence,
+    progression,
     progression_modulus,
     verify_witness,
 )
@@ -278,7 +279,7 @@ def _witness_payload(witness: Any, spec: GapPrimeSpec) -> dict[str, Any]:
                     "in digits for deeper searches)"),
           _arg("--avoid", type=_int_list, metavar="p,q,...",
                help="override the avoided-prime list"),
-          _arg("--verify-only", type=int, metavar="VALUE",
+          _arg("--verify-only", type=_int_at_least(0), metavar="VALUE",
                help="skip the search and verify this single value"))
 def _cmd_prime_seq(args: argparse.Namespace) -> Any:
     family = _FAMILY_ALIASES[args.family]
@@ -298,24 +299,25 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
             f"raise the limit with PYTHONINTMAXSTRDIGITS"
         )
     spec = GapPrimeSpec(g=args.g, family=family, avoid_primes=avoid)
-    residue, modulus = spec.progression
-    payload: dict[str, Any] = {
+    if args.verify_only is None:
+        search = gap_prime_sequence(spec, args.count, cap=args.cap)
+        residue, modulus = search.progression
+        witnesses, truncated = search.witnesses, search.truncated
+        searched: dict[str, Any] = {"cap": args.cap}
+    else:
+        residue, modulus = progression(spec)
+        witnesses, truncated = (verify_witness(args.verify_only, spec),), False
+        searched = {}
+    return {
         "family": family,
         "g": args.g,
         "avoid_primes": list(avoid),
         "residue": residue,
         "modulus": modulus,
+        **searched,
+        "witnesses": [_witness_payload(w, spec) for w in witnesses],
+        "truncated": truncated,
     }
-    if args.verify_only is not None:
-        witness = verify_witness(args.verify_only, spec)
-        payload["witnesses"] = [_witness_payload(witness, spec)]
-        payload["truncated"] = False
-        return payload
-    search = gap_prime_sequence(spec, args.count, cap=args.cap)
-    payload["cap"] = args.cap
-    payload["witnesses"] = [_witness_payload(w, spec) for w in search.witnesses]
-    payload["truncated"] = search.truncated
-    return payload
 
 
 @_command("nz eval", "evaluate a volume change",

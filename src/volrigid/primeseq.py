@@ -61,6 +61,7 @@ __all__ = [
     "default_avoid_primes",
     "progression_modulus",
     "build_congruences",
+    "progression",
     "verify_witness",
     "gap_prime_sequence",
 ]
@@ -115,31 +116,7 @@ def _primes(n0: int, modulus: int, cap: int) -> Iterator[int]:
     return filter(is_prime, range(n0, cap + 1, modulus))
 
 
-class _Derived:
-    """Base of a named tuple whose last field __new__ computes from the
-    others.  Copies, pickles, _make and _replace all build the value
-    through __new__ from the other fields; only _make may be given the
-    last field too, and then it must be the value __new__ computes."""
-
-    __slots__ = ()
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)[:-1]
-
-    @classmethod
-    def _make(cls, iterable: Iterable):
-        *given, derived = iterable
-        made = cls(*given)
-        if derived != made[-1]:
-            raise ValueError(f"{cls._fields[-1]} is computed from the other fields")
-        return made
-
-    def _replace(self, **changes):
-        # a change to the last field is an unexpected keyword to __new__
-        return type(self)(**{**dict(zip(self._fields[:-1], self)), **changes})
-
-
-class _FamilyFields(NamedTuple):
+class _Family(NamedTuple):
     gap_form: IntQuadForm        # Q0, must miss the shifted values
     carrier_form: IntQuadForm    # Q1, must hit the value essentially once
     excluded_form: IntQuadForm   # Q2, must miss the value
@@ -147,28 +124,7 @@ class _FamilyFields(NamedTuple):
     allow_swap: bool             # representation class includes (b, a)
     value_factor: int            # the witness value is value_factor * p
     base: tuple[int, int]        # base congruence (r, m) on the prime p
-    # factorize(value_factor), taken once: a candidate's witness value
-    # factors as this plus {p: 1}
-    value_factorization: dict[int, int]
-
-
-class _Family(_Derived, _FamilyFields):
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        gap_form: IntQuadForm,
-        carrier_form: IntQuadForm,
-        excluded_form: IntQuadForm,
-        avoid_residue: tuple[int, int],
-        allow_swap: bool,
-        value_factor: int,
-        base: tuple[int, int],
-    ) -> "_Family":
-        return tuple.__new__(cls, (
-            gap_form, carrier_form, excluded_form, avoid_residue, allow_swap,
-            value_factor, base, factorize(value_factor),
-        ))
+    value_factorization: dict[int, int]  # factorize(value_factor), written out
 
 
 _FAMILIES = {
@@ -180,6 +136,7 @@ _FAMILIES = {
         allow_swap=False,
         value_factor=1,
         base=(1, 12),
+        value_factorization={},
     ),
     FAMILY_M125: _Family(
         gap_form=IntQuadForm(1, 0, 1),
@@ -189,6 +146,7 @@ _FAMILIES = {
         allow_swap=True,
         value_factor=2,
         base=(1, 4),
+        value_factorization={2: 1},
     ),
 }
 
@@ -197,21 +155,16 @@ class _SpecFields(NamedTuple):
     g: int
     family: str
     avoid_primes: tuple[int, ...]
-    # crt_solve(build_congruences(self)), taken once
-    progression: tuple[int, int]
 
 
-class GapPrimeSpec(_Derived, _SpecFields):
+class GapPrimeSpec(_SpecFields):
     """Parameters of a gap-prime search.
 
     g is the half-width of the wanted gap; avoid_primes lists 2*g
     distinct primes in the family's mandatory residue class (5 mod 6 for
     the m004 family, 3 mod 4 for the m125 family), one per shift: for
     i = 1..g, the i-th is to divide v - i and the (g + i)-th v + i (see
-    build_congruences).  progression is the (residue, modulus) of the
-    arithmetic progression that holds the search's candidate primes; it
-    is solved from the other fields, and the repr leaves it out, as its
-    modulus has thousands of digits at g = 500.
+    build_congruences).
     """
 
     __slots__ = ()
@@ -231,16 +184,12 @@ class GapPrimeSpec(_Derived, _SpecFields):
                 raise ValueError(f"avoid value {p} is not prime")
             if p % mod != res:
                 raise ValueError(f"avoid prime {p} is not {res} mod {mod}")
-        # build_congruences reads only the first three fields
-        unsolved = tuple.__new__(cls, (g, family, avoid_primes, None))
-        progression = crt_solve(build_congruences(unsolved))
-        return tuple.__new__(cls, (g, family, avoid_primes, progression))
+        return tuple.__new__(cls, (g, family, avoid_primes))
 
-    def __repr__(self) -> str:
-        return (
-            f"GapPrimeSpec(g={self.g!r}, family={self.family!r}, "
-            f"avoid_primes={self.avoid_primes!r})"
-        )
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "GapPrimeSpec":
+        # namedtuple's own _make (which _replace calls) skips __new__
+        return cls(*iterable)
 
 
 def default_avoid_primes(family: str, g: int) -> tuple[int, ...]:
@@ -278,6 +227,12 @@ def build_congruences(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
     return tuple(congruences)
 
 
+def progression(spec: GapPrimeSpec) -> tuple[int, int]:
+    """The (residue, modulus) of the progression that holds the spec's
+    candidate primes, solved from its congruences by the CRT."""
+    return crt_solve(build_congruences(spec))
+
+
 class GapPrimeWitness(NamedTuple):
     """A verified (or failed) candidate with its condition report."""
 
@@ -306,9 +261,10 @@ def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
     search's candidates are prime because its scan tests them, and the
     search verifies each one from the factorization that test implies
     rather than through this function, which factors the value itself.
-    Failed conditions are reported in the result, never raised.
+    Failed conditions are reported in the result, never raised; a
+    negative value raises ValueError.
     """
-    # 0 has no factorization, and the queries answer 0 and below without one
+    # 0 has no factorization, and the queries answer 0 without one
     fac = factorize(value) if value > 0 else {}
     return _verify(value, spec, fac, _inert_avoid_primes(spec))
 
@@ -377,10 +333,11 @@ def _verify(
 
 
 class GapPrimeSearch(NamedTuple):
-    """Verified witnesses plus a flag for a cap-exhausted search."""
+    """Verified witnesses, a cap-exhausted flag and the scanned progression."""
 
     witnesses: tuple[GapPrimeWitness, ...]
     truncated: bool
+    progression: tuple[int, int]
 
 
 def gap_prime_sequence(
@@ -390,22 +347,23 @@ def gap_prime_sequence(
 ) -> GapPrimeSearch:
     """First `count` fully verified witnesses from the congruence search.
 
-    The spec's progression of candidate primes is scanned once, in
-    ascending order, and each candidate's witness value f*p is verified
-    from scratch, from the factorization (f's primes and {p: 1}) that
-    the scan's primality test decided; the scan stops at the count-th
-    witness, so count = 0 verifies nothing.  Only witness values up to
-    `cap` are considered; running out before `count` witnesses are
-    found returns a truncated result rather than raising.  A
-    progression that holds no prime raises EmptyProgressionError up
-    front.
+    The spec's progression of candidate primes is solved once, reported
+    in the result, and scanned once, in ascending order.  Each
+    candidate's witness value f*p is verified from scratch, from the
+    factorization (f's primes and {p: 1}) that the scan's primality
+    test decided; the scan stops at the count-th witness, so count = 0
+    verifies nothing.  Only witness values up to `cap` are considered;
+    running out before `count` witnesses are found returns a truncated
+    result rather than raising.  A progression that holds no prime
+    raises EmptyProgressionError up front.
     """
     if count < 0 or cap < 0:
         raise ValueError("count and cap must be nonnegative")
     fam = _FAMILIES[spec.family]
-    scan = _primes(*spec.progression, cap // fam.value_factor)
+    solved = progression(spec)
+    scan = _primes(*solved, cap // fam.value_factor)
     if count == 0:
-        return GapPrimeSearch((), truncated=False)
+        return GapPrimeSearch((), False, solved)
     inert = _inert_avoid_primes(spec)
     found: list[GapPrimeWitness] = []
     for p in scan:
@@ -414,4 +372,4 @@ def gap_prime_sequence(
             found.append(witness)
             if len(found) == count:
                 break
-    return GapPrimeSearch(tuple(found), truncated=len(found) < count)
+    return GapPrimeSearch(tuple(found), len(found) < count, solved)

@@ -89,6 +89,16 @@ def test_prime_seq_verify_only(capsys):
     assert witness["verified"]
 
 
+def test_prime_seq_negative_verify_only_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "prime-seq", "--family", "m004", "-g", "1",
+                            "--verify-only", "-5")
+    assert (code, out) == (2, ""), err
+    assert "--verify-only" in err
+    spec = primeseq.GapPrimeSpec(1, primeseq.FAMILY_M004, (5, 11))
+    with pytest.raises(ValueError, match="m >= 0"):
+        primeseq.verify_witness(-5, spec)
+
+
 def test_nz_constants_keys(capsys):
     payload = invoke_json(capsys, "nz", "constants")
     assert abs(payload["v_omega"] - 2.029883) < 1e-6
@@ -358,7 +368,7 @@ def test_prime_seq_m125_cap_bounds_the_value(capsys):
     assert at_cap["truncated"] is False
 
 
-@pytest.mark.parametrize("extra", [(), ("--verify-only", "241")])
+@pytest.mark.parametrize("extra", [(), ("--count", "0"), ("--verify-only", "241")])
 def test_prime_seq_solves_the_congruence_system_once(extra, capsys, monkeypatch):
     # every volrigid binding of crt_solve counts, so a second solve
     # through any module's import shows up

@@ -22,6 +22,7 @@ from volrigid.primeseq import (
     crt_solve,
     default_avoid_primes,
     gap_prime_sequence,
+    progression,
     verify_witness,
 )
 from volrigid.quadform import (
@@ -47,6 +48,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GapPrimeSpec(g=2, family=FAMILY_M004, avoid_primes=(5, 11))  # need 2g
     GapPrimeSpec(g=1, family=FAMILY_M125, avoid_primes=(3, 11))
+
+
+def test_family_value_factorization_is_its_value_factor_factored():
+    for family in primeseq._FAMILIES.values():
+        assert factorize(family.value_factor) == family.value_factorization
 
 
 def test_default_avoid_primes_smallest_admissible():
@@ -120,8 +126,8 @@ def test_crt_random_systems():
 def test_progression_modulus_is_the_solved_modulus(family, g):
     avoid = default_avoid_primes(family, g)
     spec = GapPrimeSpec(g=g, family=family, avoid_primes=avoid)
-    assert primeseq.progression_modulus(family, avoid) == spec.progression[1]
-    assert spec.progression[1] == math.prod(m for _, m in build_congruences(spec))
+    assert primeseq.progression_modulus(family, avoid) == progression(spec)[1]
+    assert progression(spec)[1] == math.prod(m for _, m in build_congruences(spec))
 
 
 def test_build_congruences_m004():
@@ -156,7 +162,7 @@ def test_congruence_rule_puts_avoid_primes_on_shifted_values(data):
                                max_size=2 * g, unique=True))
     spec = GapPrimeSpec(g=g, family=family, avoid_primes=tuple(avoid))
     p, modulus = crt_solve(build_congruences(spec))
-    assert spec.progression == (p, modulus)
+    assert progression(spec) == (p, modulus)
     assert modulus == math.prod(avoid) * base[1]
     assert p % base[1] == base[0]
     for i in range(1, g + 1):
@@ -280,7 +286,7 @@ def test_verify_witness_matches_the_engine_on_and_off_the_progression(data):
         avoid = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=2 * g,
                                          max_size=2 * g, unique=True)))
     spec = GapPrimeSpec(g=g, family=family, avoid_primes=avoid)
-    n0, modulus = spec.progression
+    n0, modulus = progression(spec)
     on = factor * (n0 + modulus * data.draw(st.integers(0, 30)))
     value = data.draw(st.one_of(
         st.just(on),
@@ -296,7 +302,7 @@ def test_verify_witness_matches_the_engine_on_and_off_the_progression(data):
 def test_neighbours_on_their_avoid_primes_need_no_engine_query(monkeypatch, family, g):
     factor = primeseq._FAMILIES[family].value_factor
     spec = GapPrimeSpec(g=g, family=family, avoid_primes=default_avoid_primes(family, g))
-    n0, modulus = spec.progression
+    n0, modulus = progression(spec)
     queried = []
     real = primeseq._primitively_represented
     monkeypatch.setattr(primeseq, "_primitively_represented",
@@ -417,6 +423,9 @@ def test_search_matches_verify_witness_over_the_progression(data):
     assert len(search.witnesses) == len(expected)
     assert all(map(_same_witness, search.witnesses, expected))
     assert search.truncated == (len(expected) < count)
+    assert search.progression == crt_solve(build_congruences(spec))
+    for w in search.witnesses:
+        assert w.value % factor == 0 and w.value // factor % modulus == n0
 
 
 def test_golden_g2_witness_reverifies():

@@ -26,6 +26,7 @@ from volrigid.primeseq import (
     GapPrimeSpec,
     default_avoid_primes,
     gap_prime_sequence,
+    progression,
     verify_witness,
 )
 from volrigid.quadform import IntQuadForm, Representation, primitive_value_set
@@ -56,12 +57,10 @@ def test_no_public_path_builds_an_invalid_record(cls, args, field, bad, message)
     good = cls(*args)
     values = dict(zip(cls._fields, args))
     values[field] = bad
-    # _make takes every field, a computed last one too
-    computed = tuple(good)[len(args):]
     builds = [
         lambda: cls(*values.values()),
         lambda: cls(**values),
-        lambda: cls._make((*values.values(), *computed)),
+        lambda: cls._make(values.values()),
         lambda: good._replace(**{field: bad}),
     ]
     for build in builds:
@@ -108,29 +107,11 @@ def test_records_unpack_index_and_equal_plain_tuples():
         IntQuadForm(1, 0, 12).a = 2
 
 
-def test_the_spec_progression_is_computed_once_and_kept():
-    spec = GapPrimeSpec(1, FAMILY_M004, (5, 11))
-    assert spec.progression == (241, 660)
-    assert pickle.loads(pickle.dumps(spec)).progression == (241, 660)
-    assert copy.deepcopy(spec).progression == (241, 660)
-    # a replaced input solves the system again; the progression itself
-    # cannot be given
-    assert spec._replace(avoid_primes=(5, 17)) == GapPrimeSpec(1, FAMILY_M004, (5, 17))
-    assert spec._replace(avoid_primes=(5, 17)).progression != (241, 660)
-    with pytest.raises(TypeError):
-        spec._replace(progression=(1, 660))
-    with pytest.raises(ValueError, match="progression is computed"):
-        GapPrimeSpec._make((1, FAMILY_M004, (5, 11), (1, 660)))
-    family = primeseq._FAMILIES[FAMILY_M125]
-    assert family.value_factorization == {2: 1}
-    assert family._replace(value_factor=12).value_factorization == {2: 2, 3: 1}
-
-
 def test_the_spec_repr_leaves_out_the_progression():
     spec = GapPrimeSpec(1, FAMILY_M004, (5, 11))
     assert repr(spec) == "GapPrimeSpec(g=1, family='m004-family', avoid_primes=(5, 11))"
     wide = GapPrimeSpec(500, FAMILY_M004, default_avoid_primes(FAMILY_M004, 500))
-    residue, modulus = wide.progression
+    residue, modulus = progression(wide)
     assert len(str(modulus)) > 3000
     assert repr(wide) == (
         f"GapPrimeSpec(g=500, family='m004-family', avoid_primes={wide.avoid_primes!r})"
