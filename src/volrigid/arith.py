@@ -135,7 +135,8 @@ def _pollard_rho(n: int, budget: list[int] | None = None) -> int:
             if budget[0] <= 0:
                 raise _RhoRefusal(
                     f"a {len(str(n))}-digit cofactor resisted {left - budget[0]} steps of "
-                    f"Pollard's rho; factorizations are refused past {_RHO_STEPS}"
+                    f"Pollard's rho; its budget was {left} steps, checked between "
+                    f"rounds of doubling length"
                 )
             x = y
             for _ in range(r):

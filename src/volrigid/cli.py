@@ -31,12 +31,12 @@ from .census import DEFAULT_EPSILON, cluster_volumes, parse_census
 from .cusplattice import builtin_names, builtin_record
 from .mutant import (
     CyclicWord,
-    _canonical_form,
-    _cusp_graph,
-    _horoball_areas,
+    canonical_form,
     census_report,
+    cusp_graph,
     decompose,
     enumerate_classes,
+    horoball_areas,
 )
 from .nzvolume import (
     DEFAULT_C2,
@@ -217,7 +217,7 @@ def _cmd_qf_values(args: argparse.Namespace) -> Any:
         "form": str(form),
         "limit": args.limit,
         "count": len(vs.values),
-        "values": list(vs.values),
+        "values": vs.values,
     }
 
 
@@ -311,7 +311,7 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
     return {
         "family": family,
         "g": args.g,
-        "avoid_primes": list(avoid),
+        "avoid_primes": avoid,
         "residue": residue,
         "modulus": modulus,
         **searched,
@@ -421,7 +421,7 @@ def _cmd_certify(args: argparse.Namespace) -> Any:
     )
     return {
         "manifold": cert.record_name,
-        "filling": list(cert.filling),
+        "filling": cert.filling,
         "q0_normalized": cert.q0_normalized,
         "gap_normalized": cert.gap_normalized,
         "c2": cert.c2,
@@ -452,20 +452,20 @@ def _cmd_mutant_census(args: argparse.Namespace) -> Any:
           _arg("--word", required=True, metavar="BITS"),
           _arg("--first-stage-modulus", type=int, default=1, choices=(1, 2)))
 def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
-    word = CyclicWord.from_string(args.word)
+    word = CyclicWord(args.word)
     dec = decompose(word)
-    graph = _cusp_graph(word, dec)
-    areas = _horoball_areas(word, graph, args.first_stage_modulus)
+    graph = cusp_graph(word, dec)
+    areas = horoball_areas(word, args.first_stage_modulus, graph)
     return {
-        "word": str(word),
-        "canonical": str(_canonical_form(word, dec)),
+        "word": word.letters,
+        "canonical": canonical_form(word, dec).letters,
         "kind": dec.kind,
-        "i_sequence": list(dec.i_sequence),
+        "i_sequence": dec.i_sequence,
         "knot_moduli": sorted(graph.cycle_labels),
         "apex_label": graph.apex_label,
-        "cycle_labels": list(graph.cycle_labels),
+        "cycle_labels": graph.cycle_labels,
         "special_triangle": graph.special_triangle,
-        "horoball_areas": list(map(list, areas)),
+        "horoball_areas": areas,
     }
 
 
@@ -475,7 +475,7 @@ def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
     return {
         "n": args.n,
         "count": len(classes),
-        "classes": [str(w) for w in classes],
+        "classes": classes,
     }
 
 

@@ -43,9 +43,7 @@ __all__ = [
     "CuspGraph",
     "MutantCensusReport",
     "decompose",
-    "knot_cusp_moduli",
     "cusp_graph",
-    "graphs_isomorphic",
     "canonical_form",
     "enumerate_classes",
     "bracelet_count",
@@ -63,54 +61,42 @@ COMPARISON_GROWTH_RATE = 0.0287706
 
 MAX_WORD_LENGTH = 30
 
-# enumerate_classes emits one word per class, and the class count,
-# about 2**n/(2n), doubles with each step of n.  `mutant classes -n N`
-# takes 0.35 s, 0.76 MB of JSON and 30 MB peak RSS at N = 20, 3.0 s,
-# 11.3 MB and 203 MB at N = 24, and 5.5 s, 22.3 MB and 403 MB at N = 25
-# (one run each, 2-core x86-64, Python 3.11).  Longer lists are refused;
-# census_report counts by Burnside and keeps MAX_WORD_LENGTH.
+# enumerate_classes emits one string per class, and the class count,
+# about 2**n/(2n), doubles with each step of n.  A spawned `mutant
+# classes -n N` takes 0.22 s, 0.76 MB of JSON and 22 MB peak RSS at
+# N = 20, 1.5 s, 11.3 MB and 90 MB at N = 24, and 3.7 s, 22.3 MB and
+# 159 MB at N = 25 with the cap raised (2-core x86-64, Python 3.11).
+# Longer lists are refused; census_report counts by Burnside and keeps
+# MAX_WORD_LENGTH.
 MAX_CLASS_WORD_LENGTH = 24
 
-# letter value -> its digit, for printing words through bytes.translate,
-# and back, for parsing them
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_LETTERS = bytes.maketrans(b"01", b"\x00\x01")
+class _Letters(NamedTuple):
+    letters: str
 
 
-class _Bits(NamedTuple):
-    bits: tuple[int, ...]
-
-
-class CyclicWord(_Bits):
-    """A cyclic binary word of length at least 3."""
+class CyclicWord(_Letters):
+    """A cyclic binary word of length at least 3, held as its letters."""
 
     __slots__ = ()
 
-    def __new__(cls, bits: tuple[int, ...]) -> "CyclicWord":
-        if len(bits) < 3:
+    def __new__(cls, letters: str) -> "CyclicWord":
+        if not isinstance(letters, str) or not set(letters) <= {"0", "1"}:
+            raise ValueError(f"{letters!r} is not a binary word")
+        if len(letters) < 3:
             raise ValueError("cyclic words must have length at least 3")
-        if not set(bits) <= {0, 1}:
-            raise ValueError("cyclic words are binary")
-        return tuple.__new__(cls, (bits,))
+        return tuple.__new__(cls, (letters,))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "CyclicWord":
         # namedtuple's own _make (which _replace calls) skips __new__
         return cls(*iterable)
 
-    @classmethod
-    def from_string(cls, text: str) -> "CyclicWord":
-        if not set(text) <= {"0", "1"}:
-            raise ValueError(f"{text!r} is not a binary word")
-        return cls(tuple(text.encode().translate(_LETTERS)))
-
     @property
     def n(self) -> int:
-        return len(self.bits)
+        return len(self.letters)
 
     def __str__(self) -> str:
-        # a True letter is the byte 1 and prints as "1"
-        return bytes(self.bits).translate(_DIGITS).decode("ascii")
+        return self.letters
 
 
 class SubwordDecomposition(NamedTuple):
@@ -129,16 +115,11 @@ def decompose(word: CyclicWord) -> SubwordDecomposition:
     between two zeros are the runs in order; the piece after the last
     zero and the one before the first make up the last run.
     """
-    pieces = bytes(word.bits).split(b"\x00")
+    pieces = word.letters.split("0")
     if len(pieces) == 1:
         return SubwordDecomposition(ALL_ONES, ())
     runs = (*map(len, pieces[1:-1]), len(pieces[-1]) + len(pieces[0]))
     return SubwordDecomposition(CYCLE, runs)
-
-
-def knot_cusp_moduli(word: CyclicWord) -> tuple[int, ...]:
-    """Multiset (sorted) of knotted-cusp moduli: 4*(i_j + 1), or twice 2n."""
-    return tuple(sorted(cusp_graph(word).cycle_labels))
 
 
 class _Graph(NamedTuple):
@@ -169,13 +150,15 @@ class CuspGraph(_Graph):
         return cls(*iterable)
 
 
-def cusp_graph(word: CyclicWord) -> CuspGraph:
-    """Invariant graph: apex joined to the cycle of knot labels."""
-    return _cusp_graph(word, decompose(word))
+def cusp_graph(
+    word: CyclicWord, dec: SubwordDecomposition | None = None
+) -> CuspGraph:
+    """Invariant graph: apex joined to the cycle of knot labels.
 
-
-def _cusp_graph(word: CyclicWord, dec: SubwordDecomposition) -> CuspGraph:
-    """cusp_graph(word), given decompose(word)."""
+    dec, if given, is decompose(word).
+    """
+    if dec is None:
+        dec = decompose(word)
     if dec.kind == ALL_ONES:
         return CuspGraph(word.n, (2 * word.n, 2 * word.n), True)
     return CuspGraph(
@@ -215,24 +198,9 @@ def _dihedral_min(seq: tuple[int, ...]) -> tuple[int, ...]:
     return min(_least_rotation(seq), _least_rotation(seq[::-1]))
 
 
-def graphs_isomorphic(g1: CuspGraph, g2: CuspGraph) -> bool:
-    """Isomorphism respecting the apex and the special marker.
-
-    For ordinary graphs the label cycles must match up to rotation and
-    reflection; the special triangles are determined by the apex alone.
-    """
-    if g1.special_triangle != g2.special_triangle:
-        return False
-    if g1.apex_label != g2.apex_label:
-        return False
-    if g1.special_triangle:
-        return sorted(g1.cycle_labels) == sorted(g2.cycle_labels)
-    if len(g1.cycle_labels) != len(g2.cycle_labels):
-        return False
-    return _dihedral_min(g1.cycle_labels) == _dihedral_min(g2.cycle_labels)
-
-
-def canonical_form(word: CyclicWord) -> CyclicWord:
+def canonical_form(
+    word: CyclicWord, dec: SubwordDecomposition | None = None
+) -> CyclicWord:
     """Lexicographically smallest rotation or reflected rotation.
 
     It is found from the runs, not the letters.  A word with k >= 1
@@ -244,17 +212,15 @@ def canonical_form(word: CyclicWord) -> CyclicWord:
     read from a zero, the reversed run sequence.  So the canonical form
     is the word whose runs are the least rotation of i_1..i_k or of its
     reversal, and Booth's algorithm runs over k runs instead of n
-    letters.  The all-ones word is its own canonical form.
+    letters.  The all-ones word is its own canonical form.  dec, if
+    given, is decompose(word).
     """
-    return _canonical_form(word, decompose(word))
-
-
-def _canonical_form(word: CyclicWord, dec: SubwordDecomposition) -> CyclicWord:
-    """canonical_form(word), given decompose(word)."""
+    if dec is None:
+        dec = decompose(word)
     if dec.kind == ALL_ONES:
         return word
-    runs = map(b"\x01".__mul__, _dihedral_min(dec.i_sequence))
-    return CyclicWord(tuple(b"\x00" + b"\x00".join(runs)))
+    runs = map("1".__mul__, _dihedral_min(dec.i_sequence))
+    return CyclicWord("0" + "0".join(runs))
 
 
 def _check_word_length(n: int) -> None:
@@ -262,8 +228,8 @@ def _check_word_length(n: int) -> None:
         raise ValueError(f"word length must be in 3..{MAX_WORD_LENGTH}")
 
 
-def enumerate_classes(n: int) -> list[CyclicWord]:
-    """Canonical representatives of all length-n words, sorted.
+def enumerate_classes(n: int) -> list[str]:
+    """Letters of the canonical representatives of all length-n words, sorted.
 
     Sawada's generator ("Generating bracelets in constant amortized
     time", SIAM J. Comput. 31(1), 2001) emits the words that are least
@@ -286,8 +252,10 @@ def enumerate_classes(n: int) -> list[CyclicWord]:
             f"length {n} has {bracelet_count(n)} classes; mutant census counts "
             f"classes up to length {MAX_WORD_LENGTH}"
         )
-    a = [0] * (n + 1)
-    out: list[CyclicWord] = []
+    # the letters are the characters "0" < "1", so a finished a[1..n]
+    # joins into its class's text
+    a = ["0"] * (n + 1)
+    out: list[str] = []
 
     def check_rev(t: int, i: int) -> int:
         # 0: the prefix a[1..t] beats its reversal, 1: they tie, -1: the
@@ -307,7 +275,7 @@ def enumerate_classes(n: int) -> list[CyclicWord]:
                 rs = True
         if t > n:
             if not rs and n % p == 0:
-                out.append(CyclicWord(tuple(a[1:])))
+                out.append("".join(a[1:]))
             return
         a[t] = a[t - p]
         v = v + 1 if a[t] == a[1] else 0
@@ -323,10 +291,10 @@ def enumerate_classes(n: int) -> list[CyclicWord]:
                 gen(t + 1, p, t, u, v, False)
         else:
             gen(t + 1, p, r, u, v, rs)
-        if a[t - p] == 0:
+        if a[t - p] == "0":
             # raising a[t] to 1 makes a[1..t] a Lyndon word of period t;
             # u, r and rs carry over unchanged
-            a[t] = 1
+            a[t] = "1"
             gen(t + 1, t, r, u, 0, rs)
 
     gen(1, 1, 1, -1, 0, False)
@@ -352,28 +320,23 @@ def bracelet_count(n: int) -> int:
 
 
 def horoball_areas(
-    word: CyclicWord, first_stage_modulus: int = 1
+    word: CyclicWord, first_stage_modulus: int = 1, graph: CuspGraph | None = None
 ) -> tuple[tuple[int, int], ...]:
     """Sorted (modulus, area) pairs over all cusps of the member.
 
     Cusps of modulus m > 2 have maximal horoball area 4*m; the 2n small
     cusps (moduli 1 and 2) have area 2.  Letter circles contribute
     modulus 1 over a one and 2 over a zero; the n first-stage circles
-    take the configured modulus.
+    take the configured modulus.  graph, if given, is cusp_graph(word).
     """
-    return _horoball_areas(word, cusp_graph(word), first_stage_modulus)
-
-
-def _horoball_areas(
-    word: CyclicWord, graph: CuspGraph, first_stage_modulus: int
-) -> tuple[tuple[int, int], ...]:
-    """horoball_areas(word, first_stage_modulus), given cusp_graph(word)."""
     if first_stage_modulus not in (1, 2):
         raise ValueError("first-stage circle modulus is 1 or 2")
+    if graph is None:
+        graph = cusp_graph(word)
     # the 2n small cusps, all of area 2, sort before the apex and knot
     # cusps, whose moduli are at least 3: they are counted, not sorted
     n = word.n
-    ones = word.bits.count(1)
+    ones = word.letters.count("1")
     if first_stage_modulus == 1:
         ones += n
     small = ((1, 2),) * ones + ((2, 2),) * (2 * n - ones)

@@ -18,7 +18,7 @@ from volrigid.arith import factorize
 from volrigid.census import cluster_volumes, parse_census
 from volrigid.cli import run as cli_run
 from volrigid.cusplattice import builtin_record
-from volrigid.mutant import bracelet_count, cusp_graph, enumerate_classes, graphs_isomorphic
+from volrigid.mutant import CyclicWord, bracelet_count, cusp_graph, enumerate_classes
 from volrigid.nzvolume import (
     DEFAULT_C2,
     REGIME_Q_MIN,
@@ -44,6 +44,8 @@ from volrigid.primeseq import (
     verify_witness,
 )
 from volrigid.quadform import IntQuadForm, primitive_value_set, representations
+
+from mutant_oracles import graphs_isomorphic
 
 DATA = Path(__file__).parent / "data"
 SWEEP_LIMIT = 10**5
@@ -217,7 +219,7 @@ def test_criterion_10_mutant_census():
             assert Fraction(2**n, 2 * n) <= count, n
         for n in range(3, 11):
             classes = enumerate_classes(n)
-            graphs = [cusp_graph(w) for w in classes]
+            graphs = [cusp_graph(CyclicWord(w)) for w in classes]
             for i, gi in enumerate(graphs):
                 for j in range(i, len(graphs)):
                     same = graphs_isomorphic(gi, graphs[j])

@@ -149,6 +149,17 @@ def test_mutant_graph(capsys):
     assert payload["apex_label"] == 5
 
 
+@pytest.mark.parametrize("word, err", [
+    ("", "error: cyclic words must have length at least 3\n"),
+    ("01", "error: cyclic words must have length at least 3\n"),
+    # the letters are checked before the length
+    ("0a", "error: '0a' is not a binary word\n"),
+    ("0121", "error: '0121' is not a binary word\n"),
+])
+def test_mutant_graph_word_errors(capsys, word, err):
+    assert invoke(capsys, "mutant", "graph", "--word", word) == (1, "", err)
+
+
 def test_mutant_classes(capsys):
     payload = invoke_json(capsys, "mutant", "classes", "-n", "4")
     assert payload["classes"] == ["0000", "0001", "0011", "0101", "0111", "1111"]
@@ -715,7 +726,7 @@ def test_unprintable_int_in_repeated_int_lists_is_an_error(capsys, monkeypatch):
             _json_text(payload)
         assert str(got.value) == str(expected.value)
     # the same refusal from a command: one error line, exit 1
-    monkeypatch.setattr(cli, "_horoball_areas", lambda *args: ((1, 2), (big, 2), (big, 2)))
+    monkeypatch.setattr(cli, "horoball_areas", lambda *args: ((1, 2), (big, 2), (big, 2)))
     for fmt in ("json", "csv", "table"):
         code, out, err = invoke(capsys, "mutant", "graph", "--word", "0101", "--format", fmt)
         assert (code, out) == (1, "")

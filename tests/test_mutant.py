@@ -26,15 +26,11 @@ from volrigid.mutant import (
     cusp_graph,
     decompose,
     enumerate_classes,
-    graphs_isomorphic,
     horoball_areas,
-    knot_cusp_moduli,
 )
 from volrigid.nzvolume import V_OCT
 
-
-def W(bits: str) -> CyclicWord:
-    return CyclicWord.from_string(bits)
+from mutant_oracles import graphs_isomorphic, knot_cusp_moduli
 
 
 def dihedral_images(seq: tuple) -> list[tuple]:
@@ -61,37 +57,31 @@ def _canonical_int(w: int, n: int) -> int:
     return best
 
 
-def scan_classes(n: int) -> list[CyclicWord]:
+def scan_classes(n: int) -> list[str]:
     """The class list by brute force: canonicalise all 2**n words, sort."""
     reps = {_canonical_int(w, n) for w in range(1 << n)}
-    return [
-        CyclicWord(tuple((w >> (n - 1 - i)) & 1 for i in range(n)))
-        for w in sorted(reps)
-    ]
+    return [f"{w:0{n}b}" for w in sorted(reps)]
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        CyclicWord.from_string("01")  # too short
-    with pytest.raises(ValueError):
-        CyclicWord.from_string("0121")
-    # the constructor compares letters by value, so True == 1 passes
-    for letters in (("0", 0, 1), (2, 0, 1)):
+    with pytest.raises(ValueError, match="length at least 3"):
+        CyclicWord("01")
+    # the letters are checked before the length
+    for letters in ("0121", "0a", ["0", "1", "1"], ("0", 0, 1), (2, 0, 1)):
         with pytest.raises(ValueError, match="binary"):
             CyclicWord(letters)
-    assert CyclicWord((True, 0, 1)).n == 3
-    assert str(CyclicWord((True, False, 1))) == "101"
-    assert W("0101").n == 4
+    assert CyclicWord("0101").n == 4
+    assert str(CyclicWord("101")) == "101"
 
 
 def test_decompose_examples():
-    d = decompose(W("001"))
+    d = decompose(CyclicWord("001"))
     assert d.kind == CYCLE
     assert d.i_sequence == (0, 1)
-    assert decompose(W("111")).kind == ALL_ONES
-    assert decompose(W("111")).i_sequence == ()
-    assert decompose(W("00101")).i_sequence == (0, 1, 1)
-    assert decompose(W("0000")).i_sequence == (0, 0, 0, 0)
+    assert decompose(CyclicWord("111")).kind == ALL_ONES
+    assert decompose(CyclicWord("111")).i_sequence == ()
+    assert decompose(CyclicWord("00101")).i_sequence == (0, 1, 1)
+    assert decompose(CyclicWord("0000")).i_sequence == (0, 0, 0, 0)
 
 
 def test_decompose_runs_sum_to_length():
@@ -99,7 +89,7 @@ def test_decompose_runs_sum_to_length():
     for _ in range(200):
         n = rng.randrange(3, 20)
         bits = "".join(rng.choice("01") for _ in range(n))
-        word = W(bits)
+        word = CyclicWord(bits)
         d = decompose(word)
         if d.kind == ALL_ONES:
             assert "0" not in bits
@@ -110,18 +100,18 @@ def test_decompose_runs_sum_to_length():
 
 
 def test_knot_cusp_moduli():
-    assert knot_cusp_moduli(W("001")) == (4, 8)
-    assert knot_cusp_moduli(W("111")) == (6, 6)
-    assert knot_cusp_moduli(W("00101")) == (4, 8, 8)
-    assert knot_cusp_moduli(W("0000")) == (4, 4, 4, 4)
+    assert knot_cusp_moduli(CyclicWord("001")) == (4, 8)
+    assert knot_cusp_moduli(CyclicWord("111")) == (6, 6)
+    assert knot_cusp_moduli(CyclicWord("00101")) == (4, 8, 8)
+    assert knot_cusp_moduli(CyclicWord("0000")) == (4, 4, 4, 4)
 
 
 def test_cusp_graph_shapes():
-    g = cusp_graph(W("001"))
+    g = cusp_graph(CyclicWord("001"))
     assert g.apex_label == 3
     assert g.cycle_labels == (4, 8)
     assert not g.special_triangle
-    special = cusp_graph(W("1111"))
+    special = cusp_graph(CyclicWord("1111"))
     assert special.special_triangle
     assert special.apex_label == 4
     assert special.cycle_labels == (8, 8)
@@ -132,24 +122,24 @@ def test_canonical_form_is_class_invariant():
     for _ in range(300):
         n = rng.randrange(3, 16)
         bits = [rng.choice("01") for _ in range(n)]
-        word = W("".join(bits))
+        word = CyclicWord("".join(bits))
         rot = rng.randrange(n)
-        rotated = W("".join(bits[rot:] + bits[:rot]))
-        reflected = W("".join(reversed(bits)))
+        rotated = CyclicWord("".join(bits[rot:] + bits[:rot]))
+        reflected = CyclicWord("".join(reversed(bits)))
         canon = canonical_form(word)
         assert canonical_form(rotated) == canon
         assert canonical_form(reflected) == canon
         assert canonical_form(canon) == canon
 
 
-_BITS = st.integers(0, 1)
+_BITS = st.sampled_from("01")
 # random words, and words made of one short block repeated, where many
 # rotations tie
 _WORDS = st.one_of(
-    st.lists(_BITS, min_size=3, max_size=200),
+    st.text(_BITS, min_size=3, max_size=200),
     st.builds(
         lambda block, reps: block * reps,
-        st.lists(_BITS, min_size=1, max_size=8),
+        st.text(_BITS, min_size=1, max_size=8),
         st.integers(1, 40),
     ).filter(lambda bits: len(bits) >= 3),
 )
@@ -158,18 +148,17 @@ _WORDS = st.one_of(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(bits=_WORDS)
 def test_canonical_form_is_dihedral_minimum(bits):
-    word = CyclicWord(tuple(bits))
-    assert canonical_form(word).bits == min(dihedral_images(word.bits))
+    assert canonical_form(CyclicWord(bits)).letters == min(dihedral_images(bits))
 
 
 def canonical_by_letters(word: CyclicWord) -> CyclicWord:
     """canonical_form as it was: Booth over the letters.  Oracle."""
-    return CyclicWord(_dihedral_min(word.bits))
+    return CyclicWord(_dihedral_min(word.letters))
 
 
 def decompose_by_zeros(word: CyclicWord) -> SubwordDecomposition:
     """decompose as it was: the gaps between the zeros' positions.  Oracle."""
-    zeros = [i for i, b in enumerate(word.bits) if b == 0]
+    zeros = [i for i, b in enumerate(word.letters) if b == "0"]
     if not zeros:
         return SubwordDecomposition(ALL_ONES, ())
     n = word.n
@@ -181,7 +170,7 @@ def decompose_by_zeros(word: CyclicWord) -> SubwordDecomposition:
 def areas_by_sorting(word: CyclicWord, first_stage_modulus: int) -> tuple:
     """horoball_areas as it was: all 2n + k + 1 pairs, sorted.  Oracle."""
     cusps = [(m, 4 * m) for m in (word.n, *cusp_graph(word).cycle_labels)]
-    cusps += [(1 if b else 2, 2) for b in word.bits]
+    cusps += [(1 if b == "1" else 2, 2) for b in word.letters]
     cusps += [(first_stage_modulus, 2)] * word.n
     return tuple(sorted(cusps))
 
@@ -191,18 +180,18 @@ def assert_run_paths_match_oracles(word: CyclicWord) -> None:
     assert decompose(word) == decompose_by_zeros(word), word
     for modulus in (1, 2):
         assert horoball_areas(word, modulus) == areas_by_sorting(word, modulus), word
-    assert W(str(word)) == word
+    assert CyclicWord(str(word)) == word
 
 
 def test_run_paths_match_oracles_on_every_short_word():
     for n in range(3, 15):
         for w in range(1 << n):
-            assert_run_paths_match_oracles(CyclicWord(tuple((w >> i) & 1 for i in range(n))))
+            assert_run_paths_match_oracles(CyclicWord(f"{w:0{n}b}"))
 
 
-def _seeded_word(n: int, seed: int, density: float) -> list[int]:
+def _seeded_word(n: int, seed: int, density: float) -> str:
     rng = random.Random(seed)
-    return [int(rng.random() < density) for _ in range(n)]
+    return "".join("01"[rng.random() < density] for _ in range(n))
 
 
 # long words of any density, long periodic words, the all-ones word and
@@ -211,12 +200,12 @@ _LONG_WORDS = st.one_of(
     st.builds(_seeded_word, st.integers(3, 3000), st.integers(0, 2**32), st.floats(0, 1)),
     st.builds(
         lambda block, reps: block * reps,
-        st.lists(_BITS, min_size=1, max_size=12),
+        st.text(_BITS, min_size=1, max_size=12),
         st.integers(1, 300),
     ).filter(lambda bits: len(bits) >= 3),
-    st.integers(3, 3000).map(lambda n: [1] * n),
+    st.integers(3, 3000).map(lambda n: "1" * n),
     st.tuples(st.integers(3, 3000), st.integers(0, 2999)).map(
-        lambda nk: [int(i != nk[1] % nk[0]) for i in range(nk[0])]
+        lambda nk: "".join("01"[i != nk[1] % nk[0]] for i in range(nk[0]))
     ),
 )
 
@@ -224,22 +213,22 @@ _LONG_WORDS = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(bits=_LONG_WORDS)
 def test_run_paths_match_oracles_on_long_words(bits):
-    assert_run_paths_match_oracles(CyclicWord(tuple(bits)))
+    assert_run_paths_match_oracles(CyclicWord(bits))
 
 
 def test_canonical_form_orders_by_runs():
     # read from its first zero, 0110111010 has runs (2, 3, 1, 0); the
     # least rotation of those and of their reversal (0, 1, 3, 2) is
     # (0, 1, 3, 2), the word 0 0 1 0 111 0 11
-    assert decompose(W("0110111010")).i_sequence == (2, 3, 1, 0)
-    assert str(canonical_form(W("0110111010"))) == "0010111011"
+    assert decompose(CyclicWord("0110111010")).i_sequence == (2, 3, 1, 0)
+    assert str(canonical_form(CyclicWord("0110111010"))) == "0010111011"
     # one zero: the word is 0 1^(n-1) read from its zero
-    assert str(canonical_form(W("11011"))) == "01111"
-    assert str(canonical_form(W("11111"))) == "11111"
+    assert str(canonical_form(CyclicWord("11011"))) == "01111"
+    assert str(canonical_form(CyclicWord("11111"))) == "11111"
 
 
 def test_enumerate_classes_small():
-    assert [str(w) for w in enumerate_classes(4)] == [
+    assert enumerate_classes(4) == [
         "0000",
         "0001",
         "0011",
@@ -286,7 +275,7 @@ def test_cusp_graph_biconditional_exhaustive():
     # classes are separated by their graphs, for every length up to 9
     for n in range(3, 10):
         classes = enumerate_classes(n)
-        graphs = [cusp_graph(w) for w in classes]
+        graphs = [cusp_graph(CyclicWord(w)) for w in classes]
         for i, gi in enumerate(graphs):
             for j, gj in enumerate(graphs):
                 assert graphs_isomorphic(gi, gj) == (i == j), (n, i, j)
@@ -297,11 +286,11 @@ def test_cusp_graph_respects_dihedral_moves():
     for _ in range(300):
         n = rng.randrange(3, 18)
         bits = [rng.choice("01") for _ in range(n)]
-        word = W("".join(bits))
+        word = CyclicWord("".join(bits))
         rot = rng.randrange(n)
-        other = W("".join(bits[rot:] + bits[:rot]))
+        other = CyclicWord("".join(bits[rot:] + bits[:rot]))
         if rng.random() < 0.5:
-            other = W(str(other)[::-1])
+            other = CyclicWord(str(other)[::-1])
         assert graphs_isomorphic(cusp_graph(word), cusp_graph(other))
 
 
@@ -333,7 +322,7 @@ def test_graphs_isomorphic_matches_dihedral_matching(
 
 
 def test_horoball_areas_001():
-    areas = horoball_areas(W("001"))
+    areas = horoball_areas(CyclicWord("001"))
     assert areas == (
         (1, 2), (1, 2), (1, 2), (1, 2), (2, 2), (2, 2), (3, 12), (4, 16), (8, 32),
     )
@@ -341,15 +330,15 @@ def test_horoball_areas_001():
 
 def test_horoball_areas_modulus_rule():
     for bits in ("0101", "0011", "11111"):
-        word = W(bits)
+        word = CyclicWord(bits)
         for modulus, area in horoball_areas(word):
             assert area == (4 * modulus if modulus > 2 else 2), (bits, modulus)
 
 
 def test_horoball_areas_first_stage_modulus_config():
     ones = sum(1 for ch in "00101" if ch == "1")
-    default = horoball_areas(W("00101"))
-    doubled = horoball_areas(W("00101"), first_stage_modulus=2)
+    default = horoball_areas(CyclicWord("00101"))
+    doubled = horoball_areas(CyclicWord("00101"), first_stage_modulus=2)
     assert len(default) == len(doubled)
     assert sum(1 for m, _ in default if m == 1) >= 5  # n first-stage + letter 1s
     assert ones == 2

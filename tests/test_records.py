@@ -41,8 +41,8 @@ INVALID = [
      (((1, 0), (0, 1)),), "must contain -identity"),
     (CuspRecord, ("x", IntQuadForm(1, 0, 1), (MINUS_I,)), "symmetry_group",
      (MINUS_I, ((1, 1), (0, 1))), "does not preserve"),
-    (CyclicWord, ((0, 1, 1),), "bits", (0, 1), "length at least 3"),
-    (CyclicWord, ((0, 1, 1),), "bits", (0, 1, 2), "binary"),
+    (CyclicWord, ("011",), "letters", "01", "length at least 3"),
+    (CyclicWord, ("011",), "letters", "012", "binary"),
     (CuspGraph, (3, (8,), False), "apex_label", 2, "at least 3"),
     (CuspGraph, (3, (8,), False), "cycle_labels", (6,), "multiples of 4"),
     (NZSeries, ("x", 1j, 0j), "c1", complex(1, 0), "nonzero imaginary part"),
@@ -71,7 +71,7 @@ def test_no_public_path_builds_an_invalid_record(cls, args, field, bad, message)
 
 def _records():
     spec = GapPrimeSpec(1, FAMILY_M004, (5, 11))
-    word = CyclicWord.from_string("01101")
+    word = CyclicWord("01101")
     form = IntQuadForm(1, 0, 12)
     return [
         form,
