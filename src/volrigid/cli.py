@@ -40,6 +40,7 @@ from .mutant import (
 )
 from .nzvolume import (
     DEFAULT_C2,
+    MIN_WL_RADIUS,
     MIN_WL_SAMPLES,
     V_FIG8,
     V_OCT,
@@ -64,6 +65,7 @@ from .primeseq import (
 )
 from .quadform import (
     IntQuadForm,
+    primitive_representations,
     primitive_value_set,
     representations,
     two_sided_gap,
@@ -106,6 +108,15 @@ def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _wl_radius(text: str) -> float:
+    value = _positive_float(text)
+    if value < MIN_WL_RADIUS:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of at least {MIN_WL_RADIUS}, got {text!r}"
+        )
     return value
 
 
@@ -234,9 +245,8 @@ def _cmd_qf_gap(args: argparse.Namespace) -> Any:
           _arg("--primitive", action="store_true", help="drop imprimitive solutions"))
 def _cmd_qf_reps(args: argparse.Namespace) -> Any:
     form = IntQuadForm(*args.form)
-    reps = representations(form, args.value)
-    if args.primitive:
-        reps = [r for r in reps if r.primitive]
+    query = primitive_representations if args.primitive else representations
+    reps = query(form, args.value)
     return {
         "form": str(form),
         "value": args.value,
@@ -278,7 +288,7 @@ def _witness_payload(witness: Any, spec: GapPrimeSpec) -> dict[str, Any]:
                     "first witnesses up to g = 4 only; write a larger cap out "
                     "in digits for deeper searches)"),
           _arg("--avoid", type=_int_list, metavar="p,q,...",
-               help="override the avoided-prime list"),
+               help="2g distinct avoid primes, each inert for the family's gap form"),
           _arg("--verify-only", type=_int_at_least(0), metavar="VALUE",
                help="skip the search and verify this single value"))
 def _cmd_prime_seq(args: argparse.Namespace) -> Any:
@@ -387,7 +397,7 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
 
 
 @_command("nz wl-coeffs", "recover series coefficients numerically",
-          _arg("--radius", type=_positive_float, default=0.1),
+          _arg("--radius", type=_wl_radius, default=0.1),
           _arg("--samples", type=_int_at_least(MIN_WL_SAMPLES), default=64))
 def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
     coeffs = wl_taylor_coefficients(radius=args.radius, samples=args.samples)

@@ -24,18 +24,20 @@ completeness but never soundness.
 
 The scan's primality test is the only primality decision made per
 candidate.  It also decides v's factorization: f's primes and p once,
-as p = 1 mod 4 is odd and f is 1 or 2.  The search verifies conditions
-(i) and (iii) from that factorization with the same exact engine,
-instead of factoring v again and re-running the same test on p.  For
-condition (ii), each avoid prime is checked once, by Euler's criterion,
-to be inert for Q0; a neighbour that its inert avoid prime divides is
-then unrepresented by that one division, and any other neighbour goes
-to the engine.  The brute-force ellipse walk over Q = v lives on in the
-tests as the oracle the engine is checked against.
+as p = 1 mod 4 is odd and f is 1 or 2.  The search hands that
+factorization to verify_witness, which checks conditions (i) and (iii)
+from it with the same exact engine, instead of factoring v again and
+re-running the same test on p.  For condition (ii), a spec admits only
+avoid primes inert for Q0, decided by Euler's criterion when it is
+built; a neighbour that its avoid prime divides is then unrepresented
+by that one division, and any other neighbour goes to the engine.  The
+brute-force ellipse walk over Q = v lives on in the tests as the oracle
+the engine is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Iterator, NamedTuple
@@ -104,9 +106,10 @@ def _primes(n0: int, modulus: int, cap: int) -> Iterator[int]:
     When gcd(n0, modulus) > 1 every term shares that divisor, so the
     progression holds no prime but perhaps n0 itself.  A search's n0 is
     never such a prime: it lies in the family's base class, and an avoid
-    prime lies in the avoid class, which is disjoint from it.  So a
-    shared divisor raises EmptyProgressionError, at the call: this is
-    not a generator, and a scan that is never stepped refuses it too.
+    prime, inert for the gap form, lies outside it (by quadratic
+    reciprocity it is 5 mod 6, or 3 mod 4).  So a shared divisor raises
+    EmptyProgressionError, at the call: this is not a generator, and a
+    scan that is never stepped refuses it too.
     """
     if math.gcd(n0, modulus) != 1:
         raise EmptyProgressionError(
@@ -120,7 +123,6 @@ class _Family(NamedTuple):
     gap_form: IntQuadForm        # Q0, must miss the shifted values
     carrier_form: IntQuadForm    # Q1, must hit the value essentially once
     excluded_form: IntQuadForm   # Q2, must miss the value
-    avoid_residue: tuple[int, int]   # required residue class of avoid primes
     allow_swap: bool             # representation class includes (b, a)
     value_factor: int            # the witness value is value_factor * p
     base: tuple[int, int]        # base congruence (r, m) on the prime p
@@ -132,7 +134,6 @@ _FAMILIES = {
         gap_form=IntQuadForm(1, 1, 1),
         carrier_form=IntQuadForm(1, 0, 12),
         excluded_form=IntQuadForm(4, 4, 4),
-        avoid_residue=(5, 6),
         allow_swap=False,
         value_factor=1,
         base=(1, 12),
@@ -142,7 +143,6 @@ _FAMILIES = {
         gap_form=IntQuadForm(1, 0, 1),
         carrier_form=IntQuadForm(2, 0, 2),
         excluded_form=IntQuadForm(1, 0, 4),
-        avoid_residue=(3, 4),
         allow_swap=True,
         value_factor=2,
         base=(1, 4),
@@ -161,10 +161,10 @@ class GapPrimeSpec(_SpecFields):
     """Parameters of a gap-prime search.
 
     g is the half-width of the wanted gap; avoid_primes lists 2*g
-    distinct primes in the family's mandatory residue class (5 mod 6 for
-    the m004 family, 3 mod 4 for the m125 family), one per shift: for
-    i = 1..g, the i-th is to divide v - i and the (g + i)-th v + i (see
-    build_congruences).
+    distinct primes, each inert for the family's gap form (by quadratic
+    reciprocity, 5 mod 6 for the m004 family and 3 mod 4 for the m125
+    family), one per shift: for i = 1..g, the i-th is to divide v - i
+    and the (g + i)-th v + i (see _shifts).
     """
 
     __slots__ = ()
@@ -178,12 +178,14 @@ class GapPrimeSpec(_SpecFields):
             raise ValueError(f"need exactly {2 * g} avoid primes")
         if len(set(avoid_primes)) != len(avoid_primes):
             raise ValueError("avoid primes must be distinct")
-        res, mod = _FAMILIES[family].avoid_residue
-        for p in avoid_primes:
-            if not is_prime(p):
-                raise ValueError(f"avoid value {p} is not prime")
-            if p % mod != res:
-                raise ValueError(f"avoid prime {p} is not {res} mod {mod}")
+        form = _FAMILIES[family].gap_form
+        d0 = form.discriminant()
+        for q in avoid_primes:
+            if not is_prime(q):
+                raise ValueError(f"avoid value {q} is not prime")
+            if not _inert(d0, q):
+                raise ValueError(f"avoid prime {q} is not inert for the gap form {form}: "
+                                 f"{d0} is a square mod {q}")
         return tuple.__new__(cls, (g, family, avoid_primes))
 
     @classmethod
@@ -192,10 +194,17 @@ class GapPrimeSpec(_SpecFields):
         return cls(*iterable)
 
 
+def _inert(d: int, q: int) -> bool:
+    """Whether the prime q is odd and (d | q) = -1, by Euler's criterion: then
+    no n that q divides is primitively represented by a form of discriminant d."""
+    return q % 2 == 1 and pow(d, (q - 1) // 2, q) == q - 1
+
+
 def default_avoid_primes(family: str, g: int) -> tuple[int, ...]:
-    """The 2*g smallest primes in the family's mandatory residue class."""
-    res, mod = _FAMILIES[family].avoid_residue
-    return tuple(itertools.islice(filter(is_prime, itertools.count(res, mod)), 2 * g))
+    """The 2*g smallest primes inert for the family's gap form."""
+    inert = functools.partial(_inert, _FAMILIES[family].gap_form.discriminant())
+    primes = filter(is_prime, itertools.count(3, 2))
+    return tuple(itertools.islice(filter(inert, primes), 2 * g))
 
 
 def progression_modulus(family: str, avoid_primes: Iterable[int]) -> int:
@@ -208,23 +217,27 @@ def progression_modulus(family: str, avoid_primes: Iterable[int]) -> int:
     return math.prod(avoid_primes, start=_FAMILIES[family].base[1])
 
 
+@functools.lru_cache(maxsize=64)
+def _shifts(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
+    """(k, q) for each shift k = -g..-1, 1..g, with q the avoid prime
+    that is to divide v + k: the i-th avoid prime divides v - i, the
+    (g + i)-th divides v + i."""
+    g, avoid = spec.g, spec.avoid_primes
+    return tuple(zip([*range(-g, 0), *range(1, g + 1)], avoid[g - 1::-1] + avoid[g:]))
+
+
 def build_congruences(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
     """Congruences (r, m), 0 <= r < m, whose solutions are the candidates.
 
     A candidate prime p has the witness value v = f*p, f the family's
-    value factor.  For i = 1..g, v - i must be divisible by the i-th
-    avoid prime q and v + i by the (g+i)-th, that is p = i * f**-1 and
-    p = -i * f**-1 modulo those primes; then comes the family's base
-    congruence on p (1 mod 12 for m004, 1 mod 4 for m125).
+    value factor.  For each shift (k, q) of _shifts, v + k must be
+    divisible by q, that is p = -k * f**-1 (mod q); then comes the
+    family's base congruence on p (1 mod 12 for m004, 1 mod 4 for m125).
     """
     fam = _FAMILIES[spec.family]
-    g, avoid = spec.g, spec.avoid_primes
-    congruences = []
-    for i in range(1, g + 1):
-        for shift, q in ((i, avoid[i - 1]), (-i, avoid[g + i - 1])):
-            congruences.append((shift * pow(fam.value_factor, -1, q) % q, q))
-    congruences.append(fam.base)
-    return tuple(congruences)
+    return tuple(
+        (-k * pow(fam.value_factor, -1, q) % q, q) for k, q in _shifts(spec)
+    ) + (fam.base,)
 
 
 def progression(spec: GapPrimeSpec) -> tuple[int, int]:
@@ -253,62 +266,25 @@ def _representation_class(rep: tuple[int, int], allow_swap: bool) -> set[tuple[i
     return cls
 
 
-def verify_witness(value: int, spec: GapPrimeSpec) -> GapPrimeWitness:
+def verify_witness(
+    value: int, spec: GapPrimeSpec, factors: dict[int, int] | None = None
+) -> GapPrimeWitness:
     """From-scratch check of the three gap conditions for one value.
 
     Only conditions (i)-(iii) are checked: neither the primality of
-    value / f nor membership in the search's progression is.  A
-    search's candidates are prime because its scan tests them, and the
-    search verifies each one from the factorization that test implies
-    rather than through this function, which factors the value itself.
-    Failed conditions are reported in the result, never raised; a
-    negative value raises ValueError.
-    """
-    # 0 has no factorization, and the queries answer 0 without one
-    fac = factorize(value) if value > 0 else {}
-    return _verify(value, spec, fac, _inert_avoid_primes(spec))
-
-
-def _inert_avoid_primes(spec: GapPrimeSpec) -> tuple[tuple[int, int], ...]:
-    """(k, q) for each shift k = -g..g but 0, in order, with q the avoid
-    prime that build_congruences puts on v + k if q is inert for the
-    gap form, and 0 otherwise.
-
-    Inert means that q is odd, does not divide the gap form's
-    discriminant D0, and (D0 | q) = -1, decided here by Euler's
-    criterion rather than read off the family's residue class.  Then D0
-    has no square root mod 4n for any n that q divides, so no such n is
-    primitively represented by the gap form.
-    """
-    d0 = _FAMILIES[spec.family].gap_form.discriminant()
-    g, avoid = spec.g, spec.avoid_primes
-    # the i-th avoid prime divides v - i, the (g + i)-th divides v + i
-    designated = [(-i, avoid[i - 1]) for i in range(g, 0, -1)]
-    designated += [(i, avoid[g + i - 1]) for i in range(1, g + 1)]
-    return tuple(
-        (k, q if q % 2 and pow(d0, (q - 1) // 2, q) == q - 1 else 0)
-        for k, q in designated
-    )
-
-
-def _verify(
-    value: int,
-    spec: GapPrimeSpec,
-    fac: dict[int, int],
-    inert: tuple[tuple[int, int], ...],
-) -> GapPrimeWitness:
-    """verify_witness(value, spec), read off the factorization fac of value.
-
-    The value's prime powers serve both the carrier and the excluded
-    form.  inert is _inert_avoid_primes(spec): a neighbour v + k that
-    its inert avoid prime q divides is not primitively represented by
-    the gap form, which needs one division to see.  Any other neighbour
+    value / f nor membership in the search's progression is.  factors,
+    the factorization of value (factored here when None), serves the
+    carrier and the excluded form.  A neighbour v + k that its inert
+    avoid prime q divides is settled by that one division; any other
     goes to the engine, which factors it only until its first local
-    obstruction.  The conditions are read off the engine's raw (x, y)
-    pairs, in any order; only the canonical representation is built.
+    obstruction.  Failed conditions are reported in the result, never
+    raised; a negative value raises ValueError.
     """
+    if factors is None:
+        # 0 has no factorization, and the queries answer 0 without one
+        factors = factorize(value) if value > 0 else {}
     fam = _FAMILIES[spec.family]
-    pairs = _all_pairs(fam.carrier_form, value, fac.items())
+    pairs = _all_pairs(fam.carrier_form, value, factors.items())
     prim = [(x, y) for x, y in pairs if math.gcd(x, y) == 1]
     representation = None
     unique = False
@@ -317,10 +293,10 @@ def _verify(
         unique = _representation_class(canonical, fam.allow_swap).issuperset(pairs)
         representation = Representation(*canonical)
     gap_clear = not any(
-        (not q or (value + k) % q) and _primitively_represented(fam.gap_form, value + k)
-        for k, q in inert
+        (value + k) % q and _primitively_represented(fam.gap_form, value + k)
+        for k, q in _shifts(spec)
     )
-    excluded = value < 1 or not _primitive_pairs(fam.excluded_form, value, fac.items())
+    excluded = value < 1 or not _primitive_pairs(fam.excluded_form, value, factors.items())
     return GapPrimeWitness(
         value=value,
         representation=representation,
@@ -349,12 +325,12 @@ def gap_prime_sequence(
 
     The spec's progression of candidate primes is solved once, reported
     in the result, and scanned once, in ascending order.  Each
-    candidate's witness value f*p is verified from scratch, from the
-    factorization (f's primes and {p: 1}) that the scan's primality
-    test decided; the scan stops at the count-th witness, so count = 0
-    verifies nothing.  Only witness values up to `cap` are considered;
-    running out before `count` witnesses are found returns a truncated
-    result rather than raising.  A progression that holds no prime
+    candidate's witness value f*p is verified from scratch by
+    verify_witness, given the factorization (f's primes and {p: 1}) that
+    the scan's primality test decided; the scan stops at the count-th
+    witness, so count = 0 verifies nothing.  Only witness values up to
+    `cap` are considered; running out before `count` witnesses are found
+    returns a truncated result rather than raising.  A progression that holds no prime
     raises EmptyProgressionError up front.
     """
     if count < 0 or cap < 0:
@@ -364,10 +340,9 @@ def gap_prime_sequence(
     scan = _primes(*solved, cap // fam.value_factor)
     if count == 0:
         return GapPrimeSearch((), False, solved)
-    inert = _inert_avoid_primes(spec)
     found: list[GapPrimeWitness] = []
     for p in scan:
-        witness = _verify(fam.value_factor * p, spec, {**fam.value_factorization, p: 1}, inert)
+        witness = verify_witness(fam.value_factor * p, spec, {**fam.value_factorization, p: 1})
         if witness.verified:
             found.append(witness)
             if len(found) == count:

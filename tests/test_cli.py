@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volrigid import cli, primeseq
+from volrigid import arith, cli, primeseq
 from volrigid.cli import _digit_count, run
 from volrigid.mutant import MAX_CLASS_WORD_LENGTH
 from volrigid.render import _json_text
@@ -65,6 +65,22 @@ def test_qf_reps_primitive_filter(capsys):
         capsys, "qf", "reps", "--form", "1,0,12", "--value", "4", "--primitive"
     )
     assert prim["representations"] == []
+
+
+def test_qf_reps_primitive_factors_only_to_the_first_obstruction(capsys, monkeypatch):
+    # 3 is inert for x^2 + y^2, so 3n has no primitive representation
+    # whatever n is, and the query stops before it factors the
+    # 39-digit semiprime n; the full list needs n's factors
+    def refuse(n, budget=None):
+        raise AssertionError(f"rho on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", refuse)
+    value = str(3 * 782283434853405216443915680618039931881)
+    payload = invoke_json(capsys, "qf", "reps", "--form", "1,0,1", "--value", value,
+                          "--primitive")
+    assert payload["count"] == 0 and payload["representations"] == []
+    with pytest.raises(AssertionError, match="rho on"):
+        run(["qf", "reps", "--form", "1,0,1", "--value", value])
 
 
 def test_prime_seq_m004(capsys):
@@ -444,6 +460,8 @@ def test_float_options_refuse_non_finite_values(argv, value, capsys):
 @pytest.mark.parametrize("argv, value, expected", [
     (("nz", "wl-coeffs", "--radius", "VALUE"), "0", "a positive number"),
     (("nz", "wl-coeffs", "--radius", "VALUE"), "-0.1", "a positive number"),
+    (("nz", "wl-coeffs", "--radius", "VALUE"), "1e-3", "a number of at least 0.01"),
+    (("nz", "wl-coeffs", "--radius", "VALUE"), "1e-6", "a number of at least 0.01"),
     (("nz", "check", "--points", "2", "--tolerance", "VALUE"), "-1", "a nonnegative number"),
     (("census", "hist", "no-such-file.csv", "--epsilon", "VALUE"), "-1", "a nonnegative number"),
     (("certify", "--manifold", "m004", "-a", "7", "-b", "4", "--c2", "VALUE"), "0",
@@ -452,7 +470,8 @@ def test_float_options_refuse_non_finite_values(argv, value, capsys):
      "a positive number"),
 ])
 def test_float_options_refuse_out_of_range_values(argv, value, expected, capsys):
-    # a radius of 0 would divide by zero in the Cauchy integrals, a
+    # a radius of 0 would divide by zero in the Cauchy integrals, one
+    # below 0.01 gives coefficients that are rounding noise, a
     # negative tolerance would fail every series, a non-positive C2
     # certifies nothing, and a negative epsilon is refused before the
     # table is read (the file does not exist)

@@ -14,6 +14,7 @@ from volrigid.quadform import two_sided_gap
 from volrigid.nzvolume import (
     DEFAULT_C2,
     MAX_WL_SAMPLES,
+    MIN_WL_RADIUS,
     MIN_WL_SAMPLES,
     REGIME_Q_MIN,
     V_FIG8,
@@ -214,6 +215,16 @@ def test_wl_taylor_coefficients_sample_range():
     with pytest.raises(ValueError, match="refused above 1000000 samples, got 1000001"):
         wl_taylor_coefficients(samples=MAX_WL_SAMPLES + 1)
     assert len(wl_taylor_coefficients(samples=MIN_WL_SAMPLES)) == 5
+
+
+def test_wl_taylor_coefficients_radius_range():
+    # at 1e-20 the quadrature printed c1 = 0 where it is -2+2i
+    for radius in (1e-20, 1e-3, 0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="radius must be at least 0.01"):
+            wl_taylor_coefficients(radius=radius)
+    coeffs = wl_taylor_coefficients(radius=MIN_WL_RADIUS)
+    assert abs(coeffs[1] - complex(-2, 2)) < 1e-8
+    assert abs(coeffs[3] - complex(0, 1) / 6) < 1e-8
 
 
 def test_lobachevsky_closed_values():

@@ -45,9 +45,32 @@ def test_spec_validation():
         GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(7, 11))  # 7 not 5 mod 6
     with pytest.raises(ValueError):
         GapPrimeSpec(g=1, family=FAMILY_M125, avoid_primes=(5, 13))  # not 3 mod 4
+    with pytest.raises(ValueError, match="^avoid prime 7 is not inert for the gap form "
+                                         "1,1,1: -3 is a square mod 7$"):
+        GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 7))
     with pytest.raises(ValueError):
         GapPrimeSpec(g=2, family=FAMILY_M004, avoid_primes=(5, 11))  # need 2g
     GapPrimeSpec(g=1, family=FAMILY_M125, avoid_primes=(3, 11))
+
+
+@pytest.mark.parametrize("family, res, mod", [
+    (FAMILY_M004, 5, 6),
+    (FAMILY_M125, 3, 4),
+])
+def test_spec_admits_an_avoid_prime_exactly_in_its_residue_class(family, res, mod):
+    # by quadratic reciprocity the odd primes inert for x^2+xy+y^2 are
+    # those 5 mod 6, and for x^2+y^2 those 3 mod 4
+    for q in range(3, 10**4, 2):
+        if not is_prime(q):
+            continue
+        partner = next(p for p in default_avoid_primes(family, 2) if p != q)
+        try:
+            GapPrimeSpec(g=1, family=family, avoid_primes=(partner, q))
+        except ValueError as exc:
+            assert q % mod != res, (q, exc)
+            assert "not inert" in str(exc)
+        else:
+            assert q % mod == res, q
 
 
 def test_family_value_factorization_is_its_value_factor_factored():
@@ -277,12 +300,12 @@ def test_verify_witness_matches_the_engine_on_and_off_the_progression(data):
     # neighbours at or below 0
     family = data.draw(st.sampled_from((FAMILY_M004, FAMILY_M125)))
     fam = primeseq._FAMILIES[family]
-    factor, (res, mod) = fam.value_factor, fam.avoid_residue
+    factor, d0 = fam.value_factor, fam.gap_form.discriminant()
     g = data.draw(st.integers(1, 4))
     if data.draw(st.booleans()):
         avoid = default_avoid_primes(family, g)
     else:
-        pool = [q for q in range(2, 100) if q % mod == res and is_prime(q)]
+        pool = [q for q in range(2, 100) if is_prime(q) and primeseq._inert(d0, q)]
         avoid = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=2 * g,
                                          max_size=2 * g, unique=True)))
     spec = GapPrimeSpec(g=g, family=family, avoid_primes=avoid)
@@ -294,7 +317,10 @@ def test_verify_witness_matches_the_engine_on_and_off_the_progression(data):
         st.integers(0, g),
         st.integers(0, 10**12),
     ))
-    assert _same_witness(verify_witness(value, spec), representation_verify(value, spec))
+    witness = verify_witness(value, spec)
+    assert _same_witness(witness, representation_verify(value, spec))
+    if value > 0:
+        assert _same_witness(verify_witness(value, spec, factorize(value)), witness)
 
 
 @pytest.mark.parametrize("family", [FAMILY_M004, FAMILY_M125])
@@ -345,16 +371,44 @@ def test_gap_prime_sequence_truncation_flag():
 
 
 def test_gap_prime_sequence_count_zero_verifies_nothing(monkeypatch):
-    # the search verifies through _verify, not the public verify_witness
     calls = []
-    real = primeseq._verify
+    real = primeseq.verify_witness
     monkeypatch.setattr(
-        primeseq, "_verify", lambda v, *rest: calls.append(v) or real(v, *rest)
+        primeseq, "verify_witness", lambda v, *rest: calls.append(v) or real(v, *rest)
     )
     spec = GapPrimeSpec(g=1, family=FAMILY_M004, avoid_primes=(5, 11))
     search = gap_prime_sequence(spec, 0, cap=10**7)
     assert search.witnesses == () and not search.truncated
     assert calls == []
+
+
+@pytest.mark.parametrize("family, g, count", [
+    (FAMILY_M004, 1, 5),
+    (FAMILY_M125, 1, 5),
+    (FAMILY_M004, 2, 2),
+    (FAMILY_M125, 3, 1),
+])
+def test_gap_prime_sequence_verifies_each_prime_once_from_its_factorization(
+    monkeypatch, family, g, count
+):
+    # one verify_witness call per prime of the progression up to the
+    # last witness, each given f's primes and {p: 1} by the scan
+    calls = []
+    real = primeseq.verify_witness
+
+    def spy(value, spec, factors=None):
+        calls.append((value, factors))
+        return real(value, spec, factors)
+
+    monkeypatch.setattr(primeseq, "verify_witness", spy)
+    factor = primeseq._FAMILIES[family].value_factor
+    spec = GapPrimeSpec(g=g, family=family, avoid_primes=default_avoid_primes(family, g))
+    search = gap_prime_sequence(spec, count)
+    assert len(search.witnesses) == count
+    n0, modulus = search.progression
+    last = search.witnesses[-1].value // factor
+    primes = [p for p in range(n0, last + 1, modulus) if is_prime(p)]
+    assert calls == [(factor * p, factorize(factor * p)) for p in primes]
 
 
 def test_gap_prime_sequence_stops_at_the_last_witness(monkeypatch):

@@ -47,7 +47,7 @@ INVALID = [
     (CuspGraph, (3, (8,), False), "cycle_labels", (6,), "multiples of 4"),
     (NZSeries, ("x", 1j, 0j), "c1", complex(1, 0), "nonzero imaginary part"),
     (GapPrimeSpec, (1, FAMILY_M004, (5, 11)), "g", 0, "at least 1"),
-    (GapPrimeSpec, (1, FAMILY_M004, (5, 11)), "avoid_primes", (5, 7), "not 5 mod 6"),
+    (GapPrimeSpec, (1, FAMILY_M004, (5, 11)), "avoid_primes", (5, 7), "not inert"),
     (GapPrimeSpec, (1, FAMILY_M004, (5, 11)), "family", "m003", "unknown family"),
 ]
 
