@@ -11,8 +11,10 @@ current cluster when its gap to the previous record is at most epsilon.
 Two records then share a cluster exactly when they are connected by a
 chain of small gaps, which is the right notion for "numerically equal
 volume" lists; the representative is the smallest member.  Records are
-pre-sorted by (volume, name), so the outcome does not depend on input
-order.
+chained in (volume, name) order, so the outcome does not depend on input
+order.  They are sorted by volume alone, which is that order unless two
+volumes are equal; only when chaining meets two equal volumes are they
+sorted again, by (volume, name), and chaining resumes where it met them.
 """
 
 from __future__ import annotations
@@ -126,20 +128,32 @@ def cluster_volumes(
     """Greedy chain clustering of records sorted by (volume, name)."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be a nonnegative number")
-    # two stable sorts, each on one key of a single type: by name, then
-    # by volume, is the order by (volume, name)
-    ordered = sorted(records, key=itemgetter(0))
-    ordered.sort(key=itemgetter(1))
+    ordered = sorted(records, key=itemgetter(1))
     if not ordered:
         return []
     clusters: list[VolumeCluster] = []
     names: list[str] = []
     start = previous = ordered[0].volume
-    for name, volume in ordered:
-        if volume - previous > epsilon:
-            clusters.append(VolumeCluster(start, len(names), tuple(names)))
-            start, names = volume, []
-        names.append(name)
-        previous = volume
-    clusters.append(VolumeCluster(start, len(names), tuple(names)))
-    return clusters
+    rest: Iterable[VolumeRecord] = ordered
+    resorted = False
+    while True:
+        for name, volume in rest:
+            if volume - previous > epsilon:
+                clusters.append(tuple.__new__(VolumeCluster, (start, len(names), tuple(names))))
+                start, names = volume, []
+            elif volume == previous and names and not resorted:
+                break
+            names.append(name)
+            previous = volume
+        else:
+            clusters.append(tuple.__new__(VolumeCluster, (start, len(names), tuple(names))))
+            return clusters
+        # two equal volumes, which share a cluster: their names decide
+        # their order.  The list is in volume order, so a sort by
+        # (volume, name) only reorders runs of equal volumes.  This is the
+        # first tie, so the records before the previous one keep their
+        # places, and chaining resumes at the previous one's place
+        ordered.sort(key=itemgetter(1, 0))
+        resorted = True
+        names.pop()
+        rest = itertools.islice(ordered, sum(map(itemgetter(1), clusters)) + len(names), None)

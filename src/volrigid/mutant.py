@@ -29,7 +29,9 @@ the classification reads them; they only feed the horoball area report
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -138,8 +140,9 @@ class CuspGraph(_Graph):
     ) -> "CuspGraph":
         if apex_label < 3:
             raise ValueError("apex label is the word length, at least 3")
-        if not special_triangle and any(
-            lbl < 3 or lbl % 4 != 0 for lbl in cycle_labels
+        if not special_triangle and (
+            min(cycle_labels, default=4) < 3
+            or any(map(operator.mod, cycle_labels, itertools.repeat(4)))
         ):
             raise ValueError("knot labels must be multiples of 4")
         return tuple.__new__(cls, (apex_label, cycle_labels, special_triangle))
@@ -161,9 +164,7 @@ def cusp_graph(
         dec = decompose(word)
     if dec.kind == ALL_ONES:
         return CuspGraph(word.n, (2 * word.n, 2 * word.n), True)
-    return CuspGraph(
-        word.n, tuple(4 * (i + 1) for i in dec.i_sequence), False
-    )
+    return CuspGraph(word.n, tuple([4 * i + 4 for i in dec.i_sequence]), False)
 
 
 def _least_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:

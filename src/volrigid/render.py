@@ -12,7 +12,11 @@ with no Python call per item: scalars of one type, dicts with one key
 list in one order (each key's values a column, each row filled into one
 template), and non-empty lists whose elements share one scalar type
 (int lists once per run of equal lists).  A list of other items is
-printed item by item.
+printed item by item.  The record template prints the cells of some
+columns itself, with no text made per cell: floats (``%.12g``), ints
+(``%d``), strs that JSON escapes nowhere (``"%s"``), and non-empty lists
+of such strs (one ``"%s"`` per row, the names joined between quotes).
+Each other column's cells are printed to text first.
 """
 
 from __future__ import annotations
@@ -29,11 +33,14 @@ __all__ = ["Table", "render"]
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+# every float is printed through this one format, alone or in a template
+_FLOAT_FORMAT = "%.12g"
+
 # exact type -> JSON text of a value of that type.  Lookups use the exact
 # type, so a bool is never printed as an int.
 _SCALARS: dict[type, Callable[[Any], str]] = {
     str: _encode_str,
-    float: "{:.12g}".format,
+    float: _FLOAT_FORMAT.__mod__,
     int: int.__repr__,
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
@@ -138,16 +145,43 @@ def _json_records(
     keys: Sequence[str], columns: Iterable[Sequence[Any]], indent: int | None
 ) -> Iterable[str]:
     """The JSON text of ``dict(zip(keys, row))`` at level ``indent`` for
-    each row that the columns hold, all through one template."""
+    each row that the columns hold, all through one template, which
+    prints the columns that the module docstring names itself."""
     opening, sep, closing, deeper = _layout(indent)
-    texts = [_json_items(cells, deeper) for cells in columns]
+    inner_opening, inner_sep, inner_closing, _ = _layout(deeper)
+    fields, texts = [], []
+    for cells in columns:
+        kind = _one_type(cells)
+        if kind is float or kind is int:
+            field = _FLOAT_FORMAT if kind is float else "%d"
+        elif kind is str and _plain(cells):
+            field = '"%s"'
+        elif (
+            (kind is list or kind is tuple) and all(cells)
+            and _one_type(itertools.chain.from_iterable(cells)) is str
+            and _plain(itertools.chain.from_iterable(cells))
+        ):
+            # a one-name list is joined into the same str, not a new one
+            field = "[" + inner_opening + '"%s"' + inner_closing + "]"
+            cells = map(('"' + inner_sep + '"').join, cells)
+        else:
+            field, cells = "%s", _json_items(cells, deeper)
+        fields.append(field)
+        texts.append(cells)
     colon = ":" if indent is None else ": "
     template = (
         "{" + opening
-        + sep.join(_encode_str(k).replace("%", "%%") + colon + "%s" for k in keys)
+        + sep.join(_encode_str(k).replace("%", "%%") + colon + f for k, f in zip(keys, fields))
         + closing + "}"
     )
     return map(template.__mod__, zip(*texts))
+
+
+def _plain(strs: Iterable[str]) -> bool:
+    """Whether JSON escapes no character of the strs.  Escaping works per
+    character, so one encoding of their joined text decides."""
+    text = "".join(strs)
+    return len(_encode_str(text)) == len(text) + 2
 
 
 def _text_cells(cells: Sequence[Any]) -> Iterable[str]:
@@ -177,8 +211,10 @@ def render(payload: Any, fmt: str) -> str:
         max(len(h), max(map(len, map(operator.itemgetter(i), rows)), default=0))
         for i, h in enumerate(header)
     ]
-    # one template pads every cell of a row to its column's width
-    template = "  ".join(f"%-{w}s" for w in widths)
+    # one template pads every cell of a row but the last to its column's
+    # width; lines are stripped on the right, so padding the last cell
+    # would only make each line as long as the longest last cell
+    template = "".join(f"%-{w}s  " for w in widths[:-1]) + "%s"
     lines = [
         (template % header).rstrip(),
         "  ".join("-" * w for w in widths),

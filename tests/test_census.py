@@ -6,6 +6,7 @@ import copy
 import math
 import pickle
 import random
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -252,6 +253,41 @@ def oracle_cluster_volumes(records, epsilon):
         clusters.append(chain)
     return [(c[0].volume, len(c), tuple(r.name for r in c)) for c in clusters]
 
+
+
+_CBA = ("c", "b", "a")
+# equal volumes in reverse name order: first met at the first record, after
+# two clusters (at 1e-6, the tie starts one), and inside a cluster (at 1e-6,
+# 1.0000005 joins x's); later ties follow
+_TIED_TABLES = [
+    [(name, 1.0) for name in _CBA] + [("x", 2.5)],
+    [("z", 0.5), ("y", 0.75)] + [(name, v) for v in (2.5, 1.0, 1.0000005) for name in _CBA],
+    [("z", 0.5), ("x", 1.0)] + [(name, v) for v in (1.0000005, 1.0000009, 3.0) for name in _CBA],
+]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-6])
+@pytest.mark.parametrize("table", _TIED_TABLES)
+def test_equal_volumes_cluster_in_name_order(table, epsilon):
+    # sorted by volume alone, equal volumes keep their reversed input order
+    records = [VolumeRecord(*row) for row in table]
+    clusters = cluster_volumes(records, epsilon)
+    assert [tuple(c) for c in clusters] == oracle_cluster_volumes(records, epsilon)
+    assert [type(c) for c in clusters] == [VolumeCluster] * len(clusters)
+
+
+def test_many_equal_volumes_cluster_in_name_order_at_once():
+    # one re-sort for all ties: a re-sort per tie would take minutes
+    names = [f"r{i:05d}" for i in range(50000)]
+    records = [VolumeRecord(name, 1.0 + i % 3) for i, name in enumerate(reversed(names))]
+    start = time.perf_counter()
+    clusters = cluster_volumes(records, 0.0)
+    assert time.perf_counter() - start < 1.0
+    assert [(c.representative, c.count) for c in clusters] == [
+        (1.0, 16667), (2.0, 16667), (3.0, 16666)
+    ]
+    assert sorted(clusters[0].names + clusters[1].names + clusters[2].names) == names
+    assert all(list(c.names) == sorted(c.names) for c in clusters)
 
 # whitespace that str.strip() removes; float() strips all but \x1c-\x1f
 _PAD = st.sampled_from(["", " ", "\t", "\u2003", "\xa0", "\x1c", "\x1f"])

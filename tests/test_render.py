@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -81,12 +82,38 @@ def _at_12_digits(obj):
     return obj
 
 
+def _finite(obj):
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, list):
+        return all(map(_finite, obj))
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    return True
+
+
+def _one_float_each_way(x):
+    """x as a lone value and in a float column of records: the writer
+    prints the one through _SCALARS and the other through a template."""
+    return {"value": x, "records": [{"v": x}, {"v": x}]}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(payload=_payloads(_FLOAT_FREE | _FLOATS))
+@example(payload=_one_float_each_way(-0.0))
+@example(payload=_one_float_each_way(math.inf))
+@example(payload=_one_float_each_way(-math.inf))
+@example(payload=_one_float_each_way(math.nan))
+@example(payload=_one_float_each_way(5e-324))
+@example(payload=_one_float_each_way(1.7976931348623157e308))
 def test_writer_prints_every_float_at_12_digits(payload):
-    expected = _at_12_digits(payload)
-    assert json.loads(_json_text(payload)) == expected
-    assert json.loads(_json_text(payload, None)) == expected
+    for indent in (0, None):
+        text = _json_text(payload, indent)
+        # the oracle spells each float as format(x, ".12g")
+        assert text == recursive_json_text(payload, indent)
+        # JSON has no nan or inf
+        if _finite(payload):
+            assert json.loads(text) == _at_12_digits(payload)
 
 
 _ODD_FLOATS = st.sampled_from([
@@ -154,12 +181,54 @@ _NEAR_MISSES = (
 )
 
 
+def assert_same_text_or_error(write, oracle):
+    """write() returns the text oracle() returns, or raises the ValueError
+    it raises, with the same message: an int past the int-to-str limit."""
+    try:
+        expected = oracle()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            write()
+        assert str(raised.value) == str(exc)
+    else:
+        assert write() == expected
+
+
+# one more digit than str() prints; with the limit off, an int that prints
+_PAST_THE_LIMIT = 10 ** (sys.get_int_max_str_digits() or 4300)
+# columns of the record template's kinds, one step from its own fields: a
+# names column in which one name needs escaping, % in names and str cells,
+# a list of names that is empty, and an int that does not print
+_RECORD_EXAMPLES = [
+    *(
+        (("volume", "count", "names"), [(1.5, 2, ["m004", "a"]), (2.5, 1, ["s%d" % i, c])])
+        for i, c in enumerate(["é", '"', "\\", "\x1f"])
+    ),
+    (("name", "%s", "names"), [("%", "%s", ["%", "%s"]), ("%%s", "a%db", ["%(k)s"])]),
+    (("count", "names"), [(1, ["a"]), (0, [])]),
+    (("count", "n"), [(1, 2), (_PAST_THE_LIMIT, 3)]),
+]
+
+
+def _with_examples(name, payloads):
+    """The test with an explicit example for each payload."""
+    def decorate(test):
+        for payload in reversed(payloads):
+            test = example(**{name: payload})(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(payload=_payloads(_SCALAR | _FLAT_LISTS | _record_lists() | _ARRAYS | _NEAR_MISSES))
+@_with_examples("payload", [
+    [dict(zip(keys, row)) for row in rows] for keys, rows in _RECORD_EXAMPLES
+])
 def test_writer_matches_the_recursive_writer(payload):
-    assert _json_text(payload) == recursive_json_text(payload)
-    assert _json_text(payload, None) == recursive_json_text(payload, None)
-    assert _json_text(payload, 3) == recursive_json_text(payload, 3)
+    for indent in (0, None, 3):
+        assert_same_text_or_error(
+            lambda: _json_text(payload, indent), lambda: recursive_json_text(payload, indent)
+        )
 
 
 # lists drawn from a few int lists, so that equal lists repeat, in runs
@@ -310,13 +379,22 @@ _TABLES = st.lists(_KEY, min_size=1, max_size=4, unique=True).flatmap(
 @given(table=_TABLES)
 # a last column of width 0: the rule line keeps its trailing separator
 @example(table=(("a", ""), [("x", "")]))
+@_with_examples("table", [
+    (keys, [tuple(tuple(c) if type(c) is list else c for c in row) for row in rows])
+    for keys, rows in _RECORD_EXAMPLES
+])
 def test_table_renders_as_the_list_of_dicts_it_means(table):
     keys, rows = table
-    assert render(Table(keys, rows), "json") == recursive_json_text(table_meaning(keys, rows)) + "\n"
-    # a table with no rows prints no header
-    expected = text_table(keys, rows) if rows else {"csv": "", "table": "\n"}
+    assert_same_text_or_error(
+        lambda: render(Table(keys, rows), "json"),
+        lambda: recursive_json_text(table_meaning(keys, rows)) + "\n",
+    )
     for fmt in ("csv", "table"):
-        assert render(Table(keys, rows), fmt) == expected[fmt]
+        # a table with no rows prints no header
+        assert_same_text_or_error(
+            lambda: render(Table(keys, rows), fmt),
+            lambda: text_table(keys, rows)[fmt] if rows else {"csv": "", "table": "\n"}[fmt],
+        )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
