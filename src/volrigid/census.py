@@ -13,49 +13,28 @@ chain of small gaps, which is the right notion for "numerically equal
 volume" lists; the representative is the smallest member.  Records are
 chained in (volume, name) order, so the outcome does not depend on input
 order.  They are sorted by volume alone, which is that order unless two
-volumes are equal; only when chaining meets two equal volumes are they
-sorted again, by (volume, name), and chaining resumes where it met them.
+volumes are equal; when two are, they are sorted once more, by
+(volume, name).  The clusters come back as three columns, as the writer
+prints them: representatives, counts and names.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from operator import itemgetter
+from operator import eq, itemgetter, lt, sub
 from typing import Iterable, NamedTuple
 
 __all__ = [
-    "VolumeRecord",
     "ParseError",
     "ParseReport",
-    "VolumeCluster",
     "DEFAULT_EPSILON",
     "parse_census",
     "cluster_volumes",
 ]
 
 DEFAULT_EPSILON = 1e-6
-
-
-class _Record(NamedTuple):
-    name: str
-    volume: float
-
-
-class VolumeRecord(_Record):
-    """One named manifold with a positive finite volume."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, volume: float) -> "VolumeRecord":
-        if not 0 < volume < math.inf:  # false for nan
-            raise ValueError(f"volume of {name!r} must be finite and positive")
-        return tuple.__new__(cls, (name, volume))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "VolumeRecord":
-        # namedtuple's own _make (which _replace calls) skips __new__
-        return cls(*iterable)
 
 
 class ParseError(NamedTuple):
@@ -65,7 +44,8 @@ class ParseError(NamedTuple):
 
 
 class ParseReport(NamedTuple):
-    records: tuple[VolumeRecord, ...]
+    # (name, volume) pairs, each volume finite and positive
+    records: tuple[tuple[str, float], ...]
     errors: tuple[ParseError, ...]
 
 
@@ -77,7 +57,7 @@ def parse_census(lines: Iterable[str]) -> ParseReport:
     One U+FEFF (a UTF-8 byte-order mark) at the start of the first line
     is dropped, so it never becomes part of the first name.
     """
-    records: list[VolumeRecord] = []
+    records: list[tuple[str, float]] = []
     errors: list[ParseError] = []
     lines = iter(lines)
     first = next(lines, "").removeprefix("\ufeff")
@@ -103,9 +83,8 @@ def parse_census(lines: Iterable[str]) -> ParseReport:
                 if not first_data_line:  # there, the optional header
                     reason = f"volume {volume_text!r} is not a number"
             else:
-                if 0 < volume < math.inf:
-                    # the range test of VolumeRecord.__new__, made here
-                    records.append(tuple.__new__(VolumeRecord, (name, volume)))
+                if 0 < volume < math.inf:  # false for nan
+                    records.append((name, volume))
                 else:
                     reason = f"volume of {name!r} must be finite and positive"
         if reason is not None:
@@ -114,46 +93,31 @@ def parse_census(lines: Iterable[str]) -> ParseReport:
     return ParseReport(tuple(records), tuple(errors))
 
 
-class VolumeCluster(NamedTuple):
-    """A maximal chain of records with consecutive gaps <= epsilon."""
-
-    representative: float
-    count: int
-    names: tuple[str, ...]
-
-
 def cluster_volumes(
-    records: Iterable[VolumeRecord], epsilon: float = DEFAULT_EPSILON
-) -> list[VolumeCluster]:
-    """Greedy chain clustering of records sorted by (volume, name)."""
+    records: Iterable[tuple[str, float]], epsilon: float = DEFAULT_EPSILON
+) -> tuple[list[float], list[int], list[tuple[str, ...]]]:
+    """Greedy chain clustering of (name, volume) records sorted by
+    (volume, name), as three columns with one cell per cluster: its
+    representative volume, its count and its names in that order."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be a nonnegative number")
     ordered = sorted(records, key=itemgetter(1))
     if not ordered:
-        return []
-    clusters: list[VolumeCluster] = []
-    names: list[str] = []
-    start = previous = ordered[0].volume
-    rest: Iterable[VolumeRecord] = ordered
-    resorted = False
-    while True:
-        for name, volume in rest:
-            if volume - previous > epsilon:
-                clusters.append(tuple.__new__(VolumeCluster, (start, len(names), tuple(names))))
-                start, names = volume, []
-            elif volume == previous and names and not resorted:
-                break
-            names.append(name)
-            previous = volume
-        else:
-            clusters.append(tuple.__new__(VolumeCluster, (start, len(names), tuple(names))))
-            return clusters
-        # two equal volumes, which share a cluster: their names decide
-        # their order.  The list is in volume order, so a sort by
-        # (volume, name) only reorders runs of equal volumes.  This is the
-        # first tie, so the records before the previous one keep their
-        # places, and chaining resumes at the previous one's place
+        return [], [], []
+    volumes = list(map(itemgetter(1), ordered))
+    if any(map(eq, volumes, itertools.islice(volumes, 1, None))):
+        # equal volumes, which share a cluster: their names decide their
+        # order.  The list is in volume order, so this sort only reorders
+        # runs of equal volumes, and volumes stays as it is
         ordered.sort(key=itemgetter(1, 0))
-        resorted = True
-        names.pop()
-        rest = itertools.islice(ordered, sum(map(itemgetter(1), clusters)) + len(names), None)
+    names = tuple(map(itemgetter(0), ordered))
+    gaps = map(sub, itertools.islice(volumes, 1, None), volumes)
+    starts = [0, *itertools.compress(
+        range(1, len(names)), map(functools.partial(lt, epsilon), gaps)
+    )]
+    ends = [*itertools.islice(starts, 1, None), len(names)]
+    return (
+        list(map(volumes.__getitem__, starts)),
+        list(map(sub, ends, starts)),
+        list(map(names.__getitem__, map(slice, starts, ends))),
+    )

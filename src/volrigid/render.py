@@ -2,10 +2,15 @@
 
 A payload is JSON-ready: dicts with str keys, lists and tuples (both
 printed as JSON arrays, as ``json.dumps`` prints them), str, int, float,
-bool and None, nothing else; or a ``Table``.  Every float is printed at
-12 significant digits in every format, inside nested csv and table cells
-too.  csv and table print a ``Table`` one row per line under a header of
-its keys, and a dict as the two-column table of its key,value pairs.
+bool and None, nothing else; or a ``Table``.  A ``Table`` is a list of
+records held as columns: its keys and one column of cells per key.  It
+means ``[dict(zip(keys, row)) for row in zip(*columns)]``, and every
+format reads its columns as they are, with no transposing into rows and
+back; columns that are not one per key, or not all of one length, are
+refused with a ValueError.  Every float is printed at 12 significant digits in every
+format, inside nested csv and table cells too.  csv and table print a
+``Table`` one row per line under a header of its keys, and a dict as the
+two-column table of its key,value pairs.
 
 The writer prints a list whose items share one shape column by column,
 with no Python call per item: scalars of one type, dicts with one key
@@ -26,7 +31,6 @@ import functools
 import io
 import itertools
 import json
-import operator
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 __all__ = ["Table", "render"]
@@ -48,15 +52,27 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 
 
 class Table(NamedTuple):
-    """A list of rows with the same keys, rendered column by column.
+    """A list of rows with the same keys, held column by column.
 
-    It means exactly ``[dict(zip(keys, row)) for row in rows]``.  The
-    keys are distinct and there is at least one; each row has one cell
-    per key.
+    It means exactly ``[dict(zip(keys, row)) for row in zip(*columns)]``.
+    The keys are distinct and there is at least one; there is one column
+    per key, and every column has one cell per row.
     """
 
     keys: tuple[str, ...]
-    rows: Sequence[Sequence[Any]]
+    columns: Sequence[Sequence[Any]]
+
+
+def _row_count(table: Table) -> int:
+    """The table's number of rows, once its columns are checked to be one
+    per key and all of one length."""
+    keys, columns = table
+    if len(columns) != len(keys):
+        raise ValueError(f"a table with {len(keys)} keys has {len(columns)} columns")
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError("the columns of a table differ in length")
+    return lengths.pop() if lengths else 0
 
 
 def _one_type(values: Iterable[Any]) -> type | None:
@@ -93,18 +109,20 @@ def _json_text(obj: Any, indent: int | None = 0) -> str:
             return "{}"
         colon = ":" if indent is None else ": "
         parts = [_encode_str(k) + colon + _json_text(v, deeper) for k, v in obj.items()]
-        return "{" + opening + sep.join(parts) + closing + "}"
+        return f"{{{opening}{sep.join(parts)}{closing}}}"
     if kind is Table:
-        if not obj.rows:
+        if not _row_count(obj):
             return "[]"
-        items = _json_records(obj.keys, zip(*obj.rows), deeper)
+        items = _json_records(obj.keys, obj.columns, deeper)
     elif kind is list or kind is tuple:
         if not obj:
             return "[]"
         items = _json_items(obj, deeper)
     else:
         raise TypeError(f"cannot serialize {kind.__name__}")
-    return "[" + opening + sep.join(items) + closing + "]"
+    # one f-string copies the joined items once, where each + would copy
+    # them again
+    return f"[{opening}{sep.join(items)}{closing}]"
 
 
 def _json_items(items: Sequence[Any], indent: int | None) -> Iterable[str]:
@@ -198,19 +216,17 @@ def render(payload: Any, fmt: str) -> str:
     if fmt == "json":
         return _json_text(payload) + "\n"
     if type(payload) is not Table:
-        payload = Table(("key", "value"), tuple(payload.items()))
-    elif not payload.rows:
+        payload = Table(("key", "value"), (list(payload), list(payload.values())))
+    elif not _row_count(payload):
         return "\n" if fmt == "table" else ""
-    header = payload.keys
-    rows = list(zip(*map(_text_cells, zip(*payload.rows))))
+    header, columns = payload
+    texts = list(map(_text_cells, columns))
     if fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        csv.writer(buf, lineterminator="\n").writerows(itertools.chain([header], zip(*texts)))
         return buf.getvalue()
-    widths = [
-        max(len(h), max(map(len, map(operator.itemgetter(i), rows)), default=0))
-        for i, h in enumerate(header)
-    ]
+    texts = list(map(list, texts))
+    widths = [max(len(h), max(map(len, cells), default=0)) for h, cells in zip(header, texts)]
     # one template pads every cell of a row but the last to its column's
     # width; lines are stripped on the right, so padding the last cell
     # would only make each line as long as the longest last cell
@@ -218,6 +234,6 @@ def render(payload: Any, fmt: str) -> str:
     lines = [
         (template % header).rstrip(),
         "  ".join("-" * w for w in widths),
-        *map(str.rstrip, map(template.__mod__, rows)),
+        *map(str.rstrip, map(template.__mod__, zip(*texts))),
     ]
     return "\n".join(lines) + "\n"

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import copy
 import math
-import pickle
 import random
 import time
 from dataclasses import dataclass
@@ -17,8 +15,6 @@ from hypothesis import strategies as st
 from volrigid.census import (
     ParseError,
     ParseReport,
-    VolumeCluster,
-    VolumeRecord,
     cluster_volumes,
     parse_census,
 )
@@ -26,47 +22,21 @@ from volrigid.census import (
 DATA = Path(__file__).parent / "data"
 
 
-def test_record_validation():
-    with pytest.raises(ValueError):
-        VolumeRecord("x", -1.0)
-    with pytest.raises(ValueError):
-        VolumeRecord("x", 0.0)
-    with pytest.raises(ValueError):
-        VolumeRecord("x", float("inf"))
-
-
-@pytest.mark.parametrize("volume", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_no_public_path_builds_an_invalid_record(volume):
-    good = VolumeRecord("x", 1.5)
-    builds = [
-        lambda: VolumeRecord("x", volume),
-        lambda: VolumeRecord(name="x", volume=volume),
-        lambda: VolumeRecord._make(("x", volume)),
-        lambda: good._replace(volume=volume),
-    ]
-    for build in builds:
-        with pytest.raises(ValueError, match="must be finite and positive"):
-            build()
-
-
-def test_records_are_tuples_with_named_fields():
-    record = VolumeRecord("m004", 2.0298832128)
-    assert (record.name, record.volume) == tuple(record) == ("m004", 2.0298832128)
-    assert record._replace(name="m003") == VolumeRecord("m003", 2.0298832128)
-    assert repr(record) == "VolumeRecord(name='m004', volume=2.0298832128)"
-    assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
-    assert type(pickle.loads(pickle.dumps(record))) is VolumeRecord
-    with pytest.raises(AttributeError):
-        record.volume = 3.0
-    cluster = VolumeCluster(representative=1.0, count=2, names=("a", "b"))
-    assert (cluster.representative, cluster.count, cluster.names) == (1.0, 2, ("a", "b"))
+def test_report_tuples_have_named_fields():
     error = ParseError(line_number=3, text="x", reason="empty name")
-    assert ParseReport(records=(record,), errors=(error,)).errors[0].line_number == 3
+    report = ParseReport(records=(("m004", 2.0298832128),), errors=(error,))
+    assert report.errors[0].line_number == 3
+    assert report.records == parse_census(["m004,2.0298832128"]).records
+    assert type(report.records[0]) is tuple
+
+
+def _names(report):
+    return [name for name, _ in report.records]
 
 
 def test_parse_basic_and_header():
     report = parse_census(["name,volume", "A,2.029883", "B,2.029883"])
-    assert [r.name for r in report.records] == ["A", "B"]
+    assert _names(report) == ["A", "B"]
     assert not report.errors
     report = parse_census(["# hdr", "C,2.568970"])
     assert len(report.records) == 1
@@ -82,7 +52,7 @@ def test_parse_collects_errors_and_continues():
         "tail,3.25",
     ]
     report = parse_census(lines)
-    assert [r.name for r in report.records] == ["good", "tail"]
+    assert _names(report) == ["good", "tail"]
     assert [e.line_number for e in report.errors] == [2, 3, 4, 5]
     assert "positive" in report.errors[0].reason
 
@@ -98,54 +68,48 @@ def test_header_is_a_volume_float_refuses_not_an_error_message():
     # the first line's volume -1 is a number, so the line is a bad
     # record, whatever its name says
     report = parse_census(["is not a number,-1", "b,2"])
-    assert [r.name for r in report.records] == ["b"]
+    assert _names(report) == ["b"]
     assert [(e.line_number, e.text) for e in report.errors] == [(1, "is not a number,-1")]
     # a first line that fails before its volume is read is no header
     report = parse_census(["name,volume,unit", "b,2"])
     assert [e.line_number for e in report.errors] == [1]
     report = parse_census(["name,volume", "b,2"])
-    assert [r.name for r in report.records] == ["b"] and not report.errors
+    assert _names(report) == ["b"] and not report.errors
 
 
 def test_one_byte_order_mark_is_dropped_from_the_first_line():
     report = parse_census(["\ufeffm004,2.0298832128", "m003,2.0298832128"])
-    assert [r.name for r in report.records] == ["m004", "m003"]
+    assert _names(report) == ["m004", "m003"]
     # before the header, which is then skipped as usual
     report = parse_census(["\ufeffname,volume", "m003,2.0298832128"])
-    assert [r.name for r in report.records] == ["m003"] and not report.errors
+    assert _names(report) == ["m003"] and not report.errors
     report = parse_census(iter(["\ufeff# comment", "a,1"]))
-    assert [(r.name, r.volume) for r in report.records] == [("a", 1.0)]
+    assert report.records == (("a", 1.0),)
     # only one mark, and only on the first line
     report = parse_census(["\ufeff\ufeffa,1", "\ufeffb,2"])
-    assert [r.name for r in report.records] == ["\ufeffa", "\ufeffb"]
+    assert _names(report) == ["\ufeffa", "\ufeffb"]
     assert parse_census([]) == parse_census(["\ufeff"]) == ParseReport((), ())
 
 
 def test_cluster_examples():
-    recs = [VolumeRecord("a", 2.029883), VolumeRecord("b", 2.029883),
-            VolumeRecord("c", 2.568970)]
-    clusters = cluster_volumes(recs, 1e-6)
-    assert [c.count for c in clusters] == [2, 1]
-    chained = cluster_volumes(
-        [VolumeRecord("x", 1.0), VolumeRecord("y", 1.0000005),
-         VolumeRecord("z", 1.000001)],
-        1e-6,
-    )
-    assert len(chained) == 1 and chained[0].count == 3
-    assert cluster_volumes([], 1e-6) == []
+    recs = [("a", 2.029883), ("b", 2.029883), ("c", 2.568970)]
+    assert cluster_volumes(recs, 1e-6) == ([2.029883, 2.568970], [2, 1], [("a", "b"), ("c",)])
+    _, counts, _ = cluster_volumes([("x", 1.0), ("y", 1.0000005), ("z", 1.000001)], 1e-6)
+    assert counts == [3]
+    assert cluster_volumes([], 1e-6) == ([], [], [])
 
 
 def test_cluster_counts_sum_to_record_count():
     rng = random.Random(19)
-    records = [VolumeRecord(f"r{i}", rng.uniform(1, 20)) for i in range(200)]
-    clusters = cluster_volumes(records)
-    assert sum(c.count for c in clusters) == len(records)
+    records = [(f"r{i}", rng.uniform(1, 20)) for i in range(200)]
+    _, counts, _ = cluster_volumes(records)
+    assert sum(counts) == len(records)
 
 
 def test_cluster_permutation_invariance():
     rng = random.Random(8)
-    base = [VolumeRecord(f"v{i}", rng.uniform(1, 5)) for i in range(60)]
-    base += [VolumeRecord(f"w{i}", base[i].volume + 5e-7) for i in range(15)]
+    base = [(f"v{i}", rng.uniform(1, 5)) for i in range(60)]
+    base += [(f"w{i}", base[i][1] + 5e-7) for i in range(15)]
     reference = cluster_volumes(base)
     for _ in range(10):
         shuffled = base[:]
@@ -155,10 +119,10 @@ def test_cluster_permutation_invariance():
 
 def test_epsilon_monotonicity():
     rng = random.Random(4)
-    records = [VolumeRecord(f"r{i}", rng.uniform(1, 2)) for i in range(100)]
+    records = [(f"r{i}", rng.uniform(1, 2)) for i in range(100)]
     previous = None
     for epsilon in (1e-9, 1e-6, 1e-4, 1e-2, 1.0):
-        count = len(cluster_volumes(records, epsilon))
+        count = len(cluster_volumes(records, epsilon)[0])
         if previous is not None:
             assert count <= previous, epsilon
         previous = count
@@ -168,7 +132,7 @@ def test_epsilon_monotonicity():
 def test_epsilon_must_be_a_nonnegative_number(epsilon):
     # a nan epsilon would compare false against every gap and merge all
     # records into one cluster
-    records = [VolumeRecord("a", 1.0), VolumeRecord("b", 2.0)]
+    records = [("a", 1.0), ("b", 2.0)]
     with pytest.raises(ValueError, match="nonnegative number"):
         cluster_volumes(records, epsilon)
 
@@ -178,12 +142,11 @@ def test_fixture_parses_clean():
         report = parse_census(fh)
     assert len(report.records) == 20
     assert not report.errors
-    clusters = cluster_volumes(report.records)
-    assert [c.count for c in clusters] == [2, 1, 2, 1, 3, 3, 1, 1, 1, 2, 1, 1, 1]
+    _, counts, names = cluster_volumes(report.records)
+    assert counts == [2, 1, 2, 1, 3, 3, 1, 1, 1, 2, 1, 1, 1]
     # the chain cluster spans 1.8e-6 end to end but joins through
     # adjacent gaps of 9e-7
-    chain = clusters[5]
-    assert chain.names == ("s10", "s11", "s12")
+    assert names[5] == ("s10", "s11", "s12")
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +233,21 @@ _TIED_TABLES = [
 @pytest.mark.parametrize("table", _TIED_TABLES)
 def test_equal_volumes_cluster_in_name_order(table, epsilon):
     # sorted by volume alone, equal volumes keep their reversed input order
-    records = [VolumeRecord(*row) for row in table]
-    clusters = cluster_volumes(records, epsilon)
-    assert [tuple(c) for c in clusters] == oracle_cluster_volumes(records, epsilon)
-    assert [type(c) for c in clusters] == [VolumeCluster] * len(clusters)
+    columns = cluster_volumes(table, epsilon)
+    oracle = oracle_cluster_volumes([OracleRecord(*row) for row in table], epsilon)
+    assert list(zip(*columns)) == oracle
 
 
 def test_many_equal_volumes_cluster_in_name_order_at_once():
     # one re-sort for all ties: a re-sort per tie would take minutes
     names = [f"r{i:05d}" for i in range(50000)]
-    records = [VolumeRecord(name, 1.0 + i % 3) for i, name in enumerate(reversed(names))]
+    records = [(name, 1.0 + i % 3) for i, name in enumerate(reversed(names))]
     start = time.perf_counter()
-    clusters = cluster_volumes(records, 0.0)
+    representatives, counts, cells = cluster_volumes(records, 0.0)
     assert time.perf_counter() - start < 1.0
-    assert [(c.representative, c.count) for c in clusters] == [
-        (1.0, 16667), (2.0, 16667), (3.0, 16666)
-    ]
-    assert sorted(clusters[0].names + clusters[1].names + clusters[2].names) == names
-    assert all(list(c.names) == sorted(c.names) for c in clusters)
+    assert list(zip(representatives, counts)) == [(1.0, 16667), (2.0, 16667), (3.0, 16666)]
+    assert sorted(cells[0] + cells[1] + cells[2]) == names
+    assert all(list(c) == sorted(c) for c in cells)
 
 # whitespace that str.strip() removes; float() strips all but \x1c-\x1f
 _PAD = st.sampled_from(["", " ", "\t", "\u2003", "\xa0", "\x1c", "\x1f"])
@@ -327,11 +287,10 @@ def test_census_matches_the_dataclass_census(header, lines, epsilon):
     records, errors = oracle_parse_census(
         [line.removeprefix("\ufeff") for line in lines[:1]] + lines[1:]
     )
-    assert [(r.name, r.volume) for r in report.records] == [
-        (r.name, r.volume) for r in records
-    ]
-    assert [type(r) for r in report.records] == [VolumeRecord] * len(records)
+    assert report.records == tuple((r.name, r.volume) for r in records)
+    assert [type(r) for r in report.records] == [tuple] * len(records)
     assert [(e.line_number, e.text, e.reason) for e in report.errors] == errors
-    clusters = cluster_volumes(report.records, epsilon)
-    assert [tuple(c) for c in clusters] == oracle_cluster_volumes(records, epsilon)
-    assert [type(c) for c in clusters] == [VolumeCluster] * len(clusters)
+    columns = cluster_volumes(report.records, epsilon)
+    assert list(zip(*columns)) == oracle_cluster_volumes(records, epsilon)
+    # a one-shot iterator gives the same columns
+    assert cluster_volumes(iter(report.records), epsilon) == columns

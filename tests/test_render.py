@@ -254,7 +254,8 @@ def test_writer_prints_repeated_int_lists_as_json_does(items):
     if all(items):
         rows = [(tuple(item), i) for i, item in enumerate(items)]
         meaning = table_meaning(("k", "i"), rows)
-        assert render(Table(("k", "i"), rows), "json") == json.dumps(meaning, indent=2) + "\n"
+        table = Table(("k", "i"), columns_of(("k", "i"), rows))
+        assert render(table, "json") == json.dumps(meaning, indent=2) + "\n"
 
 
 def test_writer_prints_repeated_int_lists_of_each_length():
@@ -362,6 +363,11 @@ def table_meaning(keys, rows):
     return [dict(zip(keys, map(as_lists, row))) for row in rows]
 
 
+def columns_of(keys, rows):
+    """The columns that hold the rows, one per key."""
+    return [[row[i] for row in rows] for i in range(len(keys))]
+
+
 # a column may mix types, and a sequence cell is a list or a tuple
 _TABLE_CELLS = [
     *_COLUMN_CELLS,
@@ -385,16 +391,40 @@ _TABLES = st.lists(_KEY, min_size=1, max_size=4, unique=True).flatmap(
 ])
 def test_table_renders_as_the_list_of_dicts_it_means(table):
     keys, rows = table
+    columns = columns_of(keys, rows)
     assert_same_text_or_error(
-        lambda: render(Table(keys, rows), "json"),
+        lambda: render(Table(keys, columns), "json"),
         lambda: recursive_json_text(table_meaning(keys, rows)) + "\n",
     )
     for fmt in ("csv", "table"):
         # a table with no rows prints no header
         assert_same_text_or_error(
-            lambda: render(Table(keys, rows), fmt),
+            lambda: render(Table(keys, columns), fmt),
             lambda: text_table(keys, rows)[fmt] if rows else {"csv": "", "table": "\n"}[fmt],
         )
+
+
+_CLUSTER_KEYS = ("volume", "count", "names")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("columns, message", [
+    # a short column, first or last, and a long one
+    ([[1.5, 2.5], [2, 1], [("a", "b")]], "the columns of a table differ in length"),
+    ([[], [2], [("a", "b")]], "the columns of a table differ in length"),
+    ([[1.5, 2.5], [2, 1], [("a", "b"), ("c",), ("d",)]], "the columns of a table differ in length"),
+    # a missing column and one too many
+    ([[1.5, 2.5], [2, 1]], "a table with 3 keys has 2 columns"),
+    ([[1.5], [2], [("a", "b")], [0]], "a table with 3 keys has 4 columns"),
+])
+def test_table_columns_are_one_per_key_and_of_one_length(columns, message, fmt):
+    with pytest.raises(ValueError) as raised:
+        render(Table(_CLUSTER_KEYS, columns), fmt)
+    assert str(raised.value) == message
+    if fmt == "json":
+        with pytest.raises(ValueError) as raised:
+            render({"clusters": Table(_CLUSTER_KEYS, columns)}, fmt)
+        assert str(raised.value) == message
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
