@@ -15,7 +15,10 @@ Subcommands map one-to-one onto the library modules:
 Exit codes: 0 success, 1 domain error (bad mathematics, missing file),
 2 usage error.  The render module prints each payload, and all orderings
 are fixed, so identical invocations are byte-identical.  Each subcommand
-is declared once, by @_command on its handler.
+is declared once, by @_command on its handler.  A call is parsed by its
+subcommand's own parser, built from that declaration on first use; a
+help request, an error or a leftover argument sends the call to the full
+parser tree, which prints every help text and error message.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import functools
 import math
 import random
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from .census import DEFAULT_EPSILON, cluster_volumes, parse_census
 from .cusplattice import builtin_names, builtin_record
@@ -153,8 +156,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 # path -> (help, arguments, handler), filled by @_command in the order
 # of the usage text.  Only handlers are stored: they reach the library
-# through this module's globals, which a tracer may rebind.
+# through this module's globals, which a tracer may rebind.  _PATHS maps
+# each path's tokens, as argv holds them, to the path.
 _COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], Any]]] = {}
+_PATHS: dict[tuple[str, ...], str] = {}
 
 _GROUPS = {
     "qf": "integral binary quadratic forms",
@@ -174,6 +179,7 @@ def _command(path: str, help_text: str, *arguments: tuple) -> Callable:
 
     def declare(handler: Callable[[argparse.Namespace], Any]) -> Callable:
         _COMMANDS[path] = (help_text, arguments, handler)
+        _PATHS[tuple(path.split())] = path
         return handler
 
     return declare
@@ -187,6 +193,16 @@ _FORMAT = _arg(
 )
 
 
+def _add_arguments(parser: argparse.ArgumentParser, path: str) -> argparse.ArgumentParser:
+    """Give the parser of a subcommand the arguments and the handler
+    that _COMMANDS declares for its path."""
+    _, arguments, handler = _COMMANDS[path]
+    for flags, options in (_FORMAT, *arguments):
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: construction costs milliseconds, and
@@ -198,17 +214,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
     groups: dict[str, Any] = {}
-    for path, (help_text, arguments, handler) in _COMMANDS.items():
+    for path, (help_text, _, _) in _COMMANDS.items():
         group, _, name = path.rpartition(" ")
         if group and group not in groups:
             groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(
                 dest="subcommand", required=True
             )
-        p = groups.get(group, top).add_parser(name, help=help_text)
-        for flags, options in (_FORMAT, *arguments):
-            p.add_argument(*flags, **options)
-        p.set_defaults(handler=handler)
+        _add_arguments(groups.get(group, top).add_parser(name, help=help_text), path)
     return parser
+
+
+class _Fallback(Exception):
+    """A leaf parser met a help request or an error."""
+
+
+class _LeafParser(argparse.ArgumentParser):
+    """One subcommand's parser on its own, which prints nothing: on help
+    or an error it raises _Fallback, and the full tree parses the call
+    again and prints what it prints."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _Fallback
+
+    def print_help(self, file: Any = None) -> NoReturn:
+        raise _Fallback
+
+
+@functools.cache
+def _leaf_parser(path: str) -> _LeafParser:
+    # The tree's parser at path, as argparse names it, without the tree
+    return _add_arguments(_LeafParser(prog="volrigid " + path), path)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The tree's parse of argv, from the leaf parser alone where it can.
+
+    argv's first two tokens, or else its first, name the leaf, matched
+    token by token.  When the leaf takes the rest of argv whole, the tree
+    would parse it the same way: its subparser actions hand the rest to
+    that leaf and then check only that nothing is left over.  Any other
+    call (no leaf, help, an error, a token left over) is parsed by the
+    tree, so every help text and error message is the tree's.
+    """
+    path = tuple(argv[:2]) if tuple(argv[:2]) in _PATHS else tuple(argv[:1])
+    if path in _PATHS:
+        try:
+            args, rest = _leaf_parser(_PATHS[path]).parse_known_args(argv[len(path):])
+        except _Fallback:
+            pass
+        else:
+            if not rest:
+                return args
+    return _build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +570,7 @@ def _cmd_census_hist(args: argparse.Namespace) -> Any:
 
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -377,6 +377,7 @@ V_FIG8 = 6 * lobachevsky(math.pi / 3)
 # REGIME_Q_MIN; below that the certificate is marked regime-unverified.
 DEFAULT_C2 = 7.05
 REGIME_Q_MIN = 57.5041
+_REGIME_NUM, _REGIME_DEN = REGIME_Q_MIN.as_integer_ratio()
 
 
 class UniquenessCertificate(NamedTuple):
@@ -422,7 +423,9 @@ def certify_unique_volume(
     sqrt(|D|)/2 for the carrier form's discriminant D, so gap/scale >
     2*c2 and q/scale >= REGIME_Q_MIN are decided as gap**2 > c2**2 * |D|
     and 4*q**2 >= REGIME_Q_MIN**2 * |D| on the exact rational values of
-    the floats c2 and REGIME_Q_MIN.
+    the floats c2 and REGIME_Q_MIN: in integers, with c2 = n/d and
+    REGIME_Q_MIN = r/s, as gap**2 * d**2 > n**2 * |D| and
+    4*q**2 * s**2 >= r**2 * |D|.
     """
     if math.gcd(a0, b0) != 1:
         raise ValueError("filling class must be a coprime pair")
@@ -437,6 +440,7 @@ def certify_unique_volume(
     abs_d = -record.integer_form.discriminant()
     q0_normalized = q_int / record.scale
     gap_normalized = gap_int / record.scale
+    c2_num, c2_den = c2.as_integer_ratio()
     return UniquenessCertificate(
         record_name=record.name,
         filling=(a0, b0),
@@ -446,6 +450,6 @@ def certify_unique_volume(
         n_q0=n_q0,
         symmetry_order=order,
         bound=Fraction(n_q0, order),
-        valid=gap_int**2 > Fraction(c2) ** 2 * abs_d,
-        regime_verified=4 * q_int**2 >= Fraction(REGIME_Q_MIN) ** 2 * abs_d,
+        valid=(gap_int * c2_den) ** 2 > c2_num**2 * abs_d,
+        regime_verified=(2 * q_int * _REGIME_DEN) ** 2 >= _REGIME_NUM**2 * abs_d,
     )

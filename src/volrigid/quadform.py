@@ -12,10 +12,18 @@ roots of D modulo 4m are found prime power by prime power
 remainder theorem, and each candidate form (m, B, (B**2 - D)/4m) is
 Gauss-reduced and compared with the reduced Q (Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, sections 1.5 and 5.3;
-Buell, Binary Quadratic Forms, 1989).  The engine reads the prime
-powers of m from the lazy stream arith.prime_powers and counts the
-roots of D at each one as it arrives.  It returns [] at once, and
-never factors the rest of m, at the first of two local obstructions:
+Buell, Binary Quadratic Forms, 1989).  Before it factors anything, the
+engine looks m up in one residue table mod p**k for each small prime p
+of 2D: the classes that Q reaches at pairs mod p**k that p does not
+divide both of.  A coprime solution reduces to such a pair, so an m
+outside a table has none, and the answer is [] from m mod p**k alone.
+This is genus theory (Cox, Primes of the Form x^2 + ny^2, 1989, section
+3): x**2 + 12y**2 reaches 44 of the 288 classes mod 2**5 * 3**2, and
+x**2 + xy + y**2 no n = 2 (mod 3).  Past the tables, the engine reads
+the prime powers of m from the lazy stream arith.prime_powers and
+counts the roots of D at each one as it arrives.  It returns [] at
+once, and never factors the rest of m, at the first of two local
+obstructions:
   - a prime power with no root: D is not a square mod 4m.  This is the
     common case among the neighbours of a gap-prime witness, each of
     which carries a small prime q with (D|q) = -1;
@@ -309,23 +317,65 @@ def _reduce(
 _ROTATIONS = {(1, 0, 1): (0, -1, 1, 0), (1, 1, 1): (0, -1, 1, 1)}
 
 
+# The primes of 2D for which a point query looks m up in a residue table
+# mod p**k before it reads the factorization, and the cap on p**k; see
+# _residue_tables.
+_TABLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_TABLE_MODULUS_CAP = 32
+
+
+def _residue_tables(
+    a: int, b: int, c: int, d: int
+) -> tuple[tuple[int, frozenset[int]], ...]:
+    """(q, residues) for each prime p < _TABLE_MODULUS_CAP of 2D whose
+    table rules out some class: the residues mod q = p**k of
+    a*x**2 + b*x*y + c*y**2 over the pairs (x, y) mod q that p does not
+    divide both of.
+
+    A coprime solution of Q(x, y) = m reduces to such a pair mod q, so an
+    m outside the table has none.  The classes that a table rules out
+    stop growing at k = v_p(D) + 1 (checked on every reduced form with
+    |D| < 400, for p <= 7 and p**k <= 256), so k is that, lowered until
+    q <= _TABLE_MODULUS_CAP: a table enumerates at most 32**2 pairs, and
+    the tables of x**2 + 12y**2 (mod 32 and 9) take about 0.2 ms to
+    build.  p and its multiplicity in D are found by division alone, so
+    a form such as x**2 + 10**17 y**2 costs no factorization of D.
+    """
+    tables = []
+    for p in _TABLE_PRIMES:
+        if 2 * d % p:
+            continue
+        q = p
+        while d % q == 0 and q * p <= _TABLE_MODULUS_CAP:
+            q *= p
+        residues = frozenset(
+            (a * x * x + b * x * y + c * y * y) % q
+            for x in range(q) for y in range(q) if x % p or y % p
+        )
+        if len(residues) < q:
+            tables.append((q, residues))
+    return tuple(tables)
+
+
 @functools.lru_cache(maxsize=64)
 def _form_constants(form: IntQuadForm) -> tuple:
     """What a point query needs of Q, worked out once per form.
 
-    (content, D, reduced, mirrored, M, rotation): D and the reduced
-    form of Q / content, the reduced form at (x, -y), the matrix
-    M = (p, q, r, s) with Q(M (x, y)) = content * reduced(x, y), and the
-    generator of the reduced form's proper automorphisms.
+    (content, D, reduced, mirrored, M, rotation, tables): D and the
+    reduced form of Q / content, the reduced form at (x, -y), the matrix
+    M = (p, q, r, s) with Q(M (x, y)) = content * reduced(x, y), the
+    generator of the reduced form's proper automorphisms, and the
+    residue tables of Q / content (see _residue_tables).
     """
     content = math.gcd(form.a, form.b, form.c)
     a, b, c = form.a // content, form.b // content, form.c // content
+    d = b * b - 4 * a * c
     reduced, p0, q0 = _reduce(a, b, c, 1, 0)
     _, r0, s0 = _reduce(a, b, c)
     ra, rb, rc = reduced
     return (
-        content, b * b - 4 * a * c, reduced, (ra, -rb, rc), (p0, q0, r0, s0),
-        _ROTATIONS.get(reduced, (-1, 0, 0, -1)),
+        content, d, reduced, (ra, -rb, rc), (p0, q0, r0, s0),
+        _ROTATIONS.get(reduced, (-1, 0, 0, -1)), _residue_tables(a, b, c, d),
     )
 
 
@@ -360,11 +410,15 @@ def _primitive_pairs(
     B unique mod 2m.  So the solutions are found by running over the
     square roots B of D mod 4m, keeping those whose form
     (m, B, (B**2 - D)/4m) reduces to the reduced Q, and taking each
-    one's images under the proper automorphisms of Q.  A prime power of
-    4m modulo which D has no square root leaves no B at all, and a prime
-    of m and D at which every B is forced to make the form imprimitive
-    leaves no B that can match Q; either way the answer is [] as soon as
-    the stream reaches that prime.
+    one's images under the proper automorphisms of Q.  Three exits
+    answer [] early.  The residue-class exit comes first, once the
+    content is divided out of m and before fac is read: m mod q lies
+    outside the residue table of Q / content mod q, for some q in
+    _residue_tables.  Then, a prime power of 4m modulo which D has no
+    square root leaves no B at all, and a prime of m and D at which
+    every B is forced to make the form imprimitive leaves no B that can
+    match Q; either way the answer is [] as soon as the stream reaches
+    that prime.
 
     The roots come in pairs B, 2m - B, and one reduction serves both.
     The form of 2m - B is (m, -B, C) at (x + y, y), which fixes the
@@ -375,10 +429,15 @@ def _primitive_pairs(
     or g0 = g2; it is then equivalent to g, and 2m - B is reduced on its
     own when g is the reduced Q.
     """
-    content, d, reduced, mirrored, (p0, q0, r0, s0), (u, v, w, z) = _form_constants(form)
+    content, d, reduced, mirrored, (p0, q0, r0, s0), (u, v, w, z), tables = (
+        _form_constants(form)
+    )
     if m % content:
         return []
     m //= content
+    for q, residues in tables:
+        if m % q not in residues:
+            return []
     # The factorization of 4m: m's with the content divided out and two
     # more 2s, the latter added at the end when m's stream holds no 2.
     # A prime that does not divide 2D has at most two roots, found

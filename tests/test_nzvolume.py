@@ -8,6 +8,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from volrigid.cusplattice import builtin_record
 from volrigid.quadform import two_sided_gap
@@ -295,6 +297,40 @@ def test_certificate_valid_is_decided_exactly():
     assert not cert.gap_normalized > 2 * c2
     above = math.nextafter(c2, math.inf)
     assert not certify_unique_volume(record, 9, 53, c2=above, scan_limit=10**5).valid
+
+
+def _ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_certificate_decisions_match_the_fraction_oracle(data):
+    # valid and regime_verified against gap/scale > 2*c2 and q/scale >=
+    # REGIME_Q_MIN decided on Fractions, with c2 drawn a few ulps either
+    # side of the float nearest the threshold gap/sqrt|D|, or at large
+    record = builtin_record(data.draw(st.sampled_from(("m003", "m004", "m125", "m129"))))
+    a = data.draw(st.integers(-30, 30))
+    b = data.draw(st.integers(-30, 30))
+    assume(math.gcd(a, b) == 1)
+    form = record.integer_form
+    q = form.evaluate(a, b)
+    limit = q + data.draw(st.integers(1, 10**4))
+    gap = two_sided_gap(form, q, limit)
+    abs_d = -form.discriminant()
+    c2 = data.draw(st.one_of(
+        st.integers(-3, 3).map(lambda k: _ulps_from(gap / math.sqrt(abs_d), k)),
+        st.floats(min_value=1e-6, max_value=1e6),
+    ))
+    cert = certify_unique_volume(record, a, b, c2=c2, scan_limit=limit)
+    scale = Fraction(math.isqrt(abs_d), 2) if math.isqrt(abs_d) ** 2 == abs_d else None
+    assert cert.valid == (gap**2 > Fraction(c2) ** 2 * abs_d)
+    assert cert.regime_verified == (4 * q**2 >= Fraction(REGIME_Q_MIN) ** 2 * abs_d)
+    if scale is not None:
+        assert cert.valid == (Fraction(gap) / scale > 2 * Fraction(c2))
+        assert cert.regime_verified == (Fraction(q) / scale >= Fraction(REGIME_Q_MIN))
 
 
 def test_certificate_arithmetic_properties_fuzzed():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -290,6 +291,82 @@ def test_mirrored_roots_match_walk_on_every_small_form():
             assert len(pairs) == len(walk) and set(pairs) == walk, (str(form), m)
 
 
+def walk_primitive_pairs_below(form: IntQuadForm, limit: int) -> dict[int, set]:
+    """Every coprime (x, y) with Q(x, y) < limit, by value: one walk over
+    the rows of the ellipse Q < limit, as in primitive_value_set."""
+    a, b, c = form
+    d = form.discriminant()
+    pairs: dict[int, set] = {}
+    ymax = math.isqrt(4 * a * limit // -d) + 1
+    for y in range(-ymax, ymax + 1):
+        disc = d * y * y + 4 * a * limit
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        for x in range(-((b * y + s) // (2 * a)) - 1, (-b * y + s) // (2 * a) + 2):
+            v = form.evaluate(x, y)
+            if v < limit and math.gcd(x, y) == 1:
+                pairs.setdefault(v, set()).add((x, y))
+    return pairs
+
+
+def test_residue_exit_matches_walk_on_every_small_form():
+    # every reduced primitive form with |D| < 400 and its multiples by
+    # 2, 3 and 4, at every m < 300: the residue tables are built from the
+    # form with its content divided out, and m is looked up after the
+    # content is divided out of it too
+    for form, _ in reduced_primitive_forms(400):
+        for k in (1, 2, 3, 4):
+            multiple = IntQuadForm(k * form.a, k * form.b, k * form.c)
+            walk = walk_primitive_pairs_below(multiple, 300)
+            for m in range(1, 300):
+                pairs = _primitive_pairs(multiple, m, prime_powers(m))
+                assert len(pairs) == len(walk.get(m, ())), (str(multiple), m)
+                assert set(pairs) == walk.get(m, set()), (str(multiple), m)
+
+
+def _unreached_classes(form: IntQuadForm) -> list[tuple[int, int]]:
+    """(q, r) for each r mod q that Q / content takes at no pair mod q
+    that p does not divide both of, q the largest power of p <= 32, for
+    the primes p < 32 of 2D."""
+    content = math.gcd(*form)
+    a, b, c = (coeff // content for coeff in form)
+    d = form.discriminant() // content**2
+    classes = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        if 2 * d % p == 0:
+            q = p ** int(math.log(32, p) + 1e-9)
+            reached = {(a * x * x + b * x * y + c * y * y) % q
+                       for x in range(q) for y in range(q) if x % p or y % p}
+            classes += [(q, r) for r in range(q) if r not in reached]
+    return classes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_residue_exit_reads_no_factorization(data):
+    # n up to 10^40 in a class mod a power of a prime of 2D that no
+    # coprime pair reaches (mod 2^5, 3^3, 5^2 or p for larger p): the
+    # engine answers [] before it reads the factorization stream, so
+    # also past the point where rho would refuse n
+    base = data.draw(forms(max_coeff=30))
+    k = data.draw(st.sampled_from((1, 2, 3, 4)))
+    form = IntQuadForm(k * base.a, k * base.b, k * base.c)
+    classes = _unreached_classes(form)
+    assume(classes)
+    q, r = data.draw(st.sampled_from(classes))
+    n = math.gcd(*form) * (r + q * data.draw(st.integers(0, 10**40 // q)))
+    assume(n >= 1)
+
+    def unread(m, *budget):
+        raise AssertionError(f"the query read the factorization of {m}")
+        yield
+
+    with mock.patch.object(quadform, "prime_powers", unread):
+        assert primitive_representations(form, n) == []
+        assert not quadform._primitively_represented(form, n, [0])
+
+
 def test_excluded_form_query_ends_at_the_prime_two():
     # x^2 + 4y^2 at 2p, p odd: 4m = 8p and D = -16 has 2 roots mod 8 and
     # 4 mod 16, so every B makes (2p, B, (B^2 + 16)/8p) even.  The query
@@ -328,6 +405,12 @@ def _hex_obstruction(p: int, e: int) -> bool:
     return p % 3 == 2 or (p == 3 and e >= 2)
 
 
+def _hex_residue_excluded(n: int) -> bool:
+    """x^2 + xy + y^2 at a coprime pair is odd and 0 or 1 mod 3, and a
+    multiple of 3 among its values is 3 mod 9."""
+    return n % 2 == 0 or n % 3 == 2 or n % 9 in (0, 6)
+
+
 @pytest.mark.parametrize("v, g, rho_budget", [
     # first default m004 witnesses at g = 9 and g = 12; the 24th avoid
     # prime of g = 12 is 227, past the trial-division bound, so rho finds it
@@ -337,13 +420,20 @@ def _hex_obstruction(p: int, e: int) -> bool:
 def test_neighbour_queries_stop_at_first_prime_without_root(monkeypatch, v, g, rho_budget):
     assert 227 > arith._TRIAL_BOUND
     taken, rho_calls = _recorded_stream(monkeypatch)
+    excluded = 0
     for n in [v + k for k in range(-g, g + 1) if k]:
         taken.clear()
         assert primitive_representations(HEX, n) == [], n
+        if _hex_residue_excluded(n):
+            # decided by the residue tables mod 2 and 9 alone
+            assert taken == [], n
+            excluded += 1
+            continue
         # the stream stops at its first obstruction, well before n
         *before, last = taken
         assert _hex_obstruction(*last) and not any(_hex_obstruction(*pe) for pe in before)
         assert math.prod(p**e for p, e in taken) < n
+    assert excluded == (15, 18)[rho_budget]
     assert len(rho_calls) == rho_budget
     if rho_budget:
         assert (v + 12) % 227 == 0 and taken == [(227, 1)]
@@ -521,12 +611,13 @@ def test_two_sided_gap_matches_a_window_walk_up_to_1e10(data):
 def test_gap_scan_refuses_too_many_steps():
     # Q(3*10**8 + 1, 1) = q0; the nearest other values of x^2 + 10^17 y^2
     # are the neighbouring squares plus 10**17, about 6e8 away.  Rho on
-    # the neighbours spends the scan's budget long before 10**4 steps
+    # the neighbours that the residue tables mod 32 and 25 leave open
+    # spends the scan's budget before 10**4 steps
     form = IntQuadForm(1, 0, 10**17)
     q0 = 19 * 10**16 + 6 * 10**8 + 1
     assert form.evaluate(3 * 10**8 + 1, 1) == q0
     message = (
-        f"form 1,0,{10**17} has no primitive value within 1227 of {q0}; "
+        f"form 1,0,{10**17} has no primitive value within 8871 of {q0}; "
         "gap scans are refused past 1048576 steps of Pollard's rho"
     )
     assert MAX_GAP_STEPS == 10**4 and MAX_GAP_RHO_STEPS == 2**20
