@@ -19,71 +19,57 @@ is declared once, by @_command on its handler.  A call is parsed by its
 subcommand's own parser, built from that declaration on first use; a
 help request, an error or a leftover argument sends the call to the full
 parser tree, which prints every help text and error message.
+
+Importing this module executes no library layer.  It registers each
+layer module in sys.modules through importlib.util.LazyLoader, which
+executes a module on its first attribute access, so a call executes only
+the layers that its parser and handler reach: mutant graph runs mutant
+alone, qf runs quadform and arith.  Handlers reach a layer through its
+module's attributes, as in quadform.two_sided_gap, so a function that a
+tracer rebinds in its layer is the one they call.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import math
 import random
 import sys
+import types
 from typing import Any, Callable, NoReturn, Sequence
 
-from .census import DEFAULT_EPSILON, cluster_volumes, parse_census
-from .cusplattice import builtin_names, builtin_record
-from .mutant import (
-    CyclicWord,
-    canonical_form,
-    census_report,
-    cusp_graph,
-    decompose,
-    enumerate_classes,
-    horoball_areas,
-)
-from .nzvolume import (
-    DEFAULT_C2,
-    MIN_WL_RADIUS,
-    MIN_WL_SAMPLES,
-    V_FIG8,
-    V_OCT,
-    builtin_series,
-    certify_unique_volume,
-    delta_v_explicit,
-    delta_v_generic,
-    delta_v_polar,
-    series_names,
-    wl_taylor_coefficients,
-)
-from .primeseq import (
-    DEFAULT_SEARCH_CAP,
-    FAMILY_M004,
-    FAMILY_M125,
-    GapPrimeSpec,
-    default_avoid_primes,
-    gap_prime_sequence,
-    progression,
-    progression_modulus,
-    verify_witness,
-)
-from .quadform import (
-    IntQuadForm,
-    primitive_representations,
-    primitive_value_set,
-    representations,
-    two_sided_gap,
-)
 from .render import Table, render
 
+
+def _lazy(name: str) -> types.ModuleType:
+    """The layer module volrigid.<name>, in sys.modules and bound on the
+    package as an import leaves it, but executed on its first attribute
+    access (importlib.util.LazyLoader)."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Every layer is registered, arith too, which the handlers reach only
+# through quadform: the bench tracer looks each one up in sys.modules.
+_lazy("arith")
+census = _lazy("census")
+cusplattice = _lazy("cusplattice")
+mutant = _lazy("mutant")
+nzvolume = _lazy("nzvolume")
+primeseq = _lazy("primeseq")
+quadform = _lazy("quadform")
+
 __all__ = ["run", "main"]
-
-_FAMILY_ALIASES = {
-    "m004": FAMILY_M004,
-    FAMILY_M004: FAMILY_M004,
-    "m125": FAMILY_M125,
-    FAMILY_M125: FAMILY_M125,
-}
-
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
@@ -116,9 +102,9 @@ def _positive_float(text: str) -> float:
 
 def _wl_radius(text: str) -> float:
     value = _positive_float(text)
-    if value < MIN_WL_RADIUS:
+    if value < nzvolume.MIN_WL_RADIUS:
         raise argparse.ArgumentTypeError(
-            f"expected a number of at least {MIN_WL_RADIUS}, got {text!r}"
+            f"expected a number of at least {nzvolume.MIN_WL_RADIUS}, got {text!r}"
         )
     return value
 
@@ -156,8 +142,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 # path -> (help, arguments, handler), filled by @_command in the order
 # of the usage text.  Only handlers are stored: they reach the library
-# through this module's globals, which a tracer may rebind.  _PATHS maps
-# each path's tokens, as argv holds them, to the path.
+# through attributes of the layer modules, such as quadform.two_sided_gap,
+# which a tracer rebinds in each layer.  An argument that reads a layer's
+# value is declared as a function that returns it, called when a parser
+# is built, so importing this module executes no layer.  _PATHS maps each
+# path's tokens, as argv holds them, to the path.
 _COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], Any]]] = {}
 _PATHS: dict[tuple[str, ...], str] = {}
 
@@ -173,9 +162,10 @@ def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
     return flags, options
 
 
-def _command(path: str, help_text: str, *arguments: tuple) -> Callable:
+def _command(path: str, help_text: str, *arguments: tuple | Callable[[], tuple]) -> Callable:
     """Declare the subcommand at ``path`` ("qf values", "certify"): its
-    help text and arguments, handled by the decorated function."""
+    help text and arguments, handled by the decorated function.  An
+    argument that reads a layer's value is a function returning its _arg."""
 
     def declare(handler: Callable[[argparse.Namespace], Any]) -> Callable:
         _COMMANDS[path] = (help_text, arguments, handler)
@@ -193,13 +183,19 @@ _FORMAT = _arg(
 )
 
 
+def _arguments(path: str) -> list[tuple[tuple[str, ...], dict[str, Any]]]:
+    """The arguments _COMMANDS declares for path, --format aside; those
+    declared as functions are called, which executes the layers they read."""
+    _, arguments, _ = _COMMANDS[path]
+    return [argument() if callable(argument) else argument for argument in arguments]
+
+
 def _add_arguments(parser: argparse.ArgumentParser, path: str) -> argparse.ArgumentParser:
     """Give the parser of a subcommand the arguments and the handler
     that _COMMANDS declares for its path."""
-    _, arguments, handler = _COMMANDS[path]
-    for flags, options in (_FORMAT, *arguments):
+    for flags, options in (_FORMAT, *_arguments(path)):
         parser.add_argument(*flags, **options)
-    parser.set_defaults(handler=handler)
+    parser.set_defaults(handler=_COMMANDS[path][2])
     return parser
 
 
@@ -279,8 +275,8 @@ _N = _arg("-n", type=int, required=True)
 
 @_command("qf values", "primitive value set", _FORM, _LIMIT)
 def _cmd_qf_values(args: argparse.Namespace) -> Any:
-    form = IntQuadForm(*args.form)
-    vs = primitive_value_set(form, args.limit)
+    form = quadform.IntQuadForm(*args.form)
+    vs = quadform.primitive_value_set(form, args.limit)
     return {
         "form": str(form),
         "limit": args.limit,
@@ -292,8 +288,8 @@ def _cmd_qf_values(args: argparse.Namespace) -> Any:
 @_command("qf gap", "two-sided primitive gap",
           _FORM, _arg("--q0", type=int, required=True), _LIMIT)
 def _cmd_qf_gap(args: argparse.Namespace) -> Any:
-    form = IntQuadForm(*args.form)
-    gap = two_sided_gap(form, args.q0, args.limit)
+    form = quadform.IntQuadForm(*args.form)
+    gap = quadform.two_sided_gap(form, args.q0, args.limit)
     return {"form": str(form), "q0": args.q0, "limit": args.limit, "gap": gap}
 
 
@@ -301,8 +297,8 @@ def _cmd_qf_gap(args: argparse.Namespace) -> Any:
           _FORM, _arg("--value", type=int, required=True),
           _arg("--primitive", action="store_true", help="drop imprimitive solutions"))
 def _cmd_qf_reps(args: argparse.Namespace) -> Any:
-    form = IntQuadForm(*args.form)
-    query = primitive_representations if args.primitive else representations
+    form = quadform.IntQuadForm(*args.form)
+    query = quadform.primitive_representations if args.primitive else quadform.representations
     reps = query(form, args.value)
     return {
         "form": str(form),
@@ -324,7 +320,7 @@ def _digit_count(n: int) -> int:
     return k
 
 
-def _witness_payload(witness: Any, spec: GapPrimeSpec) -> dict[str, Any]:
+def _witness_payload(witness: Any, spec: primeseq.GapPrimeSpec) -> dict[str, Any]:
     rep = witness.representation
     return {
         "value": witness.value,
@@ -335,45 +331,51 @@ def _witness_payload(witness: Any, spec: GapPrimeSpec) -> dict[str, Any]:
     }
 
 
+def _families() -> dict[str, str]:
+    """--family's choices: each family by its short name and its own."""
+    m004, m125 = primeseq.FAMILY_M004, primeseq.FAMILY_M125
+    return {"m004": m004, m004: m004, "m125": m125, m125: m125}
+
+
 @_command("prime-seq", "gap primes from congruence systems",
-          _arg("--family", choices=sorted(_FAMILY_ALIASES), required=True),
+          lambda: _arg("--family", choices=sorted(_families()), required=True),
           _arg("-g", "--gap", type=_int_at_least(1), required=True, dest="g"),
           _arg("--count", type=_int_at_least(0), default=1,
                help="witnesses wanted (default 1)"),
-          _arg("--cap", type=_int_at_least(0), default=DEFAULT_SEARCH_CAP,
-               help="search cap on the value (default 1e15, which reaches the "
-                    "first witnesses up to g = 4 only; write a larger cap out "
-                    "in digits for deeper searches)"),
+          lambda: _arg("--cap", type=_int_at_least(0), default=primeseq.DEFAULT_SEARCH_CAP,
+                       help="search cap on the value (default 1e15, which reaches "
+                            "the first witnesses up to g = 4 only; write a larger "
+                            "cap out in digits for deeper searches)"),
           _arg("--avoid", type=_int_list, metavar="p,q,...",
                help="2g distinct avoid primes, each inert for the family's gap form"),
           _arg("--verify-only", type=_int_at_least(0), metavar="VALUE",
                help="skip the search and verify this single value"))
 def _cmd_prime_seq(args: argparse.Namespace) -> Any:
-    family = _FAMILY_ALIASES[args.family]
+    family = _families()[args.family]
     avoid = args.avoid
     if avoid is None:
-        avoid = default_avoid_primes(family, args.g)
+        avoid = primeseq.default_avoid_primes(family, args.g)
     # The payload prints the progression modulus, and str() refuses an
     # int of more digits than sys.get_int_max_str_digits() (0: no
     # limit).  The modulus is the product of the moduli, so an
     # unprintable one is refused here, before the system is solved.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    modulus = progression_modulus(family, avoid)
+    modulus = primeseq.progression_modulus(family, avoid)
     if limit and modulus >= 10**limit:
         raise ValueError(
             f"the progression modulus has {_digit_count(modulus)} digits, more "
             f"than the {limit} that an integer may print with; lower -g, or "
             f"raise the limit with PYTHONINTMAXSTRDIGITS"
         )
-    spec = GapPrimeSpec(g=args.g, family=family, avoid_primes=avoid)
+    spec = primeseq.GapPrimeSpec(g=args.g, family=family, avoid_primes=avoid)
     if args.verify_only is None:
-        search = gap_prime_sequence(spec, args.count, cap=args.cap)
+        search = primeseq.gap_prime_sequence(spec, args.count, cap=args.cap)
         residue, modulus = search.progression
         witnesses, truncated = search.witnesses, search.truncated
         searched: dict[str, Any] = {"cap": args.cap}
     else:
-        residue, modulus = progression(spec)
-        witnesses, truncated = (verify_witness(args.verify_only, spec),), False
+        residue, modulus = primeseq.progression(spec)
+        witnesses, truncated = (primeseq.verify_witness(args.verify_only, spec),), False
         searched = {}
     return {
         "family": family,
@@ -388,17 +390,17 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
 
 
 @_command("nz eval", "evaluate a volume change",
-          _arg("--series", choices=series_names(), required=True),
+          lambda: _arg("--series", choices=nzvolume.series_names(), required=True),
           _arg("-a", type=_finite_float, required=True),
           _arg("-b", type=_finite_float, required=True),
           _arg("--route", choices=("generic", "explicit", "polar"), default="generic"))
 def _cmd_nz_eval(args: argparse.Namespace) -> Any:
     if args.route == "generic":
-        value = delta_v_generic(builtin_series(args.series), args.a, args.b)
+        value = nzvolume.delta_v_generic(nzvolume.builtin_series(args.series), args.a, args.b)
     elif args.route == "explicit":
-        value = delta_v_explicit(args.series, args.a, args.b)
+        value = nzvolume.delta_v_explicit(args.series, args.a, args.b)
     else:
-        value = delta_v_polar(args.series, args.a, args.b)
+        value = nzvolume.delta_v_polar(args.series, args.a, args.b)
     return {
         "series": args.series,
         "a": args.a,
@@ -424,16 +426,17 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
             f"checks are refused above {MAX_CHECK_POINTS} points, got {args.points}"
         )
     rng = random.Random(args.seed)
-    worst: dict[str, float] = {name: 0.0 for name in series_names()}
+    names = nzvolume.series_names()
+    worst: dict[str, float] = {name: 0.0 for name in names}
     for _ in range(args.points):
         a = rng.uniform(-50.0, 50.0)
         b = rng.uniform(-50.0, 50.0)
         if abs(a) + abs(b) < 1e-3:
             continue
-        for name in series_names():
-            g = delta_v_generic(builtin_series(name), a, b)
-            e = delta_v_explicit(name, a, b)
-            p = delta_v_polar(name, a, b)
+        for name in names:
+            g = nzvolume.delta_v_generic(nzvolume.builtin_series(name), a, b)
+            e = nzvolume.delta_v_explicit(name, a, b)
+            p = nzvolume.delta_v_polar(name, a, b)
             scale = max(abs(g), 1.0)
             worst[name] = max(worst[name], abs(g - e) / scale, abs(g - p) / scale)
     results = [
@@ -442,7 +445,7 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
             "max_relative_error": worst[name],
             "ok": worst[name] <= args.tolerance,
         }
-        for name in series_names()
+        for name in names
     ]
     return {
         "points": args.points,
@@ -455,9 +458,9 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
 
 @_command("nz wl-coeffs", "recover series coefficients numerically",
           _arg("--radius", type=_wl_radius, default=0.1),
-          _arg("--samples", type=_int_at_least(MIN_WL_SAMPLES), default=64))
+          lambda: _arg("--samples", type=_int_at_least(nzvolume.MIN_WL_SAMPLES), default=64))
 def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
-    coeffs = wl_taylor_coefficients(radius=args.radius, samples=args.samples)
+    coeffs = nzvolume.wl_taylor_coefficients(radius=args.radius, samples=args.samples)
     c1, c3 = coeffs[1], coeffs[3]
     return {
         "radius": args.radius,
@@ -472,18 +475,18 @@ def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
 
 @_command("nz constants", "reference volumes")
 def _cmd_nz_constants(args: argparse.Namespace) -> Any:
-    return {"v_omega": V_FIG8, "V8": V_OCT}
+    return {"v_omega": nzvolume.V_FIG8, "V8": nzvolume.V_OCT}
 
 
 @_command("certify", "volume-uniqueness certificate",
-          _arg("--manifold", choices=builtin_names(), required=True),
+          lambda: _arg("--manifold", choices=cusplattice.builtin_names(), required=True),
           _arg("-a", type=int, required=True),
           _arg("-b", type=int, required=True),
-          _arg("--c2", type=_positive_float, default=DEFAULT_C2),
+          lambda: _arg("--c2", type=_positive_float, default=nzvolume.DEFAULT_C2),
           _arg("--scan-limit", type=int, default=10**4))
 def _cmd_certify(args: argparse.Namespace) -> Any:
-    record = builtin_record(args.manifold)
-    cert = certify_unique_volume(
+    record = cusplattice.builtin_record(args.manifold)
+    cert = nzvolume.certify_unique_volume(
         record, args.a, args.b, c2=args.c2, scan_limit=args.scan_limit
     )
     return {
@@ -502,7 +505,7 @@ def _cmd_certify(args: argparse.Namespace) -> Any:
 
 @_command("mutant census", "count classes at length n", _N)
 def _cmd_mutant_census(args: argparse.Namespace) -> Any:
-    report = census_report(args.n)
+    report = mutant.census_report(args.n)
     return {
         "n": report.n,
         "class_count": report.class_count,
@@ -519,13 +522,13 @@ def _cmd_mutant_census(args: argparse.Namespace) -> Any:
           _arg("--word", required=True, metavar="BITS"),
           _arg("--first-stage-modulus", type=int, default=1, choices=(1, 2)))
 def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
-    word = CyclicWord(args.word)
-    dec = decompose(word)
-    graph = cusp_graph(word, dec)
-    areas = horoball_areas(word, args.first_stage_modulus, graph)
+    word = mutant.CyclicWord(args.word)
+    dec = mutant.decompose(word)
+    graph = mutant.cusp_graph(word, dec)
+    areas = mutant.horoball_areas(word, args.first_stage_modulus, graph)
     return {
         "word": word.letters,
-        "canonical": canonical_form(word, dec).letters,
+        "canonical": mutant.canonical_form(word, dec).letters,
         "kind": dec.kind,
         "i_sequence": dec.i_sequence,
         "knot_moduli": sorted(graph.cycle_labels),
@@ -538,7 +541,7 @@ def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
 
 @_command("mutant classes", "canonical class list", _N)
 def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
-    classes = enumerate_classes(args.n)
+    classes = mutant.enumerate_classes(args.n)
     return {
         "n": args.n,
         "count": len(classes),
@@ -548,19 +551,19 @@ def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
 
 @_command("census hist", "cluster name,volume lines into a histogram",
           _arg("path", help="CSV file, or - for standard input"),
-          _arg("--epsilon", type=_nonnegative_float, default=DEFAULT_EPSILON))
+          lambda: _arg("--epsilon", type=_nonnegative_float, default=census.DEFAULT_EPSILON))
 def _cmd_census_hist(args: argparse.Namespace) -> Any:
     if args.path == "-":
-        report = parse_census(sys.stdin)
+        report = census.parse_census(sys.stdin)
     else:
         with open(args.path, encoding="utf-8") as fh:
-            report = parse_census(fh)
+            report = census.parse_census(fh)
     for err in report.errors:
         print(
             f"warning: line {err.line_number}: {err.reason}: {err.text}",
             file=sys.stderr,
         )
-    clusters = cluster_volumes(report.records, epsilon=args.epsilon)
+    clusters = census.cluster_volumes(report.records, epsilon=args.epsilon)
     return Table(("volume", "count", "names"), clusters)
 
 

@@ -35,8 +35,6 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .nzvolume import V_OCT
-
 __all__ = [
     "ALL_ONES",
     "CYCLE",
@@ -366,6 +364,11 @@ def census_report(n: int) -> MutantCensusReport:
     lower-bounds the count, and ln(class_count)/volume approaches
     ln(2)/(4*V_OCT) ~ 0.0473 from below.
     """
+    # Imported here, not at the top: nzvolume brings cusplattice,
+    # quadform and arith, which no other function of this module needs,
+    # so `mutant graph` and `mutant classes` load none of them.
+    from .nzvolume import V_OCT
+
     _check_word_length(n)
     count = bracelet_count(n)
     volume = 4 * n * V_OCT

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .cusplattice import CuspRecord
-from .quadform import primitive_representations, two_sided_gap
+from .quadform import _gap_and_count
 
 __all__ = [
     "NZSeries",
@@ -434,8 +434,7 @@ def certify_unique_volume(
     q_int = record.integer_form.evaluate(a0, b0)
     if scan_limit <= q_int:
         raise ValueError("scan limit must exceed the filling value")
-    gap_int = two_sided_gap(record.integer_form, q_int, scan_limit)
-    n_q0 = len(primitive_representations(record.integer_form, q_int))
+    gap_int, n_q0 = _gap_and_count(record.integer_form, q_int, scan_limit)
     order = len(record.symmetry_group)
     abs_d = -record.integer_form.discriminant()
     q0_normalized = q_int / record.scale

@@ -627,6 +627,13 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
     a scan that reaches its (MAX_GAP_STEPS + 1)-th step, or whose
     neighbours take Pollard's rho past MAX_GAP_RHO_STEPS steps in all.
     """
+    return _gap_and_count(form, q0, limit)[0]
+
+
+def _gap_and_count(form: IntQuadForm, q0: int, limit: int) -> tuple[int, int]:
+    """two_sided_gap(form, q0, limit), and the number of primitive
+    solutions of Q(x, y) = q0, from the one query on q0 that checks it
+    is primitively represented."""
     if limit <= q0:
         raise ValueError("scan limit must exceed q0")
     if limit < 0:
@@ -636,7 +643,8 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
             f"gap scans are refused for q0 above {MAX_GAP_VALUE:.0e}, where "
             f"factoring a neighbour of q0 can take seconds"
         )
-    if not _primitively_represented(form, q0):
+    count = len(_primitive_pairs(form, q0, prime_powers(q0))) if q0 > 0 else 0
+    if not count:
         raise ValueError(f"{q0} has no primitive representation by {form}")
     step = math.gcd(form.a, form.b, form.c)
     budget = [MAX_GAP_RHO_STEPS]  # rho steps left to the whole scan
@@ -649,11 +657,11 @@ def two_sided_gap(form: IntQuadForm, q0: int, limit: int) -> int:
         try:
             if (_primitively_represented(form, q0 - k, budget)
                     or _primitively_represented(form, q0 + k, budget)):
-                return k
+                return k, count
         except _RhoRefusal:
             raise ValueError(
                 f"form {form} has no primitive value within {k - step} of "
                 f"{q0}; gap scans are refused past {MAX_GAP_RHO_STEPS} steps "
                 f"of Pollard's rho"
             ) from None
-    return limit - q0
+    return limit - q0, count

@@ -745,7 +745,9 @@ def test_unprintable_int_in_repeated_int_lists_is_an_error(capsys, monkeypatch):
             _json_text(payload)
         assert str(got.value) == str(expected.value)
     # the same refusal from a command: one error line, exit 1
-    monkeypatch.setattr(cli, "horoball_areas", lambda *args: ((1, 2), (big, 2), (big, 2)))
+    monkeypatch.setattr(
+        "volrigid.mutant.horoball_areas", lambda *args: ((1, 2), (big, 2), (big, 2))
+    )
     for fmt in ("json", "csv", "table"):
         code, out, err = invoke(capsys, "mutant", "graph", "--word", "0101", "--format", fmt)
         assert (code, out) == (1, "")
@@ -822,3 +824,50 @@ def test_importing_the_cli_loads_every_layer_and_no_dataclasses():
     layers = "arith census cli cusplattice mutant nzvolume primeseq quadform".split()
     assert {f"volrigid.{m}" for m in layers} <= loaded
     assert not {"dataclasses", "inspect", "tokenize"} & loaded
+
+
+_LAYERS = {"arith", "census", "cusplattice", "mutant", "nzvolume", "primeseq", "quadform"}
+_NZVOLUME = {"nzvolume", "cusplattice", "quadform", "arith"}
+
+# path -> (the layers its call executes, the call's arguments)
+_NEEDS = {
+    "mutant graph": ({"mutant"}, "--word", "00101"),
+    "mutant classes": ({"mutant"}, "-n", "6"),
+    "census hist": ({"census"}, FIXTURE),
+    "qf gap": ({"quadform", "arith"}, "--form", "1,1,1", "--q0", "13", "--limit", "100"),
+    "prime-seq": ({"primeseq", "quadform", "arith"}, "--family", "m004", "-g", "1"),
+    "nz constants": (_NZVOLUME,),
+    "certify": (_NZVOLUME, "--manifold", "m004", "-a", "7", "-b", "4"),
+    "mutant census": (_NZVOLUME | {"mutant"}, "-n", "12"),
+}
+
+
+@pytest.mark.parametrize("path", list(_NEEDS))
+def test_a_call_executes_only_the_layers_it_needs(path):
+    # every layer sits in sys.modules (see the test above), and
+    # importlib.util.LazyLoader executes one on its first attribute
+    # access, when its module object becomes a plain ModuleType.  A
+    # layer imported at the top of another one that it does not need
+    # shows here.  A fresh interpreter per call: this one has executed
+    # every layer
+    needed, *args = _NEEDS[path]
+    code = (
+        "import contextlib, io, json, sys, types; from volrigid import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = cli.run(sys.argv[1:])\n"
+        "run = {n.split('.')[1]: type(m) is types.ModuleType for n, m in sys.modules.items()"
+        " if n.startswith('volrigid.')}\n"
+        "print(json.dumps([code, sorted(n for n in run if run[n]),"
+        " sorted(n for n in run if not run[n])]))"
+    )
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code, *path.split(), *args],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    exit_code, executed, unexecuted = json.loads(completed.stdout)
+    assert exit_code == 0
+    assert executed == sorted(needed | {"cli", "render"})
+    assert unexecuted == sorted(_LAYERS - needed)

@@ -35,8 +35,9 @@ VALID = {
 
 
 def _options(path: str) -> list[tuple[tuple[str, ...], dict]]:
-    _, arguments, _ = cli._COMMANDS[path]
-    return [(flags, options) for flags, options in arguments if flags[0].startswith("-")]
+    # the declared arguments as a parser gets them, deferred ones evaluated
+    return [(flags, options) for flags, options in cli._arguments(path)
+            if flags[0].startswith("-")]
 
 
 def _without(rest: tuple[str, ...], flags: tuple[str, ...]) -> tuple[str, ...]:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from volrigid import quadform
 from volrigid.cusplattice import builtin_record
-from volrigid.quadform import two_sided_gap
+from volrigid.quadform import primitive_representations, two_sided_gap
 from volrigid.nzvolume import (
     DEFAULT_C2,
     MAX_WL_SAMPLES,
@@ -297,6 +298,25 @@ def test_certificate_valid_is_decided_exactly():
     assert not cert.gap_normalized > 2 * c2
     above = math.nextafter(c2, math.inf)
     assert not certify_unique_volume(record, 9, 53, c2=above, scan_limit=10**5).valid
+
+
+def test_a_certificate_asks_the_engine_about_q0_once(monkeypatch):
+    # the gap scan's check that q0 is primitively represented counts its
+    # primitive representations too, and n_q0 is that count
+    original = quadform._primitive_pairs
+    queried = []
+
+    def recording(form, m, fac):
+        queried.append(m)
+        return original(form, m, fac)
+
+    record = builtin_record("m004")
+    q0 = record.integer_form.evaluate(7, 4)
+    monkeypatch.setattr(quadform, "_primitive_pairs", recording)
+    cert = certify_unique_volume(record, 7, 4, scan_limit=10**5)
+    monkeypatch.undo()
+    assert queried.count(q0) == 1
+    assert cert.n_q0 == len(primitive_representations(record.integer_form, q0)) > 0
 
 
 def _ulps_from(x: float, steps: int) -> float:
