@@ -15,30 +15,35 @@ Subcommands map one-to-one onto the library modules:
 Exit codes: 0 success, 1 domain error (bad mathematics, missing file),
 2 usage error.  The render module prints each payload, and all orderings
 are fixed, so identical invocations are byte-identical.  Each subcommand
-is declared once, by @_command on its handler.  A call is parsed by its
-subcommand's own parser, built from that declaration on first use; a
-help request, an error or a leftover argument sends the call to the full
-parser tree, which prints every help text and error message.
+is declared once, by @_command on its handler.  A call is matched
+against its subcommand's declaration alone: each exact flag takes the
+next token through its type and choices, and every required option and
+positional must be there.  A call that the matcher cannot be sure
+argparse would parse the same way (an abbreviated flag, --flag=value,
+a help request, a value refused, or starting with "-" and no negative
+number, a missing or extra token) goes to the full argparse tree, which
+parses it and prints every help text, usage line and error message.  So
+argparse is imported only for help, errors and calls written so.
 
 Importing this module executes no library layer.  It registers each
 layer module in sys.modules through importlib.util.LazyLoader, which
 executes a module on its first attribute access, so a call executes only
-the layers that its parser and handler reach: mutant graph runs mutant
-alone, qf runs quadform and arith.  Handlers reach a layer through its
-module's attributes, as in quadform.two_sided_gap, so a function that a
-tracer rebinds in its layer is the one they call.
+the layers that its declaration and handler reach: mutant graph runs
+mutant alone, qf runs quadform and arith.  Handlers reach a layer
+through its module's attributes, as in quadform.two_sided_gap, so a
+function that a tracer rebinds in its layer is the one they call.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib.util
 import math
 import random
+import re
 import sys
 import types
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, Sequence
 
 from .render import Table, render
 
@@ -75,11 +80,20 @@ __all__ = ["run", "main"]
 # argument parsing helpers
 
 
+def _argparse() -> types.ModuleType:
+    """argparse, imported on first use: by the parser tree, or by a type
+    helper refusing a value with ArgumentTypeError, whose message argparse
+    prints as it is (a ValueError prints as "invalid ... value")."""
+    import argparse
+
+    return argparse
+
+
 def _int_triple(text: str) -> tuple[int, int, int]:
     try:
         a, b, c = (int(p) for p in text.split(","))
     except ValueError:  # a non-integer part, or not three parts
-        raise argparse.ArgumentTypeError("expected a,b,c with three integers")
+        raise _argparse().ArgumentTypeError("expected a,b,c with three integers")
     return a, b, c
 
 
@@ -87,23 +101,23 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        raise _argparse().ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise _argparse().ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        raise _argparse().ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
 def _wl_radius(text: str) -> float:
     value = _positive_float(text)
     if value < nzvolume.MIN_WL_RADIUS:
-        raise argparse.ArgumentTypeError(
+        raise _argparse().ArgumentTypeError(
             f"expected a number of at least {nzvolume.MIN_WL_RADIUS}, got {text!r}"
         )
     return value
@@ -112,7 +126,7 @@ def _wl_radius(text: str) -> float:
 def _nonnegative_float(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+        raise _argparse().ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
     return value
 
 
@@ -121,9 +135,9 @@ def _int_at_least(low: int) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+            raise _argparse().ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(
+            raise _argparse().ArgumentTypeError(
                 f"expected an integer of at least {low}, got {text!r}"
             )
         return value
@@ -137,17 +151,19 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers")
+        raise _argparse().ArgumentTypeError("expected comma-separated integers")
 
 
 # path -> (help, arguments, handler), filled by @_command in the order
 # of the usage text.  Only handlers are stored: they reach the library
 # through attributes of the layer modules, such as quadform.two_sided_gap,
 # which a tracer rebinds in each layer.  An argument that reads a layer's
-# value is declared as a function that returns it, called when a parser
-# is built, so importing this module executes no layer.  _PATHS maps each
-# path's tokens, as argv holds them, to the path.
-_COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], Any]]] = {}
+# value is declared as a function that returns it, called when the
+# matcher's table or the parser tree is built, so importing this module
+# executes no layer.  _PATHS maps each path's tokens, as argv holds them,
+# to the path.  A handler reads its arguments by attribute, from the
+# matcher's SimpleNamespace or the tree's argparse.Namespace.
+_COMMANDS: dict[str, tuple[str, tuple, Callable[[types.SimpleNamespace], Any]]] = {}
 _PATHS: dict[tuple[str, ...], str] = {}
 
 _GROUPS = {
@@ -167,7 +183,7 @@ def _command(path: str, help_text: str, *arguments: tuple | Callable[[], tuple])
     help text and arguments, handled by the decorated function.  An
     argument that reads a layer's value is a function returning its _arg."""
 
-    def declare(handler: Callable[[argparse.Namespace], Any]) -> Callable:
+    def declare(handler: Callable[[types.SimpleNamespace], Any]) -> Callable:
         _COMMANDS[path] = (help_text, arguments, handler)
         _PATHS[tuple(path.split())] = path
         return handler
@@ -190,77 +206,105 @@ def _arguments(path: str) -> list[tuple[tuple[str, ...], dict[str, Any]]]:
     return [argument() if callable(argument) else argument for argument in arguments]
 
 
-def _add_arguments(parser: argparse.ArgumentParser, path: str) -> argparse.ArgumentParser:
-    """Give the parser of a subcommand the arguments and the handler
-    that _COMMANDS declares for its path."""
-    for flags, options in (_FORMAT, *_arguments(path)):
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(handler=_COMMANDS[path][2])
-    return parser
-
-
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: construction costs milliseconds, and
-    # parse_args keeps no state between calls.
-    parser = argparse.ArgumentParser(
+def _build_parser() -> Any:
+    # The argparse tree, built once per process for the calls that the
+    # matcher declines: construction costs milliseconds, and parse_args
+    # keeps no state between calls.
+    parser = _argparse().ArgumentParser(
         prog="volrigid",
         description="gap arithmetic, volume asymptotics, and mutant censuses "
         "for cusped hyperbolic 3-manifolds",
     )
     top = parser.add_subparsers(dest="command", required=True)
     groups: dict[str, Any] = {}
-    for path, (help_text, _, _) in _COMMANDS.items():
+    for path, (help_text, _, handler) in _COMMANDS.items():
         group, _, name = path.rpartition(" ")
         if group and group not in groups:
             groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(
                 dest="subcommand", required=True
             )
-        _add_arguments(groups.get(group, top).add_parser(name, help=help_text), path)
+        leaf = groups.get(group, top).add_parser(name, help=help_text)
+        for flags, options in (_FORMAT, *_arguments(path)):
+            leaf.add_argument(*flags, **options)
+        leaf.set_defaults(handler=handler)
     return parser
 
 
-class _Fallback(Exception):
-    """A leaf parser met a help request or an error."""
-
-
-class _LeafParser(argparse.ArgumentParser):
-    """One subcommand's parser on its own, which prints nothing: on help
-    or an error it raises _Fallback, and the full tree parses the call
-    again and prints what it prints."""
-
-    def error(self, message: str) -> NoReturn:
-        raise _Fallback
-
-    def print_help(self, file: Any = None) -> NoReturn:
-        raise _Fallback
+# argparse's own test for a negative number, which it takes as a value
+# and not as a flag while no declared flag looks like one
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 @functools.cache
-def _leaf_parser(path: str) -> _LeafParser:
-    # The tree's parser at path, as argparse names it, without the tree
-    return _add_arguments(_LeafParser(prog="volrigid " + path), path)
+def _table(path: str) -> tuple[dict[str, tuple], dict[str, Any], set[str], list[str]]:
+    """path's declaration as _match reads it: each exact flag's (dest,
+    type, choices, store_true), the defaults and handler, the required
+    dests and the positionals.  Dests are named as argparse names them."""
+    flags: dict[str, tuple] = {}
+    defaults: dict[str, Any] = {"handler": _COMMANDS[path][2]}
+    required, positionals = set(), []
+    for names, options in (_FORMAT, *_arguments(path)):
+        if not names[0].startswith("-"):
+            positionals.append(names[0])
+            continue
+        dest = options.get("dest") or next(
+            (name for name in names if name.startswith("--")), names[0]
+        ).lstrip("-").replace("-", "_")
+        switch = options.get("action") == "store_true"
+        defaults[dest] = options.get("default", False if switch else None)
+        if options.get("required"):
+            required.add(dest)
+        flags.update(dict.fromkeys(names, (dest, options.get("type"), options.get("choices"), switch)))
+    return flags, defaults, required, positionals
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The tree's parse of argv, from the leaf parser alone where it can.
+def _match(path: str, tokens: list[str]) -> types.SimpleNamespace | None:
+    """The arguments of path in tokens, as the tree parses them, or None
+    where the tree might parse them otherwise or refuse them.  The tree
+    hands every token after the path to the leaf, which parses them so
+    while each token starting with "-" is an exact flag or a negative
+    number after a flag: a flag takes the next token through its type and
+    choices, the last of a repeated flag stands, the rest are positional."""
+    flags, defaults, required, positionals = _table(path)
+    values, seen, given = dict(defaults), set(), []
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        dest, kind, choices, switch = flags[token]
+        seen.add(dest)
+        if switch:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a flag that ends tokens has no value
+        if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError, _argparse().ArgumentTypeError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= seen or len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return types.SimpleNamespace(**values)
 
-    argv's first two tokens, or else its first, name the leaf, matched
-    token by token.  When the leaf takes the rest of argv whole, the tree
-    would parse it the same way: its subparser actions hand the rest to
-    that leaf and then check only that nothing is left over.  Any other
-    call (no leaf, help, an error, a token left over) is parsed by the
-    tree, so every help text and error message is the tree's.
-    """
-    path = tuple(argv[:2]) if tuple(argv[:2]) in _PATHS else tuple(argv[:1])
-    if path in _PATHS:
-        try:
-            args, rest = _leaf_parser(_PATHS[path]).parse_known_args(argv[len(path):])
-        except _Fallback:
-            pass
-        else:
-            if not rest:
-                return args
+
+def _parse(argv: list[str]) -> Any:
+    """argv's arguments, from _match where it takes them, else from the
+    tree.  argv's first two tokens, or else its first, name the path."""
+    path = _PATHS.get(tuple(argv[:2])) or _PATHS.get(tuple(argv[:1]))
+    if path is not None:
+        args = _match(path, argv[len(path.split()):])
+        if args is not None:
+            return args
     return _build_parser().parse_args(argv)
 
 
@@ -274,7 +318,7 @@ _N = _arg("-n", type=int, required=True)
 
 
 @_command("qf values", "primitive value set", _FORM, _LIMIT)
-def _cmd_qf_values(args: argparse.Namespace) -> Any:
+def _cmd_qf_values(args: types.SimpleNamespace) -> Any:
     form = quadform.IntQuadForm(*args.form)
     vs = quadform.primitive_value_set(form, args.limit)
     return {
@@ -287,7 +331,7 @@ def _cmd_qf_values(args: argparse.Namespace) -> Any:
 
 @_command("qf gap", "two-sided primitive gap",
           _FORM, _arg("--q0", type=int, required=True), _LIMIT)
-def _cmd_qf_gap(args: argparse.Namespace) -> Any:
+def _cmd_qf_gap(args: types.SimpleNamespace) -> Any:
     form = quadform.IntQuadForm(*args.form)
     gap = quadform.two_sided_gap(form, args.q0, args.limit)
     return {"form": str(form), "q0": args.q0, "limit": args.limit, "gap": gap}
@@ -296,7 +340,7 @@ def _cmd_qf_gap(args: argparse.Namespace) -> Any:
 @_command("qf reps", "representations of a value",
           _FORM, _arg("--value", type=int, required=True),
           _arg("--primitive", action="store_true", help="drop imprimitive solutions"))
-def _cmd_qf_reps(args: argparse.Namespace) -> Any:
+def _cmd_qf_reps(args: types.SimpleNamespace) -> Any:
     form = quadform.IntQuadForm(*args.form)
     query = quadform.primitive_representations if args.primitive else quadform.representations
     reps = query(form, args.value)
@@ -350,7 +394,7 @@ def _families() -> dict[str, str]:
                help="2g distinct avoid primes, each inert for the family's gap form"),
           _arg("--verify-only", type=_int_at_least(0), metavar="VALUE",
                help="skip the search and verify this single value"))
-def _cmd_prime_seq(args: argparse.Namespace) -> Any:
+def _cmd_prime_seq(args: types.SimpleNamespace) -> Any:
     family = _families()[args.family]
     avoid = args.avoid
     if avoid is None:
@@ -394,7 +438,7 @@ def _cmd_prime_seq(args: argparse.Namespace) -> Any:
           _arg("-a", type=_finite_float, required=True),
           _arg("-b", type=_finite_float, required=True),
           _arg("--route", choices=("generic", "explicit", "polar"), default="generic"))
-def _cmd_nz_eval(args: argparse.Namespace) -> Any:
+def _cmd_nz_eval(args: types.SimpleNamespace) -> Any:
     if args.route == "generic":
         value = nzvolume.delta_v_generic(nzvolume.builtin_series(args.series), args.a, args.b)
     elif args.route == "explicit":
@@ -420,7 +464,7 @@ MAX_CHECK_POINTS = 10**5
           _arg("--points", type=_int_at_least(1), default=1000),
           _arg("--seed", type=int, default=0),
           _arg("--tolerance", type=_nonnegative_float, default=1e-10))
-def _cmd_nz_check(args: argparse.Namespace) -> Any:
+def _cmd_nz_check(args: types.SimpleNamespace) -> Any:
     if args.points > MAX_CHECK_POINTS:
         raise ValueError(
             f"checks are refused above {MAX_CHECK_POINTS} points, got {args.points}"
@@ -459,7 +503,7 @@ def _cmd_nz_check(args: argparse.Namespace) -> Any:
 @_command("nz wl-coeffs", "recover series coefficients numerically",
           _arg("--radius", type=_wl_radius, default=0.1),
           lambda: _arg("--samples", type=_int_at_least(nzvolume.MIN_WL_SAMPLES), default=64))
-def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
+def _cmd_nz_wl_coeffs(args: types.SimpleNamespace) -> Any:
     coeffs = nzvolume.wl_taylor_coefficients(radius=args.radius, samples=args.samples)
     c1, c3 = coeffs[1], coeffs[3]
     return {
@@ -474,7 +518,7 @@ def _cmd_nz_wl_coeffs(args: argparse.Namespace) -> Any:
 
 
 @_command("nz constants", "reference volumes")
-def _cmd_nz_constants(args: argparse.Namespace) -> Any:
+def _cmd_nz_constants(args: types.SimpleNamespace) -> Any:
     return {"v_omega": nzvolume.V_FIG8, "V8": nzvolume.V_OCT}
 
 
@@ -484,7 +528,7 @@ def _cmd_nz_constants(args: argparse.Namespace) -> Any:
           _arg("-b", type=int, required=True),
           lambda: _arg("--c2", type=_positive_float, default=nzvolume.DEFAULT_C2),
           _arg("--scan-limit", type=int, default=10**4))
-def _cmd_certify(args: argparse.Namespace) -> Any:
+def _cmd_certify(args: types.SimpleNamespace) -> Any:
     record = cusplattice.builtin_record(args.manifold)
     cert = nzvolume.certify_unique_volume(
         record, args.a, args.b, c2=args.c2, scan_limit=args.scan_limit
@@ -504,7 +548,7 @@ def _cmd_certify(args: argparse.Namespace) -> Any:
 
 
 @_command("mutant census", "count classes at length n", _N)
-def _cmd_mutant_census(args: argparse.Namespace) -> Any:
+def _cmd_mutant_census(args: types.SimpleNamespace) -> Any:
     report = mutant.census_report(args.n)
     return {
         "n": report.n,
@@ -521,7 +565,7 @@ def _cmd_mutant_census(args: argparse.Namespace) -> Any:
 @_command("mutant graph", "cusp graph of one word",
           _arg("--word", required=True, metavar="BITS"),
           _arg("--first-stage-modulus", type=int, default=1, choices=(1, 2)))
-def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
+def _cmd_mutant_graph(args: types.SimpleNamespace) -> Any:
     word = mutant.CyclicWord(args.word)
     dec = mutant.decompose(word)
     graph = mutant.cusp_graph(word, dec)
@@ -540,7 +584,7 @@ def _cmd_mutant_graph(args: argparse.Namespace) -> Any:
 
 
 @_command("mutant classes", "canonical class list", _N)
-def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
+def _cmd_mutant_classes(args: types.SimpleNamespace) -> Any:
     classes = mutant.enumerate_classes(args.n)
     return {
         "n": args.n,
@@ -552,7 +596,7 @@ def _cmd_mutant_classes(args: argparse.Namespace) -> Any:
 @_command("census hist", "cluster name,volume lines into a histogram",
           _arg("path", help="CSV file, or - for standard input"),
           lambda: _arg("--epsilon", type=_nonnegative_float, default=census.DEFAULT_EPSILON))
-def _cmd_census_hist(args: argparse.Namespace) -> Any:
+def _cmd_census_hist(args: types.SimpleNamespace) -> Any:
     if args.path == "-":
         report = census.parse_census(sys.stdin)
     else:

@@ -32,8 +32,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ALL_ONES",
@@ -365,8 +367,11 @@ def census_report(n: int) -> MutantCensusReport:
     ln(2)/(4*V_OCT) ~ 0.0473 from below.
     """
     # Imported here, not at the top: nzvolume brings cusplattice,
-    # quadform and arith, which no other function of this module needs,
-    # so `mutant graph` and `mutant classes` load none of them.
+    # quadform and arith, and fractions brings decimal and numbers, which
+    # no other function of this module needs, so `mutant graph` and
+    # `mutant classes` load none of them.
+    from fractions import Fraction
+
     from .nzvolume import V_OCT
 
     _check_word_length(n)

@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from decimal import Decimal
 from typing import Iterable, NamedTuple
 
 from .arith import _RhoRefusal, prime_powers
@@ -587,6 +586,8 @@ def primitive_value_set(form: IntQuadForm, limit: int) -> ValueSet:
     ValueError up front.  As 4a*Q = (2ax + by)**2 - D*y**2, row y holds
     the x with |2ax + by| <= isqrt(4a*limit + D*y**2).
     """
+    from decimal import Decimal  # here, so that only value sets load decimal
+
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     points = Decimal(limit) * Decimal(2 * math.pi / math.sqrt(-form.discriminant()))

@@ -26,7 +26,6 @@ Each other column's cells are printed to text first.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import itertools
@@ -222,6 +221,8 @@ def render(payload: Any, fmt: str) -> str:
     header, columns = payload
     texts = list(map(_text_cells, columns))
     if fmt == "csv":
+        import csv  # here, so that a json or table call does not load it
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(itertools.chain([header], zip(*texts)))
         return buf.getvalue()

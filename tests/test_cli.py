@@ -871,3 +871,50 @@ def test_a_call_executes_only_the_layers_it_needs(path):
     assert exit_code == 0
     assert executed == sorted(needed | {"cli", "render"})
     assert unexecuted == sorted(_LAYERS - needed)
+
+
+# the _NEEDS calls whose layers import neither decimal nor fractions
+_NO_DECIMAL = {"mutant graph", "mutant classes", "prime-seq", "qf gap"}
+
+
+@pytest.mark.parametrize("path", list(_NEEDS))
+def test_a_valid_call_imports_only_the_stdlib_it_runs(path):
+    # a valid call is parsed from its declaration, so argparse (which
+    # brings gettext and locale) is left to help and errors; csv is left
+    # to csv output (each call here prints json), and decimal and
+    # fractions to value sets and the volume layer.  A fresh interpreter
+    # per call, as above
+    _, *args = _NEEDS[path]
+    code = (
+        "import contextlib, io, sys; from volrigid import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = cli.run(sys.argv[1:])\n"
+        "print(code, *sorted(sys.modules))"
+    )
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code, *path.split(), *args],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    exit_code, *loaded = completed.stdout.split()
+    assert exit_code == "0"
+    absent = {"argparse", "gettext", "locale", "csv"}
+    if path in _NO_DECIMAL:
+        absent |= {"decimal", "fractions"}
+    assert not absent & set(loaded)
+
+
+def test_help_still_comes_from_the_parser_tree():
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", "volrigid", "certify", "-h"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (completed.returncode, completed.stderr) == (0, "")
+    assert completed.stdout.startswith("usage: volrigid certify [-h]")
+    assert "--scan-limit SCAN_LIMIT" in completed.stdout

@@ -1,6 +1,9 @@
-"""run parses a call with its subcommand's own parser, and falls back on
-the full parser tree for help, errors and leftovers: both routes must
-give the same exit code, stdout and stderr on every call."""
+"""run matches a call against its subcommand's declaration, without
+argparse, and hands every call that the matcher declines (help, an
+abbreviation, a refused value, a missing or extra token) to the full
+argparse tree: both routes must give the same exit code, stdout and
+stderr on every call, and the same arguments wherever the matcher takes
+the call."""
 
 from __future__ import annotations
 
@@ -62,6 +65,10 @@ def _argvs(path: str) -> list[tuple[str, ...]]:
         head + ("--",) + rest,
         (" ".join(head),) + rest,
         head[:1] + rest,
+        # each proper prefix of --format with a value it takes: argparse
+        # takes a unique prefix of a long flag ("--f" in most paths) and
+        # refuses "-", "--" and one shared with --form
+        *(head + rest + ("--format"[:k], "json") for k in range(1, 8)),
     ]
     for flags, options in _options(path):
         flag = flags[-1]
@@ -72,9 +79,11 @@ def _argvs(path: str) -> list[tuple[str, ...]]:
         if "type" in options:
             argvs.append(head + rest + (flag, "x,y"))
         if options.get("action") != "store_true":
-            # a negative value, and the flag cut short (--fo is ambiguous
-            # between --form and --format; --scan abbreviates --scan-limit)
+            # a negative value, one that argparse takes for a flag, and
+            # the flag cut short (--fo is ambiguous between --form and
+            # --format; --scan abbreviates --scan-limit)
             argvs.append(head + rest + (flag, "-1709"))
+            argvs.append(head + rest + (flag, "-1e5"))
             if flag.startswith("--"):
                 argvs.append(head + rest + (flag[:4], "1"))
                 argvs.append(head + rest + (flag[:6], "1"))
@@ -113,7 +122,7 @@ def test_dispatch_matches_the_full_tree(path, monkeypatch):
 
 
 @pytest.mark.parametrize("path", list(VALID))
-def test_a_valid_call_builds_only_its_leaf(path, monkeypatch):
+def test_a_valid_call_builds_no_parser(path, monkeypatch):
     monkeypatch.chdir(DATA)
     cli._build_parser.cache_clear()
     code, _, err = _capture(tuple(path.split()) + VALID[path])
@@ -121,8 +130,29 @@ def test_a_valid_call_builds_only_its_leaf(path, monkeypatch):
     assert cli._build_parser.cache_info().currsize == 0
 
 
+def test_the_matcher_takes_only_what_argparse_takes_for_a_negative_number():
+    # every argparse reads -1709 as a value.  Python 3.11's reads -1e5 as
+    # an unknown flag, so nz eval -a -1e5 is a usage error there, and
+    # the matcher leaves such a token to the tree
+    certify = ["--manifold", "m003", "-a", "288", "-b", "-1709"]
+    assert cli._match("certify", certify).b == -1709
+    assert cli._match("nz eval", ["--series", "m004", "-a", "-1e5", "-b", "1"]) is None
+
+
+def test_every_declared_option_is_one_the_matcher_reads():
+    # argparse passes a str default through the option's type, which the
+    # matcher does not; and the matcher knows these keys and no others
+    # (no nargs, no action but store_true)
+    known = {"type", "choices", "default", "required", "action", "dest", "help", "metavar"}
+    for path in cli._COMMANDS:
+        for flags, options in (cli._FORMAT, *cli._arguments(path)):
+            assert set(options) <= known, (path, flags)
+            assert options.get("action", "store_true") == "store_true", (path, flags)
+            assert not (isinstance(options.get("default"), str) and "type" in options), flags
+
+
 VALUES = ("1", "2", "-1", "0", "x", "1,0,1", "m004", "json", "csv", "polar", "0.3", "-",
-          "--", "-h", "--format=csv", "qf gap")
+          "--", "-h", "--format=csv", "qf gap", "- 5", "-1e5", "", "--format=json")
 
 
 @st.composite
@@ -149,19 +179,19 @@ def near_valid_calls(draw) -> list[str]:
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(argv=near_valid_calls())
-def test_a_leaf_parse_is_the_tree_parse(argv):
-    # whenever the leaf alone takes the whole call, the tree parses it to
-    # the same arguments, and _parse returns the leaf's
-    head = tuple(argv[:2]) if tuple(argv[:2]) in cli._PATHS else tuple(argv[:1])
-    try:
-        leaf, left = cli._leaf_parser(cli._PATHS[head]).parse_known_args(argv[len(head):])
-    except cli._Fallback:
-        return
-    if left:
+def test_a_matched_call_is_the_tree_parse(argv):
+    # whenever the matcher takes the call, the tree parses it to the same
+    # arguments, and _parse returns the matcher's
+    path = cli._PATHS.get(tuple(argv[:2])) or cli._PATHS[tuple(argv[:1])]
+    matched = cli._match(path, argv[len(path.split()):])
+    if matched is None:
         return
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        tree = vars(cli._build_parser().parse_args(argv))
+        try:
+            tree = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"the matcher takes a call that the tree refuses: {argv}")
     tree.pop("command")
     tree.pop("subcommand", None)
-    assert vars(leaf) == tree, argv
-    assert cli._parse(argv) == leaf
+    assert vars(matched) == tree, argv
+    assert cli._parse(argv) == matched
