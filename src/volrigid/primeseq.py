@@ -258,14 +258,6 @@ class GapPrimeWitness(NamedTuple):
         return all(self.conditions.values())
 
 
-def _representation_class(rep: tuple[int, int], allow_swap: bool) -> set[tuple[int, int]]:
-    x, y = rep
-    cls = {(x, y), (-x, y), (x, -y), (-x, -y)}
-    if allow_swap:
-        cls |= {(y, x), (-y, x), (y, -x), (-y, -x)}
-    return cls
-
-
 def verify_witness(
     value: int, spec: GapPrimeSpec, factors: dict[int, int] | None = None
 ) -> GapPrimeWitness:
@@ -284,14 +276,12 @@ def verify_witness(
         # 0 has no factorization, and the queries answer 0 without one
         factors = factorize(value) if value > 0 else {}
     fam = _FAMILIES[spec.family]
-    pairs = _all_pairs(fam.carrier_form, value, factors.items())
-    prim = [(x, y) for x, y in pairs if math.gcd(x, y) == 1]
-    representation = None
-    unique = False
-    if prim:
-        canonical = min([(abs(x), abs(y)) for x, y in prim])
-        unique = _representation_class(canonical, fam.allow_swap).issuperset(pairs)
-        representation = Representation(*canonical)
+    # The solutions lie in one class exactly when they have one
+    # (|x|, |y|), taken in either order when the family allows the swap.
+    sizes = {(abs(x), abs(y)) for x, y in _all_pairs(fam.carrier_form, value, factors.items())}
+    prim = [xy for xy in sizes if math.gcd(*xy) == 1]
+    if fam.allow_swap:
+        sizes = {(min(xy), max(xy)) for xy in sizes}
     gap_clear = not any(
         (value + k) % q and _primitively_represented(fam.gap_form, value + k)
         for k, q in _shifts(spec)
@@ -299,9 +289,9 @@ def verify_witness(
     excluded = value < 1 or not _primitive_pairs(fam.excluded_form, value, factors.items())
     return GapPrimeWitness(
         value=value,
-        representation=representation,
+        representation=Representation(*min(prim)) if prim else None,
         conditions={
-            "unique_representation": unique,
+            "unique_representation": bool(prim) and len(sizes) == 1,
             "neighbors_unrepresented": gap_clear,
             "excluded_form_missed": excluded,
         },

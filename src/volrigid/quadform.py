@@ -33,13 +33,16 @@ obstructions:
     and no candidate form is primitive.  The m125 family's excluded
     query x**2 + 4y**2 at 2p ends this way at l = 2, before p is read.
 A query for all representations, primitive or not, needs the square
-divisors of m and so reads the whole factorization.  The cost is one
-factorization, or a prefix of one, plus one reduction per pair of roots
-B and -B, not a walk over the O(sqrt m) rows of the ellipse Q = m; that
-walk lives on in the tests as the oracle the engine is checked against.
-The number of roots is known from the factorization before any is
-computed, and a query with more than MAX_SQUARE_ROOTS of them is refused
-once m is fully factored.
+divisors of m and so reads the whole factorization; a squarefree m has
+only its primitive query.  The cost is one factorization, or a prefix of
+one, plus one reduction per pair of roots B and -B, not a walk over the
+O(sqrt m) rows of the ellipse Q = m; that walk lives on in the tests as
+the oracle the engine is checked against.  A search witness's carrier
+query, on a prime p below 1e11 that the scan has proven, takes about
+9 us, half of it the square root of D mod p and the one reduction
+(2-core x86-64, Python 3.11).  The number of roots is known from the
+factorization before any is computed, and a query with more than
+MAX_SQUARE_ROOTS of them is refused once m is fully factored.
 
 A value set up to a limit walks the lattice points of the ellipse
 Q <= limit: the admissible y satisfy |D|*y**2 <= 4*a*limit, and for each
@@ -56,7 +59,6 @@ once Pollard's rho has taken MAX_GAP_RHO_STEPS steps on its neighbours.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Iterable, NamedTuple
 
@@ -93,11 +95,11 @@ MAX_GAP_STEPS = 10**4
 MAX_GAP_VALUE = 10**19
 MAX_GAP_RHO_STEPS = 2**20
 
-# A point query runs over every square root of D modulo 4m.  There are at
-# most a few per prime factor of m unless m and D share a high prime
-# power p**e, which leaves about p**(e/2) of them, at about 2 us each:
-# representations((1, 0, 2**37), 2**37) runs over 524288 roots in about
-# 0.9 s (2-core x86-64, Python 3.11).
+# A point query runs over the square roots of D modulo 4m, each once mod
+# 2m.  There are at most a few per prime factor of m unless m and D share
+# a high prime power p**e, which leaves about p**(e/2) of them, at about
+# 1.5 us each: representations((1, 0, 2**37), 2**37) runs over 262144
+# roots mod 2**38 in about 0.4 s (2-core x86-64, Python 3.11).
 # A query with more roots than this is refused before any is computed.
 MAX_SQUARE_ROOTS = 10**6
 
@@ -360,22 +362,24 @@ def _residue_tables(
 def _form_constants(form: IntQuadForm) -> tuple:
     """What a point query needs of Q, worked out once per form.
 
-    (content, D, reduced, mirrored, M, rotation, tables): D and the
-    reduced form of Q / content, the reduced form at (x, -y), the matrix
-    M = (p, q, r, s) with Q(M (x, y)) = content * reduced(x, y), the
-    generator of the reduced form's proper automorphisms, and the
+    (content, D, reduced, mirrored, orbit, tables): D and the reduced
+    form of Q / content, the reduced form at (x, -y), the matrices
+    M R**k = (p, q, r, s) for the proper automorphisms R**k of the
+    reduced form, where Q(M (x, y)) = content * reduced(x, y), and the
     residue tables of Q / content (see _residue_tables).
     """
     content = math.gcd(form.a, form.b, form.c)
     a, b, c = form.a // content, form.b // content, form.c // content
     d = b * b - 4 * a * c
-    reduced, p0, q0 = _reduce(a, b, c, 1, 0)
-    _, r0, s0 = _reduce(a, b, c)
+    reduced, p, q = _reduce(a, b, c, 1, 0)
+    _, r, s = _reduce(a, b, c)
+    u, v, w, z = _ROTATIONS.get(reduced, (-1, 0, 0, -1))
+    orbit = []
+    while (p, q, r, s) not in orbit:
+        orbit.append((p, q, r, s))
+        p, q, r, s = p * u + q * w, p * v + q * z, r * u + s * w, r * v + s * z
     ra, rb, rc = reduced
-    return (
-        content, d, reduced, (ra, -rb, rc), (p0, q0, r0, s0),
-        _ROTATIONS.get(reduced, (-1, 0, 0, -1)), _residue_tables(a, b, c, d),
-    )
+    return content, d, reduced, (ra, -rb, rc), orbit, _residue_tables(a, b, c, d)
 
 
 # Root lists of D modulo a power of a prime of 2D are kept only up to
@@ -384,17 +388,20 @@ _SHORT_ROOT_LIST = 64
 
 
 @functools.lru_cache(maxsize=256)
-def _local_roots(d: int, p: int, e: int) -> tuple[int, bool, tuple[int, ...] | None]:
-    """(count, all_lift, roots) for the square roots of d mod p**e, p | 2d.
+def _local_roots(d: int, p: int, e: int) -> tuple[int, bool, int, tuple[int, ...] | None]:
+    """(count, all_lift, q, roots) for the square roots of d mod p**e, p | 2d.
 
     all_lift: each root mod p**e lifts to p roots mod p**(e + 1).  roots
-    is None above _SHORT_ROOT_LIST of them, so a count that a query
-    refuses builds none.
+    are the roots below q, q = p**e but 2**(e - 1) for p = 2 (see
+    _primitive_pairs), and None above _SHORT_ROOT_LIST of them, so a
+    count that a query refuses builds none.
     """
     count = _sqrt_count(d, p, e)
     all_lift = _sqrt_count(d, p, e + 1) == p * count
-    short = count <= _SHORT_ROOT_LIST
-    return count, all_lift, tuple(_sqrt_mod_prime_power(d, p, e)) if short else None
+    q = 2 ** (e - 1) if p == 2 else p**e
+    if count > _SHORT_ROOT_LIST:
+        return count, all_lift, q, None
+    return count, all_lift, q, tuple(r for r in _sqrt_mod_prime_power(d, p, e) if r < q)
 
 
 def _primitive_pairs(
@@ -407,12 +414,12 @@ def _primitive_pairs(
     Every primitive solution (x, y) is the first column of some M in
     SL2(Z), and Q(M (x, y)) is a form (m, B, C) with B**2 = D (mod 4m),
     B unique mod 2m.  So the solutions are found by running over the
-    square roots B of D mod 4m, keeping those whose form
-    (m, B, (B**2 - D)/4m) reduces to the reduced Q, and taking each
-    one's images under the proper automorphisms of Q.  Three exits
-    answer [] early.  The residue-class exit comes first, once the
-    content is divided out of m and before fac is read: m mod q lies
-    outside the residue table of Q / content mod q, for some q in
+    square roots B of D mod 4m, each taken once mod 2m, keeping those
+    whose form (m, B, (B**2 - D)/4m) reduces to the reduced Q, and
+    taking each one's images under the proper automorphisms of Q.
+    Three exits answer [] early.  The residue-class exit comes first,
+    once the content is divided out of m and before fac is read: m mod q
+    lies outside the residue table of Q / content mod q, for some q in
     _residue_tables.  Then, a prime power of 4m modulo which D has no
     square root leaves no B at all, and a prime of m and D at which
     every B is forced to make the form imprimitive leaves no B that can
@@ -428,9 +435,7 @@ def _primitive_pairs(
     or g0 = g2; it is then equivalent to g, and 2m - B is reduced on its
     own when g is the reduced Q.
     """
-    content, d, reduced, mirrored, (p0, q0, r0, s0), (u, v, w, z), tables = (
-        _form_constants(form)
-    )
+    content, d, reduced, mirrored, orbit, tables = _form_constants(form)
     if m % content:
         return []
     m //= content
@@ -438,27 +443,30 @@ def _primitive_pairs(
         if m % q not in residues:
             return []
     # The factorization of 4m: m's with the content divided out and two
-    # more 2s, the latter added at the end when m's stream holds no 2.
-    # A prime that does not divide 2D has at most two roots, found
-    # directly; the others are counted before their roots are built, and
-    # both depend on D, p and e alone, so _local_roots keeps them.
-    fac4, total = {}, 1
-    for p, e in itertools.chain(fac, [(2, 0)]):
-        if p in fac4:
-            continue
-        k = content
-        while k % p == 0:
-            k //= p
-            e -= 1
-        if p == 2:
-            e += 2
+    # more 2s, the latter added at the end when m is odd (D always has
+    # two roots mod 2**2).  A prime that does not divide 2D has at most
+    # two roots, found directly; the others are counted before their
+    # roots are built, and both depend on D, p and e alone, so
+    # _local_roots keeps them.  With 2**e exactly dividing 4m, r +
+    # 2**(e - 1) is a root with r, as e >= 2: the roots at 2 are taken
+    # mod 2**(e - 1), and the CRT gives each B mod 2m once.
+    local, total = [], 1
+    for p, e in fac:
+        if content > 1:
+            k = content
+            while k % p == 0:
+                k //= p
+                e -= 1
         if not e:
             continue
         if 2 * d % p:
-            roots = _sqrt_mod_prime_power(d, p, e)
+            q = p**e
+            roots = _sqrt_mod_prime(d, p) if e == 1 else _sqrt_mod_prime_power(d, p, e)
             count = len(roots)
         else:
-            count, all_lift, roots = _local_roots(d, p, e)
+            if p == 2:
+                e += 2
+            count, all_lift, q, roots = _local_roots(d, p, e)
             # When p | m and every lift of every root mod p**e is a root
             # mod p**(e + 1), p divides B, m and C = (B**2 - D)/4m for
             # each B: every candidate form is imprimitive, so none is
@@ -468,25 +476,30 @@ def _primitive_pairs(
                 return []
         if not count:
             return []
-        fac4[p] = e, roots
+        local.append((q, p, e, roots))
         total *= count
+    if m % 2:
+        local.append((2, 2, 2, _local_roots(d, 2, 2)[3]))
+        total *= 2
     if total > MAX_SQUARE_ROOTS:
         raise ValueError(
             f"{d} has {total} square roots modulo {4 * m}; point "
             f"queries on form {form} are refused above {MAX_SQUARE_ROOTS:.0e} roots"
         )
     residues, modulus = [0], 1
-    for p, (e, roots) in fac4.items():
-        pe = p**e
-        inv = pow(modulus, -1, pe)
+    for q, p, e, roots in local:
         if roots is None:
-            roots = _sqrt_mod_prime_power(d, p, e)
-        residues = [x + modulus * ((r - x) * inv % pe) for x in residues for r in roots]
-        modulus *= pe
+            roots = [r for r in _sqrt_mod_prime_power(d, p, e) if r < q]
+        if modulus == 1:
+            residues, modulus = roots, q
+            continue
+        inv = pow(modulus, -1, q)
+        residues = [x + modulus * ((r - x) * inv % q) for x in residues for r in roots]
+        modulus *= q
     m2, m4 = 2 * m, 4 * m
     # reduced(M^-1 e1) = m, and M^-1 = [[s, -q], [-r, p]]
     starts = []
-    for big_b in {x % m2 for x in residues}:
+    for big_b in residues:
         if big_b > m:
             continue
         g, r, s = _reduce(m, big_b, (big_b * big_b - d) // m4)
@@ -501,15 +514,7 @@ def _primitive_pairs(
                     starts.append((s, -r))
             elif g == mirrored:
                 starts.append((s, r))
-    out = []
-    for start in starts:
-        x, y = start
-        while True:
-            out.append((p0 * x + q0 * y, r0 * x + s0 * y))
-            x, y = u * x + v * y, w * x + z * y
-            if (x, y) == start:
-                break
-    return out
+    return [(p * x + q * y, r * x + s * y) for x, y in starts for p, q, r, s in orbit]
 
 
 def _in_order(pairs: list[tuple[int, int]]) -> list[Representation]:
@@ -528,15 +533,19 @@ def _all_pairs(
         raise ValueError("a positive definite form only represents m >= 0")
     if m == 0:
         return [(0, 0)]
-    square_divisors = [(1, {})]
-    for p, e in fac:
-        square_divisors = [
-            (k * p**j, {**sub, p: e - 2 * j} if e > 2 * j else sub)
-            for k, sub in square_divisors
-            for j in range(e // 2 + 1)
-        ]
-    pairs = []
-    for k, sub in square_divisors:
+    # (k, the factorization of m / k**2) for each square divisor k**2 of
+    # m, k = 1 first: a squarefree m has only that one
+    fac = dict(fac)
+    square_divisors = [(1, fac)]
+    for p, e in fac.items():
+        if e > 1:
+            square_divisors = [
+                (k * p**j, {**sub, p: e - 2 * j})
+                for k, sub in square_divisors
+                for j in range(e // 2 + 1)
+            ]
+    pairs = _primitive_pairs(form, m, fac.items())
+    for k, sub in square_divisors[1:]:
         pairs += [(k * x, k * y) for x, y in _primitive_pairs(form, m // (k * k), sub.items())]
     return pairs
 

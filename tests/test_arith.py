@@ -169,6 +169,26 @@ def _next_prime(n: int) -> int:
     return n
 
 
+@pytest.mark.parametrize("p", arith._MR_WITNESSES)
+def test_base_screen_matches_the_factorization(p):
+    # is_prime first takes one gcd with the product of the twelve bases:
+    # it exceeds 1 exactly when a base divides n, and n is then prime
+    # exactly when it is that base.  Each n below is built from its
+    # factors, which are the oracle: n is prime when they are one prime
+    # to the first power.  q is a prime that no base divides, below and
+    # above psi_12, where the seeded rounds begin
+    built = [{p: 1}, {p: 2}]
+    for q in (_next_prime(10**12 + 1), _next_prime(arith._PSI_12 + 1)):
+        built += [{p: 1, q: 1}, {p: 2, q: 1}]
+    built += [{p: 1, b: 1} for b in arith._MR_WITNESSES if b != p]
+    for factors in built:
+        n = math.prod(f**e for f, e in factors.items())
+        assert is_prime(n) == (list(factors.values()) == [1]), factors
+        assert factorize(n) == factors
+    for n in (p - 2, p + 2):
+        assert is_prime(n) == naive_is_prime(n), n
+
+
 def _assert_factorization(n: int, factors: dict[int, int]) -> None:
     product = 1
     for p, e in factors.items():

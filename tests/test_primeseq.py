@@ -241,7 +241,16 @@ def test_verify_witness_m125_10():
 
 def representation_verify(value, spec):
     """The Representation-based verification: every query sorted into
-    Representation objects.  The oracle for the pair-level _verify."""
+    Representation objects, and the class of the least primitive
+    (|x|, |y|) written out in full.  The oracle for verify_witness."""
+
+    def representation_class(rep, allow_swap):
+        x, y = rep
+        cls = {(x, y), (-x, y), (x, -y), (-x, -y)}
+        if allow_swap:
+            cls |= {(y, x), (-y, x), (y, -x), (-y, -x)}
+        return cls
+
     fam = primeseq._FAMILIES[spec.family]
     all_reps = representations(fam.carrier_form, value)
     prim = [r.pair for r in all_reps if r.primitive]
@@ -249,7 +258,7 @@ def representation_verify(value, spec):
     unique = False
     if prim:
         canonical = min((abs(x), abs(y)) for x, y in prim)
-        cls = primeseq._representation_class(canonical, fam.allow_swap)
+        cls = representation_class(canonical, fam.allow_swap)
         unique = all(r.pair in cls for r in all_reps)
         representation = Representation(*canonical)
     neighbours = [value + k for k in range(-spec.g, spec.g + 1) if k and value + k >= 0]

@@ -182,6 +182,48 @@ def test_all_pairs_are_the_representations_unordered(data):
         assert set(pairs) == walk_representations(form, m)
 
 
+_SMALL_PRIMES = [p for p in range(2, 60) if arith.is_prime(p)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_all_pairs_same_on_every_factorization_shape(data):
+    # representations hands _all_pairs the lazy stream, verify_witness a
+    # dict view, and a tuple is read the same way: squarefree m (every
+    # search witness value, one primitive query) and m with square
+    # divisors give the walk's solutions, each once, from each shape
+    form = data.draw(forms(max_coeff=30))
+    if data.draw(st.booleans()):
+        m = math.prod(data.draw(st.lists(st.sampled_from(_SMALL_PRIMES), unique=True,
+                                         max_size=4)))
+    else:
+        m = data.draw(st.integers(2, 60)) ** 2 * data.draw(st.integers(1, 60))
+    assume(m <= 10**5)
+    fac = factorize(m)
+    walk = walk_representations(form, m)
+    for shape in (prime_powers(m), fac.items(), tuple(fac.items())):
+        pairs = _all_pairs(form, m, shape)
+        assert len(set(pairs)) == len(pairs) and set(pairs) == walk, (str(form), m)
+
+
+def test_all_pairs_makes_one_primitive_query_per_square_divisor(monkeypatch):
+    queried = []
+    primitive_pairs = quadform._primitive_pairs
+    monkeypatch.setattr(quadform, "_primitive_pairs", lambda form, m, fac: (
+        queried.append(m) or primitive_pairs(form, m, fac)))
+    p, q = 13, 37  # 13 = 1 + 12 and 37 = 25 + 12
+    # a witness value: a prime, or a squarefree m, is one query
+    for m in (p, p * q):
+        queried.clear()
+        assert _all_pairs(X2_12Y2, m, factorize(m).items())
+        assert queried == [m]
+    # m = p**2 q: the primitive solutions of m, then p times those of q
+    queried.clear()
+    assert set(_all_pairs(X2_12Y2, p * p * q, factorize(p * p * q).items())) == (
+        walk_representations(X2_12Y2, p * p * q))
+    assert queried == [p * p * q, q]
+
+
 def _divisor_character_sum(m: int, chi) -> int:
     out = 1
     for p, e in factorize(m).items():
